@@ -12,6 +12,13 @@ a missed mint deadline forfeits the issuer's warranty, a silent vault has
 its pending mint auto-confirmed (and pays the warranty from collateral),
 and a silent vault on a redeem has the burn voided against it.
 
+`LIFECYCLE` is the single source of the request state machine: one row per
+request operation, actor ops and timeouts alike. The op guards, the close
+of a request, the per-tick deadline pass and `conformance_errors` all read
+it. Actors query the engine through `block_of` (the block that mined a
+commitment) and `vault_note` (what a request's vault decrypts), and read
+per-request state (lock note, transfer, deadlines) off `RequestRecord`.
+
 Determinism contract: identical (config, seed) yields identical traces,
 byte for byte.
 """
@@ -21,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional
+from typing import Optional, Union
 
 from .issuing_chain import (
     CONFIRMED,
@@ -41,6 +48,7 @@ from .notes import (
     Note,
     NoteCiphertext,
     NoteCommitment,
+    NoteError,
     SharedSecret,
     SharedSecretDirectory,
     commit_note,
@@ -55,6 +63,7 @@ from .oracle import RateFeed
 from .relay import Relay
 from .vault_registry import RegistryParams, VaultRegistry
 from .zcash_chain import (
+    ChainError,
     ChainState,
     OutputDescription,
     Rejection,
@@ -75,10 +84,61 @@ REDEEM_CHALLENGED = "RedeemChallenged"
 REDEEM_SUCCESS = "RedeemSuccess"
 
 OK = "ok"
+SYSTEM = "system"  # the acting party of a timeout
 
 
 class ProtocolError(RuntimeError):
     """Internal inconsistency: a protocol bug, not an actor mistake."""
+
+
+# --- request lifecycle -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Transition:
+    op: str
+    kind: str                        # "issue" | "redeem"
+    party: str                       # RequestRecord field naming the actor, or SYSTEM
+    before: str
+    after: str
+    deadline: Optional[str] = None   # RequestRecord field: actors act by it, timeouts fire after
+    closes: Optional[str] = None     # close reason of an op that ends the request
+    once: Optional[tuple[str, str]] = None  # (earlier op that rules this one out, reason)
+
+
+# Read as a grammar per request: a mint is confirmed, challenged or
+# auto-confirmed on timeout, never more than one of them; a burn is
+# challenged, confirmed, or voided on timeout. A confirm without a preceding
+# release is legal exactly when an identical note commitment is already
+# provably on chain, which is the documented proof-reuse carve-out for
+# redeemers who repeat note values.
+LIFECYCLE = {t.op: t for t in (
+    Transition("requestLock", "issue", "requester", ISSUE_START, AWAITING_MINT),
+    Transition("lock", "issue", "requester", AWAITING_MINT, AWAITING_MINT,
+               once=("lock", "permit-used")),
+    Transition("mint", "issue", "requester", AWAITING_MINT, AWAIT_ISSUE_CONFIRM,
+               "deadline_mint"),
+    Transition("confirmIssue", "issue", "vault_id", AWAIT_ISSUE_CONFIRM, ISSUE_SUCCESS,
+               "deadline_confirm", "confirmed"),
+    Transition("challengeIssue", "issue", "vault_id", AWAIT_ISSUE_CONFIRM,
+               ISSUE_CHALLENGED, "deadline_confirm", "challenged"),
+    Transition("mintTimeout", "issue", SYSTEM, AWAITING_MINT, AWAITING_MINT,
+               "deadline_mint", "mint-timeout"),
+    Transition("confirmIssueTimeout", "issue", SYSTEM, AWAIT_ISSUE_CONFIRM, ISSUE_SUCCESS,
+               "deadline_confirm", "confirmed"),
+    Transition("burn", "redeem", "requester", REDEEM_START, AWAIT_REDEEM_CONFIRM),
+    Transition("release", "redeem", "vault_id", AWAIT_REDEEM_CONFIRM, AWAIT_REDEEM_CONFIRM,
+               "deadline_confirm", once=("release", "already-released")),
+    Transition("confirmRedeem", "redeem", "vault_id", AWAIT_REDEEM_CONFIRM, REDEEM_SUCCESS,
+               "deadline_confirm", "confirmed"),
+    Transition("challengeRedeem", "redeem", "vault_id", AWAIT_REDEEM_CONFIRM,
+               REDEEM_CHALLENGED, "deadline_confirm", "challenged",
+               once=("release", "already-released")),
+    Transition("confirmRedeemTimeout", "redeem", SYSTEM, AWAIT_REDEEM_CONFIRM,
+               AWAIT_REDEEM_CONFIRM, "deadline_confirm", "redeem-timeout"),
+)}
+START = {"issue": ISSUE_START, "redeem": REDEEM_START}
+TIMEOUTS = {(t.kind, t.before): t for t in LIFECYCLE.values() if t.party == SYSTEM}
 
 
 @dataclass
@@ -100,7 +160,6 @@ class LockPermit:
     vault_id: str
     nonce: bytes
     expiry: int
-    used: bool = False
 
 
 @dataclass
@@ -111,15 +170,24 @@ class RequestRecord:
     requester: str
     vault_id: str
     permit: Optional[LockPermit] = None
+    lock_note: Optional[Note] = None  # the note this request's lock paid the vault
     lock_cm: Optional[bytes] = None
     release_cm: Optional[bytes] = None
     ciphertext: Optional[NoteCiphertext] = None
+    transfer: Optional[Union[MintTransfer, BurnTransfer]] = None  # the mint or the burn
     deadline_mint: Optional[int] = None
     deadline_confirm: Optional[int] = None
     pending_txid: Optional[str] = None
-    released: bool = False
-    terminal: bool = False
     close_reason: Optional[str] = None
+    done: set = field(default_factory=set)  # ops performed, for the once-only rules
+
+    @property
+    def terminal(self) -> bool:
+        return self.close_reason is not None
+
+    @property
+    def released(self) -> bool:
+        return "release" in self.done
 
 
 @dataclass
@@ -161,15 +229,11 @@ class Engine:
         self.relayer_muted = False
         self.actors: dict[str, ActorAccount] = {}
         self.requests: dict[str, RequestRecord] = {}
-        self.permits: dict[str, LockPermit] = {}
         self.trace: list[tuple] = []
         self.metrics = EngineMetrics()
         self._counter = {"request": 0, "permit": 0}
         self._genesis_values: list[tuple[str, int]] = []
         self._started = False
-        self._lock_witness: dict[str, Note] = {}  # request -> lock note
-        self._mint_transfers: dict[str, MintTransfer] = {}
-        self._burn_transfers: dict[str, BurnTransfer] = {}
         self._cm_block: dict[bytes, bytes] = {}      # mined cm -> block hash
         self._watched_locks: dict[bytes, int] = {}
         self._watched_releases: dict[bytes, int] = {}
@@ -260,6 +324,76 @@ class Engine:
             self.metrics.replay_rejections += 1
         return Rejection(reason)
 
+    # -- lifecycle ---------------------------------------------------------------
+
+    def _guard(self, op: str, actor: str, request_id: str):
+        """The request `op` may act on, or the traced rejection. In order: the
+        actor is the op's party on a request of its kind, the request is in
+        the op's from-state, the once-only rule holds, the deadline holds."""
+        step = LIFECYCLE[op]
+        request = self.requests.get(request_id)
+        if (request is None or request.kind != step.kind
+                or getattr(request, step.party) != actor):
+            return self._reject(actor, op, request_id or "", "", "no-such-request")
+        if request.terminal or request.state != step.before:
+            return self._reject(actor, op, request_id, request.state, "bad-state")
+        if step.once is not None and step.once[0] in request.done:
+            return self._reject(actor, op, request_id, request.state, step.once[1])
+        if step.deadline is not None and self.now > getattr(request, step.deadline):
+            return self._reject(actor, op, request_id, request.state, "deadline-passed")
+        return request
+
+    def _advance(self, request: RequestRecord, op: str, actor: str) -> None:
+        """Take `op`'s row: the new state, and for a closing row the close
+        reason and the vault's freed slot, then the trace row."""
+        step = LIFECYCLE[op]
+        request.state = step.after
+        request.done.add(op)
+        if step.closes is not None:
+            request.close_reason = step.closes
+            record = self.registry.record(request.vault_id)
+            if request.kind == "issue":
+                record.active_issue = None
+            else:
+                record.active_redeem = None
+        self._trace(actor, op, request.request_id, step.before, step.after, OK)
+
+    def _slash(self, payer: str, payee: str, amount: int, reason: str) -> None:
+        self.metrics.slash_count += 1
+        self.metrics.record(self.now, "slash", payer, payee, amount, reason)
+
+    def _void(self, request: RequestRecord) -> None:
+        """Void the pending mint or burn; a voided burn's escrow goes back
+        to the requester."""
+        refund = self.issuing.finalize_tx(request.pending_txid, VOIDED)
+        if refund is not None:
+            self.actors[request.requester].wzec.credit(refund)
+
+    # -- queries -----------------------------------------------------------------
+
+    def block_of(self, cm_digest: bytes) -> Optional[bytes]:
+        """Hash of the backing-chain block that mined a commitment, if any."""
+        return self._cm_block.get(cm_digest)
+
+    def vault_note(self, request: RequestRecord) -> Optional[Note]:
+        """The note the request's vault decrypts from the request's
+        ciphertext, or None unless it opens the claimed commitment."""
+        vault_addr = self.registry.record(request.vault_id).zcash_address
+        secret = self.directory.secret_for(request.ciphertext.ephemeral_public,
+                                           vault_addr)
+        note = decrypt_note(request.ciphertext, secret)
+        if note is None or commit_note(note).digest != self._claimed_cm(request):
+            return None
+        return note
+
+    @staticmethod
+    def _claimed_cm(request: RequestRecord) -> bytes:
+        """The commitment a request's ciphertext must open: the mint's lock
+        note for an issue, the release note for a redeem."""
+        if request.kind == "issue":
+            return request.transfer.statement.lock_cm.digest
+        return request.release_cm
+
     # -- vault ops -----------------------------------------------------------------
 
     def register_vault(self, vault_id: str, collateral: int):
@@ -314,36 +448,30 @@ class Engine:
                                                   self.config.params.i_w)
         if rej is not None:
             return self._reject(issuer, "requestLock", "", ISSUE_START, rej.reason)
+        deadline = self.now + self.config.delta_mint
         permit = LockPermit(self._next_id("permit", "P"), issuer, vault_id,
-                            rng_bytes(self.rng, 32), self.now + self.config.delta_mint)
-        self.permits[permit.permit_id] = permit
-        request = RequestRecord(request_id, "issue", AWAITING_MINT, issuer, vault_id,
-                                permit=permit,
-                                deadline_mint=self.now + self.config.delta_mint)
+                            rng_bytes(self.rng, 32), deadline)
+        request = RequestRecord(request_id, "issue", ISSUE_START, issuer, vault_id,
+                                permit=permit, deadline_mint=deadline)
         self.requests[request_id] = request
         record.active_issue = request_id
-        self._trace(issuer, "requestLock", request_id, ISSUE_START, AWAITING_MINT, OK)
+        self._advance(request, "requestLock", issuer)
         return request
 
     def do_lock(self, issuer: str, request_id: str, amount: int,
                 tamper_random_rcm: bool = False):
         """Shielded lock on the backing chain, trapdoor derived from the
         permit nonce (unless deliberately tampered)."""
-        request = self.requests.get(request_id)
-        if request is None or request.kind != "issue" or request.requester != issuer:
-            return self._reject(issuer, "lock", request_id or "", "", "no-such-request")
-        if request.terminal or request.state != AWAITING_MINT:
-            return self._reject(issuer, "lock", request_id, request.state, "bad-state")
-        permit = request.permit
-        if permit.used:
-            return self._reject(issuer, "lock", request_id, request.state, "permit-used")
-        rcm = rng_bytes(self.rng, 32) if tamper_random_rcm else derive_rcm(permit.nonce)
+        request = self._guard("lock", issuer, request_id)
+        if isinstance(request, Rejection):
+            return request
+        rcm = rng_bytes(self.rng, 32) if tamper_random_rcm else derive_rcm(request.permit.nonce)
         vault_addr = self.registry.record(request.vault_id).zcash_address
         wallet = self.actors[issuer].zcash
         try:
             tx, notes = build_transfer(wallet, [(vault_addr, amount, rcm)],
                                        self.zcash.fee, self.directory, self.rng)
-        except Exception as exc:
+        except (ChainError, NoteError) as exc:
             return self._reject(issuer, "lock", request_id, request.state, str(exc))
         result = self.zcash.submit_shielded_tx(tx)
         if isinstance(result, Rejection):
@@ -351,12 +479,10 @@ class Engine:
         wallet.mark_spent([s.witness.note for s in tx.spends])
         if len(notes) > 1:
             wallet.expect(notes[-1])  # change
-        lock_note = notes[0]
-        permit.used = True
-        request.lock_cm = commit_note(lock_note).digest
-        self._lock_witness[request_id] = lock_note
+        request.lock_note = notes[0]
+        request.lock_cm = commit_note(request.lock_note).digest
         self._watched_locks[request.lock_cm] = amount
-        self._trace(issuer, "lock", request_id, AWAITING_MINT, AWAITING_MINT, OK)
+        self._advance(request, "lock", issuer)
         return result
 
     def build_mint(self, request_id: str, wrong_relation: bool = False,
@@ -365,7 +491,7 @@ class Engine:
         """Honest mint transfer for a locked request (tamper knobs for
         byzantine issuers)."""
         request = self.requests[request_id]
-        lock_note = lock_note_override or self._lock_witness.get(request_id)
+        lock_note = lock_note_override or request.lock_note
         if lock_note is None:
             raise ProtocolError(f"no lock recorded for {request_id}")
         lock_cm = commit_note(lock_note)
@@ -405,14 +531,9 @@ class Engine:
 
     def do_mint(self, issuer: str, request_id: str, transfer: MintTransfer,
                 ciphertext: NoteCiphertext):
-        request = self.requests.get(request_id)
-        if request is None or request.requester != issuer or request.kind != "issue":
-            return self._reject(issuer, "mint", request_id or "", "", "no-such-request")
-        if request.terminal or request.state != AWAITING_MINT:
-            return self._reject(issuer, "mint", request_id, request.state, "bad-state")
-        if self.now > request.deadline_mint:
-            return self._reject(issuer, "mint", request_id, request.state,
-                                "deadline-passed")
+        request = self._guard("mint", issuer, request_id)
+        if isinstance(request, Rejection):
+            return request
         deadline = self.now + self.config.delta_confirm_issue
         result = self.issuing.submit_mint_tx(transfer, deadline, request_id,
                                              request.permit.nonce)
@@ -427,103 +548,71 @@ class Engine:
                                    transfer.statement.inclusion_block):
             self.metrics.relay_violations += 1
             self.metrics.record(self.now, "relay-violation", request_id)
-        request.state = AWAIT_ISSUE_CONFIRM
         request.deadline_confirm = deadline
         request.pending_txid = result.txid
         request.ciphertext = ciphertext
-        self._mint_transfers[request_id] = transfer
-        self._trace(issuer, "mint", request_id, AWAITING_MINT, AWAIT_ISSUE_CONFIRM, OK)
+        request.transfer = transfer
+        self._advance(request, "mint", issuer)
         return result
 
     def _on_true_chain(self, cm_digest: bytes, block_hash: bytes) -> bool:
         return self.zcash.block_on_main(block_hash) and cm_digest in self.zcash.pool.leaf_index
 
     def confirm_issue(self, vault_id: str, request_id: str):
-        request = self.requests.get(request_id)
-        if request is None or request.vault_id != vault_id or request.kind != "issue":
-            return self._reject(vault_id, "confirmIssue", request_id or "", "",
-                                "no-such-request")
-        if request.terminal or request.state != AWAIT_ISSUE_CONFIRM:
-            return self._reject(vault_id, "confirmIssue", request_id, request.state,
-                                "bad-state")
-        if self.now > request.deadline_confirm:
-            return self._reject(vault_id, "confirmIssue", request_id, request.state,
-                                "deadline-passed")
+        request = self._guard("confirmIssue", vault_id, request_id)
+        if isinstance(request, Rejection):
+            return request
         self._complete_issue(request, slash_vault=False)
-        self._trace(vault_id, "confirmIssue", request_id, AWAIT_ISSUE_CONFIRM,
-                    ISSUE_SUCCESS, OK)
+        self._advance(request, "confirmIssue", vault_id)
         return OK
 
     def _complete_issue(self, request: RequestRecord, slash_vault: bool) -> None:
-        transfer = self._mint_transfers[request.request_id]
         wzec_note = self.issuing.finalize_tx(request.pending_txid, CONFIRMED)
         self.actors[request.requester].wzec.credit(wzec_note)
-        lock_note = transfer.witness.lock_note
+        lock_note = request.transfer.witness.lock_note
         self.registry.note_issue_completed(request.vault_id, lock_note.value)
         vault_account = self.actors.get(request.vault_id)
-        if vault_account is not None and self._vault_can_decrypt(request):
+        if vault_account is not None and self.vault_note(request) is not None:
             vault_account.zcash.credit(lock_note)
         self.issuing.i_ledger.return_warranty(request.request_id)
         if slash_vault:
             taken = self.issuing.i_ledger.slash_collateral(
                 request.vault_id, self.config.params.i_w, request.requester)
-            self.metrics.slash_count += 1
-            self.metrics.record(self.now, "slash", request.vault_id,
-                                request.requester, taken, "confirm-issue-timeout")
-        request.state = ISSUE_SUCCESS
-        request.terminal = True
-        request.close_reason = "confirmed"
-        self.registry.record(request.vault_id).active_issue = None
-
-    def _vault_can_decrypt(self, request: RequestRecord) -> bool:
-        vault_addr = self.registry.record(request.vault_id).zcash_address
-        secret = self.directory.secret_for(request.ciphertext.ephemeral_public,
-                                           vault_addr)
-        note = decrypt_note(request.ciphertext, secret)
-        claimed = self._mint_transfers[request.request_id].statement.lock_cm
-        return note is not None and commit_note(note) == claimed
+            self._slash(request.vault_id, request.requester, taken, "confirm-issue-timeout")
 
     def challenge_issue(self, vault_id: str, request_id: str,
                         revealed: Optional[SharedSecret] = None):
-        request = self.requests.get(request_id)
-        if request is None or request.vault_id != vault_id or request.kind != "issue":
-            return self._reject(vault_id, "challengeIssue", request_id or "", "",
-                                "no-such-request")
-        if request.terminal or request.state != AWAIT_ISSUE_CONFIRM:
-            return self._reject(vault_id, "challengeIssue", request_id, request.state,
-                                "bad-state")
-        if self.now > request.deadline_confirm:
-            return self._reject(vault_id, "challengeIssue", request_id, request.state,
-                                "deadline-passed")
+        return self._challenge("challengeIssue", vault_id, request_id, revealed)
+
+    def _challenge(self, op: str, vault_id: str, request_id: str,
+                   revealed: Optional[SharedSecret]):
+        """The vault shows the request's ciphertext does not open the claimed
+        commitment. Upheld, the pending mint or burn is voided and the
+        requester forfeits the warranty to the vault."""
+        request = self._guard(op, vault_id, request_id)
+        if isinstance(request, Rejection):
+            return request
         vault_addr = self.registry.record(vault_id).zcash_address
         if revealed is None:
             revealed = self.directory.secret_for(request.ciphertext.ephemeral_public,
                                                  vault_addr)
-        claimed = self._mint_transfers[request_id].statement.lock_cm
-        verdict = verify_challenge(request.ciphertext, revealed, claimed,
+        verdict = verify_challenge(request.ciphertext, revealed,
+                                   NoteCommitment(self._claimed_cm(request)),
                                    self.directory, vault_addr)
         if verdict != CHALLENGE_UPHELD:
             self.metrics.challenge_rejected += 1
-            return self._reject(vault_id, "challengeIssue", request_id, request.state,
+            return self._reject(vault_id, op, request_id, request.state,
                                 "challenge-not-upheld")
-        self.issuing.finalize_tx(request.pending_txid, VOIDED)
-        # the issuer forfeits both the warranty and the locked coins
+        self._void(request)
         forfeited = self.issuing.i_ledger.forfeit_warranty(request_id, vault_id)
-        self.metrics.slash_count += 1
-        self.metrics.record(self.now, "slash", request.requester, vault_id,
-                            forfeited, "issue-challenge")
-        lock_note = self._lock_witness.get(request_id)
+        self._slash(request.requester, vault_id, forfeited, f"{request.kind}-challenge")
+        # an issuer who locked also loses the locked coins
         vault_account = self.actors.get(vault_id)
-        if lock_note is not None and vault_account is not None:
-            vault_account.zcash.credit(lock_note)
+        if request.lock_note is not None and vault_account is not None:
+            vault_account.zcash.credit(request.lock_note)
         self.metrics.challenge_upheld += 1
         self.metrics.record(self.now, "challenge", request_id, "upheld")
-        request.state = ISSUE_CHALLENGED
-        request.terminal = True
-        request.close_reason = "challenged"
-        self.registry.record(vault_id).active_issue = None
-        self._trace(vault_id, "challengeIssue", request_id, AWAIT_ISSUE_CONFIRM,
-                    ISSUE_CHALLENGED, OK)
+        self._advance(request, op, vault_id)
         return OK
 
     # -- redeem --------------------------------------------------------------------
@@ -572,17 +661,16 @@ class Engine:
         wallet.mark_spent([s.witness.note for s in transfer.witness.spend_tx.spends])
         for out in transfer.witness.spend_tx.outputs:
             wallet.credit(out.note_witness)  # change is immediately live
-        request = RequestRecord(request_id, "redeem", AWAIT_REDEEM_CONFIRM, redeemer,
-                                vault_id,
+        request = RequestRecord(request_id, "redeem", REDEEM_START, redeemer, vault_id,
                                 release_cm=transfer.statement.release_cm.digest,
                                 ciphertext=ciphertext or transfer.statement.ciphertext,
+                                transfer=transfer,
                                 deadline_confirm=deadline,
                                 pending_txid=result.txid)
         self.requests[request_id] = request
-        self._burn_transfers[request_id] = transfer
         record.active_redeem = request_id
         self.actors[redeemer].zcash.expect(transfer.witness.release_note)
-        self._trace(redeemer, "burn", request_id, REDEEM_START, AWAIT_REDEEM_CONFIRM, OK)
+        self._advance(request, "burn", redeemer)
         return request
 
     def do_release(self, vault_id: str, request_id: str,
@@ -594,26 +682,18 @@ class Engine:
         if request.vault_id != vault_id:
             return self._reject(vault_id, "release", request_id, request.state,
                                 "wrong-vault")
-        if request.terminal or request.state != AWAIT_REDEEM_CONFIRM:
-            return self._reject(vault_id, "release", request_id, request.state,
-                                "bad-state")
-        if request.released:
-            return self._reject(vault_id, "release", request_id, request.state,
-                                "already-released")
-        if self.now > request.deadline_confirm:
-            return self._reject(vault_id, "release", request_id, request.state,
-                                "deadline-passed")
-        note = note_override
+        request = self._guard("release", vault_id, request_id)
+        if isinstance(request, Rejection):
+            return request
+        note = note_override or self.vault_note(request)
         if note is None:
-            note = self._decrypt_release_note(request)
-            if note is None:
-                return self._reject(vault_id, "release", request_id, request.state,
-                                    "cannot-decrypt")
+            return self._reject(vault_id, "release", request_id, request.state,
+                                "cannot-decrypt")
         wallet = self.actors[vault_id].zcash
         try:
             tx, notes = build_transfer(wallet, [(note.address, note.value, note.rcm)],
                                        self.zcash.fee, self.directory, self.rng)
-        except Exception as exc:
+        except (ChainError, NoteError) as exc:
             return self._reject(vault_id, "release", request_id, request.state, str(exc))
         result = self.zcash.submit_shielded_tx(tx)
         if isinstance(result, Rejection):
@@ -622,35 +702,16 @@ class Engine:
         wallet.mark_spent([s.witness.note for s in tx.spends])
         if len(notes) > 1:
             wallet.expect(notes[-1])
-        request.released = True
         self._watched_releases[commit_note(note).digest] = note.value
-        self._trace(vault_id, "release", request_id, AWAIT_REDEEM_CONFIRM,
-                    AWAIT_REDEEM_CONFIRM, OK)
+        self._advance(request, "release", vault_id)
         return result
-
-    def _decrypt_release_note(self, request: RequestRecord) -> Optional[Note]:
-        from .notes import decrypt_note
-        vault_addr = self.registry.record(request.vault_id).zcash_address
-        secret = self.directory.secret_for(request.ciphertext.ephemeral_public,
-                                           vault_addr)
-        note = decrypt_note(request.ciphertext, secret)
-        if note is None or commit_note(note).digest != request.release_cm:
-            return None
-        return note
 
     def confirm_redeem(self, vault_id: str, request_id: str,
                        proof: Optional[tuple] = None):
         """Inclusion proof of the release note confirms the burn."""
-        request = self.requests.get(request_id)
-        if request is None or request.vault_id != vault_id or request.kind != "redeem":
-            return self._reject(vault_id, "confirmRedeem", request_id or "", "",
-                                "no-such-request")
-        if request.terminal or request.state != AWAIT_REDEEM_CONFIRM:
-            return self._reject(vault_id, "confirmRedeem", request_id, request.state,
-                                "bad-state")
-        if self.now > request.deadline_confirm:
-            return self._reject(vault_id, "confirmRedeem", request_id, request.state,
-                                "deadline-passed")
+        request = self._guard("confirmRedeem", vault_id, request_id)
+        if isinstance(request, Rejection):
+            return request
         release_cm = NoteCommitment(request.release_cm)
         if proof is None:
             block_hash = self._cm_block.get(request.release_cm)
@@ -667,104 +728,43 @@ class Engine:
         if isinstance(verdict, Rejection):
             return self._reject(vault_id, "confirmRedeem", request_id, request.state,
                                 verdict.reason)
-        transfer = self._burn_transfers[request_id]
         self.issuing.finalize_tx(request.pending_txid, CONFIRMED)
-        self.registry.note_redeem_completed(vault_id, transfer.witness.burn_amount)
+        self.registry.note_redeem_completed(vault_id, request.transfer.witness.burn_amount)
         self.issuing.i_ledger.return_warranty(request_id)
-        request.state = REDEEM_SUCCESS
-        request.terminal = True
-        request.close_reason = "confirmed"
-        self.registry.record(vault_id).active_redeem = None
-        self._trace(vault_id, "confirmRedeem", request_id, AWAIT_REDEEM_CONFIRM,
-                    REDEEM_SUCCESS, OK)
+        self._advance(request, "confirmRedeem", vault_id)
         return OK
 
     def challenge_redeem(self, vault_id: str, request_id: str,
                          revealed: Optional[SharedSecret] = None):
-        request = self.requests.get(request_id)
-        if request is None or request.vault_id != vault_id or request.kind != "redeem":
-            return self._reject(vault_id, "challengeRedeem", request_id or "", "",
-                                "no-such-request")
-        if request.terminal or request.state != AWAIT_REDEEM_CONFIRM:
-            return self._reject(vault_id, "challengeRedeem", request_id, request.state,
-                                "bad-state")
-        if request.released:
-            return self._reject(vault_id, "challengeRedeem", request_id, request.state,
-                                "already-released")
-        if self.now > request.deadline_confirm:
-            return self._reject(vault_id, "challengeRedeem", request_id, request.state,
-                                "deadline-passed")
-        vault_addr = self.registry.record(vault_id).zcash_address
-        if revealed is None:
-            revealed = self.directory.secret_for(request.ciphertext.ephemeral_public,
-                                                 vault_addr)
-        verdict = verify_challenge(request.ciphertext, revealed,
-                                   NoteCommitment(request.release_cm),
-                                   self.directory, vault_addr)
-        if verdict != CHALLENGE_UPHELD:
-            self.metrics.challenge_rejected += 1
-            return self._reject(vault_id, "challengeRedeem", request_id, request.state,
-                                "challenge-not-upheld")
-        refund = self.issuing.finalize_tx(request.pending_txid, VOIDED)
-        if refund is not None:
-            self.actors[request.requester].wzec.credit(refund)
-        forfeited = self.issuing.i_ledger.forfeit_warranty(request_id, vault_id)
-        self.metrics.slash_count += 1
-        self.metrics.record(self.now, "slash", request.requester, vault_id,
-                            forfeited, "redeem-challenge")
-        self.metrics.challenge_upheld += 1
-        self.metrics.record(self.now, "challenge", request_id, "upheld")
-        request.state = REDEEM_CHALLENGED
-        request.terminal = True
-        request.close_reason = "challenged"
-        self.registry.record(vault_id).active_redeem = None
-        self._trace(vault_id, "challengeRedeem", request_id, AWAIT_REDEEM_CONFIRM,
-                    REDEEM_CHALLENGED, OK)
-        return OK
+        return self._challenge("challengeRedeem", vault_id, request_id, revealed)
 
     # -- deadlines -------------------------------------------------------------------
 
     def _enforce_deadlines(self) -> list[tuple]:
+        """Fire the timeout row of every open request past its deadline, in
+        request-creation order."""
         events = []
-        for request in list(self.requests.values()):
-            if request.terminal:
+        for request in self.requests.values():
+            step = TIMEOUTS.get((request.kind, request.state))
+            if (step is None or request.terminal
+                    or self.now <= getattr(request, step.deadline)):
                 continue
-            if (request.kind == "issue" and request.state == AWAITING_MINT
-                    and self.now > request.deadline_mint):
+            if step.op == "mintTimeout":
                 forfeited = self.issuing.i_ledger.forfeit_warranty(
                     request.request_id, request.vault_id)
-                self.metrics.slash_count += 1
-                self.metrics.record(self.now, "slash", request.requester,
-                                    request.vault_id, forfeited, "mint-timeout")
-                request.terminal = True
-                request.close_reason = "mint-timeout"
-                self.registry.record(request.vault_id).active_issue = None
-                self._trace("system", "mintTimeout", request.request_id,
-                            AWAITING_MINT, AWAITING_MINT, OK)
-                events.append((self.now, "mint-timeout", request.request_id))
-            elif (request.kind == "issue" and request.state == AWAIT_ISSUE_CONFIRM
-                    and self.now > request.deadline_confirm):
+                self._slash(request.requester, request.vault_id, forfeited, "mint-timeout")
+            elif step.op == "confirmIssueTimeout":
                 self._complete_issue(request, slash_vault=True)
-                self._trace("system", "confirmIssueTimeout", request.request_id,
-                            AWAIT_ISSUE_CONFIRM, ISSUE_SUCCESS, OK)
-                events.append((self.now, "confirm-issue-timeout", request.request_id))
-            elif (request.kind == "redeem" and request.state == AWAIT_REDEEM_CONFIRM
-                    and self.now > request.deadline_confirm):
-                refund = self.issuing.finalize_tx(request.pending_txid, VOIDED)
-                if refund is not None:
-                    self.actors[request.requester].wzec.credit(refund)
+            else:
+                self._void(request)
                 taken = self.issuing.i_ledger.slash_collateral(
                     request.vault_id, self.config.params.i_w, request.requester)
                 self.issuing.i_ledger.return_warranty(request.request_id)
-                self.metrics.slash_count += 1
-                self.metrics.record(self.now, "slash", request.vault_id,
-                                    request.requester, taken, "confirm-redeem-timeout")
-                request.terminal = True
-                request.close_reason = "redeem-timeout"
-                self.registry.record(request.vault_id).active_redeem = None
-                self._trace("system", "confirmRedeemTimeout", request.request_id,
-                            AWAIT_REDEEM_CONFIRM, AWAIT_REDEEM_CONFIRM, OK)
-                events.append((self.now, "confirm-redeem-timeout", request.request_id))
+                self._slash(request.vault_id, request.requester, taken,
+                            "confirm-redeem-timeout")
+            self._advance(request, step.op, SYSTEM)
+            event = re.sub(r"([A-Z])", r"-\1", step.op).lower()  # mintTimeout: mint-timeout
+            events.append((self.now, event, request.request_id))
         return events
 
     # -- scanning and metrics ----------------------------------------------------------
@@ -805,48 +805,42 @@ class Engine:
 
 # --- trace conformance -----------------------------------------------------------
 
-# Legal operation sequences per request, read off the Issue and Redeem
-# control flow: a mint is confirmed, challenged or auto-confirmed on
-# timeout, never more than one of them; a burn is challenged, confirmed, or
-# voided on timeout. A confirm without a preceding release is legal exactly
-# when an identical note commitment is already provably on chain, which is
-# the documented proof-reuse carve-out for redeemers who repeat note values.
-ISSUE_SEQUENCE = re.compile(
-    r"^requestLock(,lock)?"
-    r",(mint,(confirmIssue|challengeIssue|confirmIssueTimeout)|mintTimeout)$"
-)
-REDEEM_SEQUENCE = re.compile(
-    r"^burn,(challengeRedeem|(release,)?(confirmRedeem|confirmRedeemTimeout))$"
-)
-
-REQUEST_OPS = {
-    "requestLock", "lock", "mint", "confirmIssue", "challengeIssue",
-    "mintTimeout", "burn", "release", "confirmRedeem", "challengeRedeem",
-    "confirmIssueTimeout", "confirmRedeemTimeout",
-}
-
 
 def ops_by_request(trace_rows: list[tuple]) -> dict[str, list[str]]:
     """Successful request operations grouped per request, in trace order."""
     grouped: dict[str, list[str]] = {}
     for _tick, _actor, op, request_id, _before, _after, outcome in trace_rows:
-        if outcome == OK and op in REQUEST_OPS and request_id:
+        if outcome == OK and op in LIFECYCLE and request_id:
             grouped.setdefault(request_id, []).append(op)
     return grouped
 
 
+def sequence_ok(kind: str, ops: list[str]) -> bool:
+    """Whether `ops` walk LIFECYCLE rows of `kind` from its start state to a
+    close, each from the state the last one left, keeping every once-only
+    rule."""
+    state, closed, done = START[kind], False, set()
+    for op in ops:
+        step = LIFECYCLE.get(op)
+        if (closed or step is None or step.kind != kind or step.before != state
+                or (step.once is not None and step.once[0] in done)):
+            return False
+        state, closed = step.after, step.closes is not None
+        done.add(op)
+    return closed
+
+
 def conformance_errors(engine: Engine) -> list[str]:
-    """Check a finished engine run against the trace grammars plus the
+    """Check a finished engine run against the lifecycle table plus the
     exactly-one-terminal rule for every pending transaction."""
     errors = []
     grouped = ops_by_request(engine.trace_rows())
     for request_id, request in engine.requests.items():
-        ops = ",".join(grouped.get(request_id, []))
-        grammar = ISSUE_SEQUENCE if request.kind == "issue" else REDEEM_SEQUENCE
+        ops = grouped.get(request_id, [])
         if not request.terminal:
-            errors.append(f"{request_id}: not terminal at end of run ({ops})")
-        elif not grammar.fullmatch(ops):
-            errors.append(f"{request_id}: sequence [{ops}] violates the grammar")
+            errors.append(f"{request_id}: not terminal at end of run ({','.join(ops)})")
+        elif not sequence_ok(request.kind, ops):
+            errors.append(f"{request_id}: sequence [{','.join(ops)}] violates the grammar")
     for txid, pending in engine.issuing.pending.items():
         if pending.status == PENDING:
             errors.append(f"{txid}: pending tx never reached a terminal state")

@@ -34,6 +34,7 @@ from .protocol import (
     OK,
     Engine,
     ProtocolConfig,
+    ProtocolError,
     conformance_errors,
 )
 from .relay import Relay
@@ -152,6 +153,8 @@ def _validate_keys(entries: dict[str, str]) -> None:
                 and parts[2].isdigit()):
             continue
         if parts[0] == "actor" and len(parts) == 3 and parts[2] in _ACTOR_FIELDS:
+            if f"actor.{parts[1]}.role" not in entries:
+                raise ConfigError(f"{key}: actor {parts[1]!r} has no actor.{parts[1]}.role")
             continue
         raise ConfigError(f"unrecognized key {key!r}")
 
@@ -252,12 +255,9 @@ class IssueBot:
             if self.skip_lock:
                 self.phase = "stalled"
                 return
-            if self._round == 0:
+            if self._round == 0:  # a replay round reuses the old note at mint time
                 engine.do_lock(spec.name, self.request_id, spec.amount,
                                tamper_random_rcm=self.lock_tamper)
-            else:
-                # replay round: no new lock, reuse the old note at mint time
-                pass
             self.phase = "minting"
             return
         if self.phase == "minting":
@@ -269,10 +269,10 @@ class IssueBot:
                 self.phase = "done"
                 return
             override = self._old_lock_note if self._round > 0 else None
-            lock_note = override or engine._lock_witness.get(self.request_id)
+            lock_note = override or request.lock_note
             if lock_note is None:
                 return
-            block = engine._cm_block.get(commit_note(lock_note).digest)
+            block = engine.block_of(commit_note(lock_note).digest)
             if block is None or not engine.relay.is_final(block):
                 return
             transfer = engine.build_mint(self.request_id,
@@ -290,7 +290,7 @@ class IssueBot:
             request = engine.requests[self.request_id]
             if request.terminal:
                 if self.replay_lock and self._round == 0:
-                    self._old_lock_note = engine._lock_witness.get(self.request_id)
+                    self._old_lock_note = request.lock_note
                     self._round = 1
                     self.phase = "wait"
                     self.spec = ActorSpec(**{**spec.__dict__,
@@ -370,7 +370,7 @@ class VaultBot:
         if self.strategy == "spurious_challenge":
             engine.challenge_issue(name, request.request_id)
             return
-        if engine._vault_can_decrypt(request):
+        if engine.vault_note(request) is not None:
             engine.confirm_issue(name, request.request_id)
         else:
             engine.challenge_issue(name, request.request_id)
@@ -382,7 +382,7 @@ class VaultBot:
         if self.strategy == "proof_replayer":
             # confirm against an already-mined identical commitment, skipping
             # the release entirely (works only when the redeemer reused values)
-            if request.release_cm in engine._cm_block:
+            if engine.block_of(request.release_cm) is not None:
                 engine.confirm_redeem(name, request.request_id)
                 return
         if self.strategy == "stale_proof" and self._stale_proof is not None:
@@ -393,7 +393,7 @@ class VaultBot:
                 engine.confirm_redeem(name, request.request_id,
                                       proof=self._stale_proof)
             return
-        note = engine._decrypt_release_note(request)
+        note = engine.vault_note(request)
         if note is None:
             engine.challenge_redeem(name, request.request_id)
             return
@@ -406,7 +406,7 @@ class VaultBot:
         if not request.released:
             engine.do_release(name, request.request_id)
         else:
-            block = engine._cm_block.get(request.release_cm)
+            block = engine.block_of(request.release_cm)
             if block is not None and engine.relay.is_final(block):
                 result = engine.confirm_redeem(name, request.request_id)
                 if result == OK and self.strategy == "stale_proof":
@@ -454,7 +454,8 @@ class EclipseBot:
                 path = self.tree.path_at(0, 1)
                 verdict = engine.check_inclusion_claim(self.fake_cm, path,
                                                        self.forged_block.hash)
-                assert verdict == "verified"
+                if verdict != "verified":
+                    raise ProtocolError(f"final forged branch, yet the claim was {verdict}")
                 self.done = True
 
 
@@ -653,7 +654,8 @@ def run_privacy_analysis(h: int, k: int, seed: int = 1,
         transfer = engine.build_mint(request_id)
         ct = engine.build_note_ciphertext(transfer.witness.lock_note, vault)
         res = engine.do_mint("user", request_id, transfer, ct)
-        assert not isinstance(res, Rejection), res
+        if isinstance(res, Rejection):
+            raise ProtocolError(f"mint of {request_id} rejected: {res.reason}")
         engine.confirm_issue(vault, request_id)
 
     vault_views = {}

@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,11 +14,13 @@ from shieldbridge.protocol import (
     OK,
     REDEEM_CHALLENGED,
     REDEEM_SUCCESS,
+    LIFECYCLE,
     Engine,
     ProtocolConfig,
     ProtocolError,
     conformance_errors,
     ops_by_request,
+    sequence_ok,
 )
 from shieldbridge.vault_registry import RegistryParams
 from shieldbridge.zcash_chain import Rejection
@@ -143,6 +147,13 @@ class TestIssueRejections:
         assert isinstance(rej, Rejection)
         assert rej.reason == "statement-failed:rcm-not-derived"
 
+    def test_second_lock_rejected(self):
+        engine = make_engine()
+        request = engine.request_lock("A1", "V1")
+        assert not isinstance(engine.do_lock("A1", request.request_id, LOCK), Rejection)
+        rej = engine.do_lock("A1", request.request_id, LOCK)
+        assert isinstance(rej, Rejection) and rej.reason == "permit-used"
+
     def test_wrong_relation_rejected(self):
         engine = make_engine()
         request = run_issue(engine, confirm=False, mint_kwargs={"wrong_relation": True})
@@ -153,13 +164,55 @@ class TestIssueRejections:
         done = run_issue(engine)
         engine.submit_poc("V1")  # make the vault available again
         second = engine.request_lock("A1", "V1")
-        old_transfer = engine._mint_transfers[done.request_id]
+        old_transfer = done.transfer
         transfer = engine.build_mint(second.request_id,
                                      lock_note_override=old_transfer.witness.lock_note)
         ct = engine.build_note_ciphertext(old_transfer.witness.lock_note, "V1")
         rej = engine.do_mint("A1", second.request_id, transfer, ct)
         assert isinstance(rej, Rejection) and "lock-cm-replayed" in rej.reason
         assert engine.metrics.replay_rejections == 1
+
+
+class TestTransferFailures:
+    """Wallet and note errors while building a backing-chain transfer are
+    actor rejections; anything else is a bug and must propagate."""
+
+    def test_insufficient_funds_lock_rejected(self):
+        engine = make_engine()
+        request = engine.request_lock("A1", "V1")
+        rej = engine.do_lock("A1", request.request_id, 20_000_000_000)
+        reason = "A1: insufficient funds (10000000000 < 20000001000)"
+        assert isinstance(rej, Rejection) and rej.reason == reason
+        assert engine.trace_rows()[-1] == (engine.now, "A1", "lock", request.request_id,
+                                           AWAITING_MINT, AWAITING_MINT,
+                                           f"rejected:{reason}")
+        # the permit is still unused: a funded lock goes through
+        assert not isinstance(engine.do_lock("A1", request.request_id, LOCK), Rejection)
+
+    def test_internal_error_in_lock_propagates(self, monkeypatch):
+        engine = make_engine()
+        request = engine.request_lock("A1", "V1")
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr("shieldbridge.protocol.build_transfer", broken)
+        rows = len(engine.trace_rows())
+        with pytest.raises(RuntimeError, match="bug"):
+            engine.do_lock("A1", request.request_id, LOCK)
+        assert len(engine.trace_rows()) == rows
+
+    def test_internal_error_in_release_propagates(self, monkeypatch):
+        engine = engine_with_supply()
+        transfer, _ = engine.build_burn("A1", "V1", MINTED)
+        request = engine.do_burn("A1", "V1", transfer)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr("shieldbridge.protocol.build_transfer", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            engine.do_release("V1", request.request_id)
 
 
 class TestIssueTimeouts:
@@ -173,6 +226,14 @@ class TestIssueTimeouts:
         assert engine.issuing.i_ledger.balance("V1") == 105  # holder of i_w now
         assert engine.metrics.slash_count == 1
         assert conformance_errors(engine) == []
+
+    def test_tick_reports_timeout(self):
+        engine = make_engine()
+        request = engine.request_lock("A1", "V1")
+        events = []
+        while not request.terminal:
+            events += engine.tick()
+        assert events == [(engine.now, "mint-timeout", request.request_id)]
 
     def test_silent_vault_auto_confirm_and_slash(self):
         engine = make_engine()
@@ -339,6 +400,15 @@ class TestRedeemFailures:
         rej = engine.challenge_redeem("V1", request.request_id)
         assert isinstance(rej, Rejection) and rej.reason == "already-released"
 
+    def test_release_by_other_vault_rejected(self):
+        engine = engine_with_supply()
+        transfer, _ = engine.build_burn("A1", "V1", MINTED)
+        request = engine.do_burn("A1", "V1", transfer)
+        rej = engine.do_release("A1", request.request_id)
+        assert isinstance(rej, Rejection) and rej.reason == "wrong-vault"
+        assert engine.trace_rows()[-1][4:] == (AWAIT_REDEEM_CONFIRM, AWAIT_REDEEM_CONFIRM,
+                                               "rejected:wrong-vault")
+
     def test_release_without_burn_is_internal_error(self):
         engine = engine_with_supply()
         with pytest.raises(ProtocolError):
@@ -361,7 +431,7 @@ class TestReplayProtection:
         engine = engine_with_supply()
         first = run_redeem(engine, amount=2_000_000_000)
         old_cm_digest = first.release_cm
-        old_block = engine._cm_block[old_cm_digest]
+        old_block = engine.block_of(old_cm_digest)
         from shieldbridge.notes import NoteCommitment
         old_path = engine.zcash.merkle_path(NoteCommitment(old_cm_digest), old_block)
 
@@ -392,30 +462,53 @@ class TestReplayProtection:
         assert second.state == REDEEM_SUCCESS
 
 
+# The hand-written trace grammars the lifecycle table replaced, kept as the
+# oracle for the table-derived check.
+ISSUE_SEQUENCE = re.compile(
+    r"^requestLock(,lock)?"
+    r",(mint,(confirmIssue|challengeIssue|confirmIssueTimeout)|mintTimeout)$"
+)
+REDEEM_SEQUENCE = re.compile(
+    r"^burn,(challengeRedeem|(release,)?(confirmRedeem|confirmRedeemTimeout))$"
+)
+
+
+def accepts(kind, ops):
+    return sequence_ok(kind, ops.split(","))
+
+
 class TestGrammarChecker:
     """The conformance checker itself must catch bad traces, or the
     randomized episodes would pass vacuously."""
 
     def test_rejects_double_confirm(self):
-        from shieldbridge.protocol import ISSUE_SEQUENCE
-        assert ISSUE_SEQUENCE.fullmatch("requestLock,lock,mint,confirmIssue")
-        assert not ISSUE_SEQUENCE.fullmatch(
-            "requestLock,lock,mint,confirmIssue,confirmIssue")
-        assert not ISSUE_SEQUENCE.fullmatch(
-            "requestLock,lock,mint,confirmIssue,challengeIssue")
+        assert accepts("issue", "requestLock,lock,mint,confirmIssue")
+        assert not accepts("issue", "requestLock,lock,mint,confirmIssue,confirmIssue")
+        assert not accepts("issue", "requestLock,lock,mint,confirmIssue,challengeIssue")
 
     def test_rejects_mint_without_request(self):
-        from shieldbridge.protocol import ISSUE_SEQUENCE
-        assert not ISSUE_SEQUENCE.fullmatch("lock,mint,confirmIssue")
-        assert not ISSUE_SEQUENCE.fullmatch("mint,confirmIssue")
+        assert not accepts("issue", "lock,mint,confirmIssue")
+        assert not accepts("issue", "mint,confirmIssue")
 
     def test_rejects_release_after_challenge(self):
-        from shieldbridge.protocol import REDEEM_SEQUENCE
-        assert REDEEM_SEQUENCE.fullmatch("burn,release,confirmRedeem")
-        assert REDEEM_SEQUENCE.fullmatch("burn,confirmRedeem")  # proof reuse
-        assert not REDEEM_SEQUENCE.fullmatch("burn,challengeRedeem,release")
-        assert not REDEEM_SEQUENCE.fullmatch(
-            "burn,release,confirmRedeem,confirmRedeem")
+        assert accepts("redeem", "burn,release,confirmRedeem")
+        assert accepts("redeem", "burn,confirmRedeem")  # proof reuse
+        assert not accepts("redeem", "burn,challengeRedeem,release")
+        assert not accepts("redeem", "burn,release,confirmRedeem,confirmRedeem")
+
+    def test_table_matches_grammar_oracle(self):
+        # every sequence of up to 5 request ops, for both request kinds
+        assert len(LIFECYCLE) == 12
+        oracles = {"issue": ISSUE_SEQUENCE, "redeem": REDEEM_SEQUENCE}
+        accepted = {"issue": 0, "redeem": 0}
+        for length in range(6):
+            for ops in itertools.product(sorted(LIFECYCLE), repeat=length):
+                text = ",".join(ops)
+                for kind, oracle in oracles.items():
+                    expected = oracle.fullmatch(text) is not None
+                    assert sequence_ok(kind, list(ops)) == expected, (kind, text)
+                    accepted[kind] += expected
+        assert accepted == {"issue": 8, "redeem": 5}
 
     def test_flags_non_terminal_requests(self):
         engine = make_engine()

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import shieldbridge
+from shieldbridge.protocol import Engine, ProtocolError
 from shieldbridge.simcli import (
     ConfigError,
     bundled_scenario_names,
@@ -12,6 +19,7 @@ from shieldbridge.simcli import (
     run_scenario,
 )
 from shieldbridge.splitting import SplitConfig, posterior_ratio, prior_pmf
+from shieldbridge.zcash_chain import Rejection
 
 
 class TestConfigParser:
@@ -46,6 +54,11 @@ class TestConfigParser:
     def test_misspelled_actor_field_rejected(self):
         text = load_bundled_scenario("issue_happy") + "actor.A1.ammount = 3\n"
         with pytest.raises(ConfigError, match="actor.A1.ammount"):
+            load_scenario(text)
+
+    def test_actor_keys_without_role_rejected(self):
+        text = load_bundled_scenario("issue_happy") + "actor.A9.zec = 3\n"
+        with pytest.raises(ConfigError, match="actor.A9.zec: actor 'A9' has no actor.A9.role"):
             load_scenario(text)
 
 
@@ -100,6 +113,41 @@ class TestBundledScenarios:
             b = run_scenario(cfg)
             assert a.trace_csv == b.trace_csv
             assert a.metrics_csv == b.metrics_csv
+
+    def test_determinism_across_processes(self, tmp_path):
+        # string hashing differs per process; no output may depend on it
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from shieldbridge.simcli import (bundled_scenario_names,\n"
+            "    load_bundled_scenario, load_scenario, run_scenario)\n"
+            "for name in bundled_scenario_names():\n"
+            "    result = run_scenario(load_scenario(load_bundled_scenario(name)))\n"
+            "    out = Path(sys.argv[1]) / name\n"
+            "    out.mkdir(parents=True)\n"
+            "    (out / 'trace.csv').write_text(result.trace_csv)\n"
+            "    (out / 'metrics.csv').write_text(result.metrics_csv)\n"
+        )
+        src = str(Path(shieldbridge.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            out = tmp_path / hash_seed
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                           check=True, timeout=120)
+            outputs.append({f.relative_to(out): f.read_bytes()
+                            for f in sorted(out.rglob("*.csv"))})
+        assert len(outputs[0]) == 2 * len(bundled_scenario_names())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_eclipse_claim_not_verified_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(Engine, "check_inclusion_claim",
+                            lambda self, cm, path, block_hash: "rejected:bad-path")
+        cfg = load_scenario(load_bundled_scenario("relay_eclipse"))
+        with pytest.raises(ProtocolError, match="rejected:bad-path"):
+            run_scenario(cfg)
 
     def test_different_seed_changes_ids_not_outcomes(self):
         cfg = load_scenario(load_bundled_scenario("issue_happy"))
@@ -164,6 +212,12 @@ class TestPrivacyAnalysis:
             assert sum(pmf.values()) == 1
             assert pmf[t] == prior_pmf(cfg.h, t) * posterior_ratio(t, piece, cfg)
             assert pmf[t] > 0  # the true total is always plausible
+
+    def test_rejected_mint_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(Engine, "do_mint",
+                            lambda self, *args: Rejection("statement-failed"))
+        with pytest.raises(ProtocolError, match="rejected: statement-failed"):
+            run_privacy_analysis(7, 4, seed=9, total=5)
 
     def test_desk_scale_refusal(self):
         with pytest.raises(ConfigError, match="desk-scale"):
