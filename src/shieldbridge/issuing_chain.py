@@ -200,8 +200,6 @@ class PendingTx:
     txid: str
     kind: str  # "mint" | "burn"
     status: str
-    deadline: int
-    request_id: str
     escrow: int = 0  # wZEC held back while a burn is pending
 
 
@@ -263,8 +261,7 @@ class IssuingChain:
 
     # -- mint --
 
-    def submit_mint_tx(self, transfer: MintTransfer, deadline: int, request_id: str,
-                       permit_nonce: bytes):
+    def submit_mint_tx(self, transfer: MintTransfer, permit_nonce: bytes):
         st, wit = transfer.statement, transfer.witness
         if st.lock_cm.digest in self.used_lock_cms:
             return Rejection("lock-cm-replayed")
@@ -291,7 +288,7 @@ class IssuingChain:
         self.used_permit_nonces.add(permit_nonce)
         self._tx_counter += 1
         txid = f"I-mint-{self._tx_counter}"
-        tx = PendingTx(txid, "mint", PENDING, deadline, request_id)
+        tx = PendingTx(txid, "mint", PENDING)
         self.pending[txid] = tx
         self._payloads[txid] = transfer
         self.public_log.append({"txid": txid, **st.public_view(), "status": PENDING})
@@ -299,7 +296,7 @@ class IssuingChain:
 
     # -- burn --
 
-    def submit_burn_tx(self, transfer: BurnTransfer, deadline: int, request_id: str):
+    def submit_burn_tx(self, transfer: BurnTransfer):
         st, wit = transfer.statement, transfer.witness
         if wit.burn_amount > self.v_max:
             return Rejection("statement-failed:v-max")
@@ -316,8 +313,7 @@ class IssuingChain:
 
         self._tx_counter += 1
         txid = f"I-burn-{self._tx_counter}"
-        tx = PendingTx(txid, "burn", PENDING, deadline, request_id,
-                       escrow=wit.burn_amount)
+        tx = PendingTx(txid, "burn", PENDING, escrow=wit.burn_amount)
         self.pending[txid] = tx
         self._payloads[txid] = transfer
         self.public_log.append({"txid": txid, **st.public_view(wit.spend_tx),

@@ -217,43 +217,17 @@ def decrypt_note(ct: NoteCiphertext, secret: SharedSecret) -> Optional[Note]:
     return _decode_note(plaintext)
 
 
-class _Cursor:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
-
-    def take_prefixed(self) -> bytes:
-        n = int.from_bytes(self.raw[self.pos:self.pos + 4], "big")
-        start = self.pos + 4
-        if start + n > len(self.raw):
-            raise NoteError("truncated field")
-        self.pos = start + n
-        return self.raw[start:start + n]
-
-    def take_fixed(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise NoteError("truncated field")
-        out = self.raw[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def done(self) -> bool:
-        return self.pos == len(self.raw)
-
-
 def _decode_note(raw: bytes) -> Optional[Note]:
-    """Inverse of Note.encode; None on any malformation."""
+    """Inverse of Note.encode; None on any malformation. The encoding is
+    95 bytes of fixed-width fields (length|diversifier 4+11, length|pk_d
+    4+32, value 8, length|rcm 4+32), so a parse at fixed offsets that
+    re-encodes to the same bytes accepts exactly the encodings of notes."""
     try:
-        cur = _Cursor(raw)
-        d = cur.take_prefixed()
-        pk = cur.take_prefixed()
-        value = int.from_bytes(cur.take_fixed(VALUE_WIDTH), "big")
-        rcm = cur.take_prefixed()
-        if not cur.done():
-            return None
-        return Note(Address(d, pk), value, rcm)
+        note = Note(Address(raw[4:15], raw[19:51]), int.from_bytes(raw[51:59], "big"),
+                    raw[63:95])
     except NoteError:
         return None
+    return note if note.encode() == raw else None
 
 
 CHALLENGE_UPHELD = "challenge-upheld"

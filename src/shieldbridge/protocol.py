@@ -15,9 +15,12 @@ and a silent vault on a redeem has the burn voided against it.
 `LIFECYCLE` is the single source of the request state machine: one row per
 request operation, actor ops and timeouts alike. The op guards, the close
 of a request, the per-tick deadline pass and `conformance_errors` all read
-it. Actors query the engine through `block_of` (the block that mined a
-commitment) and `vault_note` (what a request's vault decrypts), and read
-per-request state (lock note, transfer, deadlines) off `RequestRecord`.
+it. Every closing row runs the same close step: free the vault slot, settle
+the pending mint or burn, apply a confirm's effects, and charge the row's
+`fault` party (the wronged-party rule). Actors query the engine through
+`block_of` (the block that mined a commitment) and `vault_note` (what a
+request's vault decrypts), and read per-request state (lock note,
+transfer, deadlines) off `RequestRecord`.
 
 Determinism contract: identical (config, seed) yields identical traces,
 byte for byte.
@@ -104,11 +107,14 @@ class Transition:
     deadline: Optional[str] = None   # RequestRecord field: actors act by it, timeouts fire after
     closes: Optional[str] = None     # close reason of an op that ends the request
     once: Optional[tuple[str, str]] = None  # (earlier op that rules this one out, reason)
+    fault: Optional[str] = None      # the party a close makes pay: "requester" | "vault"
 
 
 # Read as a grammar per request: a mint is confirmed, challenged or
 # auto-confirmed on timeout, never more than one of them; a burn is
-# challenged, confirmed, or voided on timeout. A confirm without a preceding
+# challenged, confirmed, or voided on timeout. The wronged party is paid: a
+# requester at fault forfeits the warranty to the vault, a vault at fault
+# pays i_w of collateral to the requester. A confirm without a preceding
 # release is legal exactly when an identical note commitment is already
 # provably on chain, which is the documented proof-reuse carve-out for
 # redeemers who repeat note values.
@@ -121,11 +127,11 @@ LIFECYCLE = {t.op: t for t in (
     Transition("confirmIssue", "issue", "vault_id", AWAIT_ISSUE_CONFIRM, ISSUE_SUCCESS,
                "deadline_confirm", "confirmed"),
     Transition("challengeIssue", "issue", "vault_id", AWAIT_ISSUE_CONFIRM,
-               ISSUE_CHALLENGED, "deadline_confirm", "challenged"),
+               ISSUE_CHALLENGED, "deadline_confirm", "challenged", fault="requester"),
     Transition("mintTimeout", "issue", SYSTEM, AWAITING_MINT, AWAITING_MINT,
-               "deadline_mint", "mint-timeout"),
+               "deadline_mint", "mint-timeout", fault="requester"),
     Transition("confirmIssueTimeout", "issue", SYSTEM, AWAIT_ISSUE_CONFIRM, ISSUE_SUCCESS,
-               "deadline_confirm", "confirmed"),
+               "deadline_confirm", "confirmed", fault="vault"),
     Transition("burn", "redeem", "requester", REDEEM_START, AWAIT_REDEEM_CONFIRM),
     Transition("release", "redeem", "vault_id", AWAIT_REDEEM_CONFIRM, AWAIT_REDEEM_CONFIRM,
                "deadline_confirm", once=("release", "already-released")),
@@ -133,12 +139,17 @@ LIFECYCLE = {t.op: t for t in (
                "deadline_confirm", "confirmed"),
     Transition("challengeRedeem", "redeem", "vault_id", AWAIT_REDEEM_CONFIRM,
                REDEEM_CHALLENGED, "deadline_confirm", "challenged",
-               once=("release", "already-released")),
+               once=("release", "already-released"), fault="requester"),
     Transition("confirmRedeemTimeout", "redeem", SYSTEM, AWAIT_REDEEM_CONFIRM,
-               AWAIT_REDEEM_CONFIRM, "deadline_confirm", "redeem-timeout"),
+               AWAIT_REDEEM_CONFIRM, "deadline_confirm", "redeem-timeout", fault="vault"),
 )}
 START = {"issue": ISSUE_START, "redeem": REDEEM_START}
 TIMEOUTS = {(t.kind, t.before): t for t in LIFECYCLE.values() if t.party == SYSTEM}
+
+
+def _event_name(op: str) -> str:
+    """A timeout's event and slash reason: mintTimeout -> mint-timeout."""
+    return re.sub(r"([A-Z])", r"-\1", op).lower()
 
 
 @dataclass
@@ -344,30 +355,94 @@ class Engine:
         return request
 
     def _advance(self, request: RequestRecord, op: str, actor: str) -> None:
-        """Take `op`'s row: the new state, and for a closing row the close
-        reason and the vault's freed slot, then the trace row."""
+        """Take `op`'s row: the new state, for a closing row the close and
+        its effects, then the trace row."""
         step = LIFECYCLE[op]
         request.state = step.after
         request.done.add(op)
         if step.closes is not None:
             request.close_reason = step.closes
-            record = self.registry.record(request.vault_id)
-            if request.kind == "issue":
-                record.active_issue = None
-            else:
-                record.active_redeem = None
+            self._close(request, step)
         self._trace(actor, op, request.request_id, step.before, step.after, OK)
+
+    def _close(self, request: RequestRecord, step: Transition) -> None:
+        """The one close of a request, whichever row ends it: free the vault
+        slot, settle the pending mint or burn, apply a confirm's effects,
+        and make the party at fault pay."""
+        setattr(self.registry.record(request.vault_id), f"active_{request.kind}", None)
+        confirmed = step.closes == "confirmed"
+        vault = self.actors.get(request.vault_id)
+        if request.pending_txid is not None:
+            # the minted note on a confirmed mint, the refund on a voided burn
+            credited = self.issuing.finalize_tx(request.pending_txid,
+                                                CONFIRMED if confirmed else VOIDED)
+            if credited is not None:
+                self.actors[request.requester].wzec.credit(credited)
+        if confirmed and request.kind == "issue":
+            lock_note = request.transfer.witness.lock_note
+            self.registry.note_issue_completed(request.vault_id, lock_note.value)
+            if vault is not None and self.vault_note(request) is not None:
+                vault.zcash.credit(lock_note)
+        elif confirmed:
+            self.registry.note_redeem_completed(request.vault_id,
+                                                request.transfer.witness.burn_amount)
+        elif (request.pending_txid is not None and request.lock_note is not None
+              and vault is not None):
+            vault.zcash.credit(request.lock_note)  # a voided mint's issuer loses the lock
+        ledger = self.issuing.i_ledger
+        reason = (_event_name(step.op) if step.party == SYSTEM
+                  else f"{request.kind}-challenge")
+        if step.fault == "requester":
+            forfeited = ledger.forfeit_warranty(request.request_id, request.vault_id)
+            self._slash(request.requester, request.vault_id, forfeited, reason)
+        else:
+            ledger.return_warranty(request.request_id)
+        if step.fault == "vault":
+            taken = ledger.slash_collateral(request.vault_id, self.config.params.i_w,
+                                            request.requester)
+            self._slash(request.vault_id, request.requester, taken, reason)
 
     def _slash(self, payer: str, payee: str, amount: int, reason: str) -> None:
         self.metrics.slash_count += 1
         self.metrics.record(self.now, "slash", payer, payee, amount, reason)
 
-    def _void(self, request: RequestRecord) -> None:
-        """Void the pending mint or burn; a voided burn's escrow goes back
-        to the requester."""
-        refund = self.issuing.finalize_tx(request.pending_txid, VOIDED)
-        if refund is not None:
-            self.actors[request.requester].wzec.credit(refund)
+    def _reserve(self, op: str, requester: str, vault_id: str):
+        """A fresh request id with the requester's warranty locked, if the
+        vault's slot for `op`'s kind is free; else the traced rejection."""
+        step = LIFECYCLE[op]
+        if getattr(self.registry.record(vault_id), f"active_{step.kind}") is not None:
+            return self._reject(requester, op, "", step.before, "vault-busy")
+        request_id = self._next_id("request", "R")
+        rej = self.issuing.i_ledger.lock_warranty(request_id, requester,
+                                                  self.config.params.i_w)
+        if rej is not None:
+            return self._reject(requester, op, "", step.before, rej.reason)
+        return request_id
+
+    def _open(self, op: str, request: RequestRecord) -> RequestRecord:
+        """Record a reserved request in its vault's slot and take `op`."""
+        self.requests[request.request_id] = request
+        setattr(self.registry.record(request.vault_id), f"active_{request.kind}",
+                request.request_id)
+        self._advance(request, op, request.requester)
+        return request
+
+    def _pay(self, payer: str, op: str, request: RequestRecord, output: tuple):
+        """Pay one (address, value, rcm) output on the backing chain from the
+        payer's wallet, change back to it: the txid, or the traced rejection."""
+        wallet = self.actors[payer].zcash
+        try:
+            tx, notes = build_transfer(wallet, [output], self.zcash.fee, self.directory,
+                                       self.rng)
+        except (ChainError, NoteError) as exc:
+            return self._reject(payer, op, request.request_id, request.state, str(exc))
+        result = self.zcash.submit_shielded_tx(tx)
+        if isinstance(result, Rejection):
+            return self._reject(payer, op, request.request_id, request.state, result.reason)
+        wallet.mark_spent([s.witness.note for s in tx.spends])
+        if len(notes) > 1:
+            wallet.expect(notes[-1])  # change
+        return result
 
     # -- queries -----------------------------------------------------------------
 
@@ -406,33 +481,34 @@ class Engine:
         self._trace(vault_id, "registerVault", "", "", "VaultRegistered", OK)
         return result
 
-    def submit_poc(self, vault_id: str, claimed_obligations: Optional[int] = None):
-        before = self._vault_state(vault_id)
-        result = self.registry.submit_poc(vault_id, self.now, claimed_obligations)
-        if isinstance(result, Rejection):
-            return self._reject(vault_id, "submitPOC", "", before, result.reason)
-        self._trace(vault_id, "submitPOC", "", before, self._vault_state(vault_id), OK)
-        return result
+    def submit_poc(self, vault_id: str):
+        return self._statement("submitPOC", vault_id, self.registry.submit_poc,
+                               self._issue_state)
 
-    def submit_pob(self, vault_id: str, witness_history=None):
-        before = self._vault_state(vault_id)
-        result = self.registry.submit_pob(vault_id, self.now, witness_history)
-        if isinstance(result, Rejection):
-            return self._reject(vault_id, "submitPOB", "", before, result.reason)
-        self._trace(vault_id, "submitPOB", "", before, self._vault_state(vault_id), OK)
-        return result
+    def submit_pob(self, vault_id: str):
+        return self._statement("submitPOB", vault_id, self.registry.submit_pob,
+                               self._issue_state)
 
     def submit_poi(self, vault_id: str):
-        before = "NotRedeeming" if not self.registry.redeem_available(vault_id) else "RedeemStart"
-        result = self.registry.submit_poi(vault_id, self.now)
+        return self._statement("submitPOI", vault_id, self.registry.submit_poi,
+                               self._redeem_state)
+
+    def _statement(self, op: str, vault_id: str, submit, state):
+        """A vault statement checked by the registry, traced with the vault's
+        `state` before and after."""
+        before = state(vault_id)
+        result = submit(vault_id, self.now)
         if isinstance(result, Rejection):
-            return self._reject(vault_id, "submitPOI", "", before, result.reason)
-        self._trace(vault_id, "submitPOI", "", before, "NotRedeeming", OK)
+            return self._reject(vault_id, op, "", before, result.reason)
+        self._trace(vault_id, op, "", before, state(vault_id), OK)
         return result
 
-    def _vault_state(self, vault_id: str) -> str:
+    def _issue_state(self, vault_id: str) -> str:
         record = self.registry.vaults.get(vault_id)
         return record.issue_state if record else ""
+
+    def _redeem_state(self, vault_id: str) -> str:
+        return "RedeemStart" if self.registry.redeem_available(vault_id) else "NotRedeeming"
 
     # -- issue ---------------------------------------------------------------------
 
@@ -440,23 +516,15 @@ class Engine:
         """Commit step: warranty locked, permit granted, mint clock started."""
         if not self.registry.issue_available(vault_id, self.now):
             return self._reject(issuer, "requestLock", "", ISSUE_START, "vault-unavailable")
-        record = self.registry.record(vault_id)
-        if record.active_issue is not None:
-            return self._reject(issuer, "requestLock", "", ISSUE_START, "vault-busy")
-        request_id = self._next_id("request", "R")
-        rej = self.issuing.i_ledger.lock_warranty(request_id, issuer,
-                                                  self.config.params.i_w)
-        if rej is not None:
-            return self._reject(issuer, "requestLock", "", ISSUE_START, rej.reason)
+        request_id = self._reserve("requestLock", issuer, vault_id)
+        if isinstance(request_id, Rejection):
+            return request_id
         deadline = self.now + self.config.delta_mint
         permit = LockPermit(self._next_id("permit", "P"), issuer, vault_id,
                             rng_bytes(self.rng, 32), deadline)
-        request = RequestRecord(request_id, "issue", ISSUE_START, issuer, vault_id,
-                                permit=permit, deadline_mint=deadline)
-        self.requests[request_id] = request
-        record.active_issue = request_id
-        self._advance(request, "requestLock", issuer)
-        return request
+        return self._open("requestLock", RequestRecord(
+            request_id, "issue", ISSUE_START, issuer, vault_id, permit=permit,
+            deadline_mint=deadline))
 
     def do_lock(self, issuer: str, request_id: str, amount: int,
                 tamper_random_rcm: bool = False):
@@ -467,27 +535,17 @@ class Engine:
             return request
         rcm = rng_bytes(self.rng, 32) if tamper_random_rcm else derive_rcm(request.permit.nonce)
         vault_addr = self.registry.record(request.vault_id).zcash_address
-        wallet = self.actors[issuer].zcash
-        try:
-            tx, notes = build_transfer(wallet, [(vault_addr, amount, rcm)],
-                                       self.zcash.fee, self.directory, self.rng)
-        except (ChainError, NoteError) as exc:
-            return self._reject(issuer, "lock", request_id, request.state, str(exc))
-        result = self.zcash.submit_shielded_tx(tx)
+        result = self._pay(issuer, "lock", request, (vault_addr, amount, rcm))
         if isinstance(result, Rejection):
-            return self._reject(issuer, "lock", request_id, request.state, result.reason)
-        wallet.mark_spent([s.witness.note for s in tx.spends])
-        if len(notes) > 1:
-            wallet.expect(notes[-1])  # change
-        request.lock_note = notes[0]
+            return result
+        request.lock_note = Note(vault_addr, amount, rcm)
         request.lock_cm = commit_note(request.lock_note).digest
         self._watched_locks[request.lock_cm] = amount
         self._advance(request, "lock", issuer)
         return result
 
     def build_mint(self, request_id: str, wrong_relation: bool = False,
-                   lock_note_override: Optional[Note] = None,
-                   nonce_override: Optional[bytes] = None) -> MintTransfer:
+                   lock_note_override: Optional[Note] = None) -> MintTransfer:
         """Honest mint transfer for a locked request (tamper knobs for
         byzantine issuers)."""
         request = self.requests[request_id]
@@ -508,8 +566,7 @@ class Engine:
         wzec_note = Note(issuer_wallet.address, value, rng_bytes(self.rng, 32))
         statement = MintStatement(lock_cm, commit_note(wzec_note),
                                   request.permit.permit_id, block_hash, path)
-        nonce = nonce_override if nonce_override is not None else request.permit.nonce
-        return MintTransfer(statement, MintWitness(lock_note, wzec_note, nonce))
+        return MintTransfer(statement, MintWitness(lock_note, wzec_note, request.permit.nonce))
 
     def build_note_ciphertext(self, note: Note, vault_id: str,
                               wrong_note: bool = False,
@@ -534,9 +591,7 @@ class Engine:
         request = self._guard("mint", issuer, request_id)
         if isinstance(request, Rejection):
             return request
-        deadline = self.now + self.config.delta_confirm_issue
-        result = self.issuing.submit_mint_tx(transfer, deadline, request_id,
-                                             request.permit.nonce)
+        result = self.issuing.submit_mint_tx(transfer, request.permit.nonce)
         if isinstance(result, Rejection):
             reason = result.reason
             if "replayed" in reason:
@@ -548,7 +603,7 @@ class Engine:
                                    transfer.statement.inclusion_block):
             self.metrics.relay_violations += 1
             self.metrics.record(self.now, "relay-violation", request_id)
-        request.deadline_confirm = deadline
+        request.deadline_confirm = self.now + self.config.delta_confirm_issue
         request.pending_txid = result.txid
         request.ciphertext = ciphertext
         request.transfer = transfer
@@ -562,23 +617,8 @@ class Engine:
         request = self._guard("confirmIssue", vault_id, request_id)
         if isinstance(request, Rejection):
             return request
-        self._complete_issue(request, slash_vault=False)
         self._advance(request, "confirmIssue", vault_id)
         return OK
-
-    def _complete_issue(self, request: RequestRecord, slash_vault: bool) -> None:
-        wzec_note = self.issuing.finalize_tx(request.pending_txid, CONFIRMED)
-        self.actors[request.requester].wzec.credit(wzec_note)
-        lock_note = request.transfer.witness.lock_note
-        self.registry.note_issue_completed(request.vault_id, lock_note.value)
-        vault_account = self.actors.get(request.vault_id)
-        if vault_account is not None and self.vault_note(request) is not None:
-            vault_account.zcash.credit(lock_note)
-        self.issuing.i_ledger.return_warranty(request.request_id)
-        if slash_vault:
-            taken = self.issuing.i_ledger.slash_collateral(
-                request.vault_id, self.config.params.i_w, request.requester)
-            self._slash(request.vault_id, request.requester, taken, "confirm-issue-timeout")
 
     def challenge_issue(self, vault_id: str, request_id: str,
                         revealed: Optional[SharedSecret] = None):
@@ -603,27 +643,20 @@ class Engine:
             self.metrics.challenge_rejected += 1
             return self._reject(vault_id, op, request_id, request.state,
                                 "challenge-not-upheld")
-        self._void(request)
-        forfeited = self.issuing.i_ledger.forfeit_warranty(request_id, vault_id)
-        self._slash(request.requester, vault_id, forfeited, f"{request.kind}-challenge")
-        # an issuer who locked also loses the locked coins
-        vault_account = self.actors.get(vault_id)
-        if request.lock_note is not None and vault_account is not None:
-            vault_account.zcash.credit(request.lock_note)
+        self._advance(request, op, vault_id)
         self.metrics.challenge_upheld += 1
         self.metrics.record(self.now, "challenge", request_id, "upheld")
-        self._advance(request, op, vault_id)
         return OK
 
     # -- redeem --------------------------------------------------------------------
 
     def build_burn(self, redeemer: str, vault_id: str, amount: int,
-                   reuse_note: Optional[Note] = None, ct_wrong_note: bool = False,
+                   reuse_note: Optional[Note] = None,
                    ct_corrupt: bool = False) -> tuple[BurnTransfer, Note]:
         """Honest burn transfer: fresh release note to the redeemer's own
         backing-chain address. `reuse_note` deliberately reuses an earlier
-        release note's values (the documented replay carve-out); the ct_*
-        knobs publish a malformed ciphertext."""
+        release note's values (the documented replay carve-out); `ct_corrupt`
+        publishes a malformed ciphertext."""
         account = self.actors[redeemer]
         if reuse_note is not None:
             release_note = reuse_note
@@ -633,27 +666,19 @@ class Engine:
                                 rng_bytes(self.rng, 32))
         spend_tx, notes = build_transfer(account.wzec, [], amount, self.directory,
                                          self.rng)
-        ct = self.build_note_ciphertext(release_note, vault_id,
-                                        wrong_note=ct_wrong_note, corrupt=ct_corrupt)
+        ct = self.build_note_ciphertext(release_note, vault_id, corrupt=ct_corrupt)
         statement = BurnStatement(commit_note(release_note), ct)
         return BurnTransfer(statement, BurnWitness(release_note, amount, spend_tx)), release_note
 
-    def do_burn(self, redeemer: str, vault_id: str, transfer: BurnTransfer,
-                ciphertext: Optional[NoteCiphertext] = None):
+    def do_burn(self, redeemer: str, vault_id: str, transfer: BurnTransfer):
         if vault_id not in self.registry.vaults:
             return self._reject(redeemer, "burn", "", REDEEM_START, "unknown-vault")
         if not self.registry.redeem_available(vault_id):
             return self._reject(redeemer, "burn", "", REDEEM_START, "vault-exempt")
-        record = self.registry.record(vault_id)
-        if record.active_redeem is not None:
-            return self._reject(redeemer, "burn", "", REDEEM_START, "vault-busy")
-        request_id = self._next_id("request", "R")
-        rej = self.issuing.i_ledger.lock_warranty(request_id, redeemer,
-                                                  self.config.params.i_w)
-        if rej is not None:
-            return self._reject(redeemer, "burn", "", REDEEM_START, rej.reason)
-        deadline = self.now + self.config.delta_confirm_redeem
-        result = self.issuing.submit_burn_tx(transfer, deadline, request_id)
+        request_id = self._reserve("burn", redeemer, vault_id)
+        if isinstance(request_id, Rejection):
+            return request_id
+        result = self.issuing.submit_burn_tx(transfer)
         if isinstance(result, Rejection):
             self.issuing.i_ledger.return_warranty(request_id)
             return self._reject(redeemer, "burn", "", REDEEM_START, result.reason)
@@ -661,17 +686,13 @@ class Engine:
         wallet.mark_spent([s.witness.note for s in transfer.witness.spend_tx.spends])
         for out in transfer.witness.spend_tx.outputs:
             wallet.credit(out.note_witness)  # change is immediately live
-        request = RequestRecord(request_id, "redeem", REDEEM_START, redeemer, vault_id,
-                                release_cm=transfer.statement.release_cm.digest,
-                                ciphertext=ciphertext or transfer.statement.ciphertext,
-                                transfer=transfer,
-                                deadline_confirm=deadline,
-                                pending_txid=result.txid)
-        self.requests[request_id] = request
-        record.active_redeem = request_id
         self.actors[redeemer].zcash.expect(transfer.witness.release_note)
-        self._advance(request, "burn", redeemer)
-        return request
+        return self._open("burn", RequestRecord(
+            request_id, "redeem", REDEEM_START, redeemer, vault_id,
+            release_cm=transfer.statement.release_cm.digest,
+            ciphertext=transfer.statement.ciphertext, transfer=transfer,
+            deadline_confirm=self.now + self.config.delta_confirm_redeem,
+            pending_txid=result.txid))
 
     def do_release(self, vault_id: str, request_id: str,
                    note_override: Optional[Note] = None):
@@ -689,19 +710,9 @@ class Engine:
         if note is None:
             return self._reject(vault_id, "release", request_id, request.state,
                                 "cannot-decrypt")
-        wallet = self.actors[vault_id].zcash
-        try:
-            tx, notes = build_transfer(wallet, [(note.address, note.value, note.rcm)],
-                                       self.zcash.fee, self.directory, self.rng)
-        except (ChainError, NoteError) as exc:
-            return self._reject(vault_id, "release", request_id, request.state, str(exc))
-        result = self.zcash.submit_shielded_tx(tx)
+        result = self._pay(vault_id, "release", request, (note.address, note.value, note.rcm))
         if isinstance(result, Rejection):
-            return self._reject(vault_id, "release", request_id, request.state,
-                                result.reason)
-        wallet.mark_spent([s.witness.note for s in tx.spends])
-        if len(notes) > 1:
-            wallet.expect(notes[-1])
+            return result
         self._watched_releases[commit_note(note).digest] = note.value
         self._advance(request, "release", vault_id)
         return result
@@ -728,9 +739,6 @@ class Engine:
         if isinstance(verdict, Rejection):
             return self._reject(vault_id, "confirmRedeem", request_id, request.state,
                                 verdict.reason)
-        self.issuing.finalize_tx(request.pending_txid, CONFIRMED)
-        self.registry.note_redeem_completed(vault_id, request.transfer.witness.burn_amount)
-        self.issuing.i_ledger.return_warranty(request_id)
         self._advance(request, "confirmRedeem", vault_id)
         return OK
 
@@ -749,22 +757,8 @@ class Engine:
             if (step is None or request.terminal
                     or self.now <= getattr(request, step.deadline)):
                 continue
-            if step.op == "mintTimeout":
-                forfeited = self.issuing.i_ledger.forfeit_warranty(
-                    request.request_id, request.vault_id)
-                self._slash(request.requester, request.vault_id, forfeited, "mint-timeout")
-            elif step.op == "confirmIssueTimeout":
-                self._complete_issue(request, slash_vault=True)
-            else:
-                self._void(request)
-                taken = self.issuing.i_ledger.slash_collateral(
-                    request.vault_id, self.config.params.i_w, request.requester)
-                self.issuing.i_ledger.return_warranty(request.request_id)
-                self._slash(request.vault_id, request.requester, taken,
-                            "confirm-redeem-timeout")
             self._advance(request, step.op, SYSTEM)
-            event = re.sub(r"([A-Z])", r"-\1", step.op).lower()  # mintTimeout: mint-timeout
-            events.append((self.now, event, request.request_id))
+            events.append((self.now, _event_name(step.op), request.request_id))
         return events
 
     # -- scanning and metrics ----------------------------------------------------------

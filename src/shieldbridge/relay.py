@@ -2,6 +2,8 @@
 
 The relay stores block headers submitted by relayers, tracks the heaviest
 tip, and treats a block as final once it sits at depth k under that tip.
+Like the chain it follows, it counts work 1 per block, so a header that
+declares any other work is invalid and the heaviest tip is the longest.
 Inclusion proofs for note commitments are only ever verified against final
 blocks. The relay deliberately has no notion of the nullifier set.
 
@@ -58,7 +60,7 @@ class Relay:
         if parent is None:
             self.metrics.headers_rejected += 1
             return Rejection("unknown-parent")
-        if header.height != parent.height + 1 or header.work < 1:
+        if header.height != parent.height + 1 or header.work != 1:
             self.metrics.headers_rejected += 1
             return Rejection("invalid-header")
         self.headers[header.hash] = header

@@ -367,7 +367,7 @@ class ChainState:
             root = parent.header.tree_root
         else:
             # side branch with a body: materialize the branch's leaves
-            branch_leaves, _ = self._branch_state(parent_hash)
+            branch_leaves = self._branch_leaves(parent_hash)
             new_nullifiers = set()
             for tx in txs:
                 for out in tx.outputs:
@@ -393,16 +393,12 @@ class ChainState:
         scratch.leaves = list(leaves)
         return scratch.root()
 
-    def _branch_state(self, tip_hash: bytes) -> tuple[list[bytes], set[bytes]]:
-        chain = self._path_from_genesis(tip_hash)
+    def _branch_leaves(self, tip_hash: bytes) -> list[bytes]:
         leaves: list[bytes] = []
-        nfs: set[bytes] = set()
-        for bh in chain:
-            block = self.blocks[bh]
-            for tx in block.txs:
+        for bh in self._path_from_genesis(tip_hash):
+            for tx in self.blocks[bh].txs:
                 leaves.extend(out.cm.digest for out in tx.outputs)
-            nfs |= block.new_nullifiers
-        return leaves, nfs
+        return leaves
 
     def _path_from_genesis(self, tip_hash: bytes) -> list[bytes]:
         chain = []

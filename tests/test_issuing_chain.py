@@ -94,41 +94,40 @@ class TestMint:
     def test_valid_mint_goes_pending(self, harness):
         transfer = harness.mint_transfer()  # 50 ZEC lock -> 49 wZEC
         assert transfer.witness.wzec_note.value == 4_900_000_000
-        tx = harness.chain.submit_mint_tx(transfer, deadline=10, request_id="R1",
-                                          permit_nonce=harness.permit_nonce)
+        tx = harness.chain.submit_mint_tx(transfer, permit_nonce=harness.permit_nonce)
         assert tx.status == PENDING
         assert harness.chain.supply == 0  # nothing in supply until confirmed
 
     def test_wrong_value_relation_rejected(self, harness):
         transfer = harness.mint_transfer(wzec_value=5_000_000_000)
-        rej = harness.chain.submit_mint_tx(transfer, 10, "R1", harness.permit_nonce)
+        rej = harness.chain.submit_mint_tx(transfer, harness.permit_nonce)
         assert isinstance(rej, Rejection)
         assert rej.reason == "statement-failed:value-relation"
 
     def test_v_max_exceeded_rejected(self):
         h = Harness(lock_value=V_MAX + 1)
         transfer = h.mint_transfer()
-        rej = h.chain.submit_mint_tx(transfer, 10, "R1", h.permit_nonce)
+        rej = h.chain.submit_mint_tx(transfer, h.permit_nonce)
         assert isinstance(rej, Rejection) and rej.reason == "statement-failed:v-max"
 
     def test_v_max_boundary_accepted(self):
         h = Harness(lock_value=V_MAX)
-        tx = h.chain.submit_mint_tx(h.mint_transfer(), 10, "R1", h.permit_nonce)
+        tx = h.chain.submit_mint_tx(h.mint_transfer(), h.permit_nonce)
         assert tx.status == PENDING
 
     def test_non_derived_rcm_rejected(self, harness):
         # lock note exists but its trapdoor is random, not permit-derived
         bad_note = Note(harness.vault_addr, 100, rng_bytes(harness.rng, 32))
         transfer = harness.mint_transfer(lock_note=bad_note)
-        rej = harness.chain.submit_mint_tx(transfer, 10, "R1", harness.permit_nonce)
+        rej = harness.chain.submit_mint_tx(transfer, harness.permit_nonce)
         assert isinstance(rej, Rejection)
         assert rej.reason in ("statement-failed:rcm-not-derived",
                               "statement-failed:lock-note")
 
     def test_replayed_lock_cm_rejected(self, harness):
         t1 = harness.mint_transfer()
-        harness.chain.submit_mint_tx(t1, 10, "R1", harness.permit_nonce)
-        rej = harness.chain.submit_mint_tx(t1, 10, "R2", harness.permit_nonce)
+        harness.chain.submit_mint_tx(t1, harness.permit_nonce)
+        rej = harness.chain.submit_mint_tx(t1, harness.permit_nonce)
         assert isinstance(rej, Rejection) and rej.reason == "lock-cm-replayed"
 
     def test_unfinal_inclusion_rejected(self):
@@ -138,28 +137,25 @@ class TestMint:
         for bh in h.zcash.main[1:]:
             starved_relay.submit_header(h.zcash.blocks[bh].header)
         issuing = IssuingChain(starved_relay, FEE, V_MAX, tree_depth=8)
-        rej = issuing.submit_mint_tx(h.mint_transfer(), 10, "R1", h.permit_nonce)
+        rej = issuing.submit_mint_tx(h.mint_transfer(), h.permit_nonce)
         assert isinstance(rej, Rejection) and rej.reason == "inclusion:not-final"
 
 
 class TestLifecycle:
     def test_confirm_mint_enters_supply(self, harness):
-        tx = harness.chain.submit_mint_tx(harness.mint_transfer(), 10, "R1",
-                                          harness.permit_nonce)
+        tx = harness.chain.submit_mint_tx(harness.mint_transfer(), harness.permit_nonce)
         harness.chain.finalize_tx(tx.txid, CONFIRMED)
         assert harness.chain.supply == 4_900_000_000
         assert harness.chain.pool_value() == harness.chain.supply
 
     def test_void_mint_mints_nothing(self, harness):
-        tx = harness.chain.submit_mint_tx(harness.mint_transfer(), 10, "R1",
-                                          harness.permit_nonce)
+        tx = harness.chain.submit_mint_tx(harness.mint_transfer(), harness.permit_nonce)
         harness.chain.finalize_tx(tx.txid, VOIDED)
         assert harness.chain.supply == 0
         assert harness.chain.pool_value() == 0
 
     def test_double_finalize_is_internal_error(self, harness):
-        tx = harness.chain.submit_mint_tx(harness.mint_transfer(), 10, "R1",
-                                          harness.permit_nonce)
+        tx = harness.chain.submit_mint_tx(harness.mint_transfer(), harness.permit_nonce)
         harness.chain.finalize_tx(tx.txid, CONFIRMED)
         with pytest.raises(LedgerError):
             harness.chain.finalize_tx(tx.txid, VOIDED)
@@ -169,7 +165,7 @@ def minted_harness():
     """Harness with 49 wZEC confirmed into a redeemer wallet."""
     h = Harness(lock_value=5_000_000_000)
     transfer = h.mint_transfer()
-    tx = h.chain.submit_mint_tx(transfer, 10, "R1", h.permit_nonce)
+    tx = h.chain.submit_mint_tx(transfer, h.permit_nonce)
     h.chain.finalize_tx(tx.txid, CONFIRMED)
     wzec_note = transfer.witness.wzec_note
     wallet = Wallet("dave", wzec_note.address, rng_bytes(h.rng, 32))
@@ -197,7 +193,7 @@ class TestBurn:
         h = minted_harness()
         transfer = make_burn(h, 4_900_000_000)
         assert transfer.witness.release_note.value == 4_802_000_000
-        tx = h.chain.submit_burn_tx(transfer, deadline=20, request_id="R2")
+        tx = h.chain.submit_burn_tx(transfer)
         assert tx.status == PENDING and tx.escrow == 4_900_000_000
         assert h.chain.supply == 4_900_000_000  # unchanged while pending
         assert h.chain.pool_value() == h.chain.supply
@@ -211,20 +207,20 @@ class TestBurn:
     def test_wrong_release_value_rejected(self):
         h = minted_harness()
         transfer = make_burn(h, 4_900_000_000, release_value=4_900_000_000)
-        rej = h.chain.submit_burn_tx(transfer, 20, "R2")
+        rej = h.chain.submit_burn_tx(transfer)
         assert isinstance(rej, Rejection)
         assert rej.reason == "statement-failed:value-relation"
 
     def test_confirm_burn_shrinks_supply(self):
         h = minted_harness()
-        tx = h.chain.submit_burn_tx(make_burn(h, 4_900_000_000), 20, "R2")
+        tx = h.chain.submit_burn_tx(make_burn(h, 4_900_000_000))
         h.chain.finalize_tx(tx.txid, CONFIRMED)
         assert h.chain.supply == 0
         assert h.chain.pool_value() == 0
 
     def test_void_burn_returns_escrow(self):
         h = minted_harness()
-        tx = h.chain.submit_burn_tx(make_burn(h, 4_900_000_000), 20, "R2")
+        tx = h.chain.submit_burn_tx(make_burn(h, 4_900_000_000))
         refund = h.chain.finalize_tx(tx.txid, VOIDED)
         assert h.chain.supply == 4_900_000_000
         assert h.chain.pool_value() == h.chain.supply
@@ -234,10 +230,10 @@ class TestBurn:
         # the burn consumed the wallet's note: any further spend of it,
         # burn or transfer, hits the nullifier set
         h = minted_harness()
-        tx = h.chain.submit_burn_tx(make_burn(h, 4_900_000_000), 20, "R2")
+        tx = h.chain.submit_burn_tx(make_burn(h, 4_900_000_000))
         assert tx.status == PENDING
         retry = make_burn(h, 4_900_000_000)
-        rej = h.chain.submit_burn_tx(retry, 20, "R3")
+        rej = h.chain.submit_burn_tx(retry)
         assert isinstance(rej, Rejection)
         assert rej.reason == "insufficient-wzec:double-spend"
 
@@ -271,7 +267,7 @@ class TestWzecTransfer:
 class TestObserverView:
     def test_public_log_hides_amounts(self):
         h = minted_harness()
-        h.chain.submit_burn_tx(make_burn(h, 4_900_000_000), 20, "R2")
+        h.chain.submit_burn_tx(make_burn(h, 4_900_000_000))
         log = str(h.chain.public_log)
         for secret_value in ("5000000000", "4900000000", "4802000000"):
             assert secret_value not in log

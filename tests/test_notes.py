@@ -19,6 +19,7 @@ from shieldbridge.notes import (
     rng_bytes,
     verify_challenge,
 )
+from shieldbridge.notes import _decode_note
 
 
 @pytest.fixture
@@ -121,6 +122,29 @@ def test_decrypt_garbage_payload(channel):
     _, epk, secret = channel
     assert decrypt_note(NoteCiphertext(b"\x00" * 80, epk), secret) is None
     assert decrypt_note(NoteCiphertext(b"", epk), secret) is None
+
+
+def test_malformed_plaintext_decodes_to_none(addr):
+    # a sender holding the shared secret can authenticate any plaintext, so
+    # the decoder alone must refuse everything but a note's exact encoding
+    note = make_note(addr)
+    raw = note.encode()
+    assert _decode_note(raw) == note
+    malformed = [raw[:n] for n in (0, 3, 15, 51, 63, len(raw) - 1)]
+    malformed += [raw + b"\x00", raw + raw[-4:]]
+
+    def prefix(n):
+        return n.to_bytes(4, "big")
+
+    malformed += [
+        prefix(12) + raw[4:],  # diversifier one byte longer
+        prefix(10) + raw[4:15] + prefix(33) + raw[19:],  # bytes moved between fields
+        raw[:15] + prefix(31) + raw[19:],  # pk_d one byte shorter
+        raw[:59] + prefix(33) + raw[63:],  # rcm runs past the end
+        raw[:59] + prefix(31) + raw[63:] + b"\x00",  # rcm shorter, bytes left over
+    ]
+    for bad in malformed:
+        assert _decode_note(bad) is None, bad.hex()
 
 
 def test_roundtrip_many_notes(rng):

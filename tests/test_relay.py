@@ -77,6 +77,27 @@ class TestHeaderAcceptance:
         assert relay.best_tip == side[-1].hash  # heavier now
         assert relay.metrics.tip_switches >= 1
 
+    def test_inflated_work_fork_rejected(self):
+        # work is 1 per block on the chain, so a header declaring more is
+        # invalid: 7 forged heavy headers from genesis must not revert 20
+        # honest blocks or flip finality
+        chain, relay = relayed_chain(k=6)
+        feed_main(chain, relay, 20)
+        honest_tip, honest_h14 = relay.best_tip, chain.main[14]
+        assert relay.is_final(honest_h14)
+        parent = relay.headers[chain.main[0]]  # genesis
+        results = []
+        for i in range(7):
+            forged = BlockHeader(parent.height + 1, parent.hash, parent.tree_root, 10**6,
+                                 nonce=5000 + i)
+            results.append(relay.submit_header(forged))
+            parent = forged
+        assert results[0] == Rejection("invalid-header")
+        assert all(isinstance(r, Rejection) for r in results)
+        assert relay.best_tip == honest_tip
+        assert relay.metrics.finality_flips == 0
+        assert relay.is_final(honest_h14)
+
 
 class TestFinality:
     def test_depth_boundaries(self):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -141,6 +143,18 @@ class TestBundledScenarios:
                             for f in sorted(out.rglob("*.csv"))})
         assert len(outputs[0]) == 2 * len(bundled_scenario_names())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_digests_match_recorded(self):
+        # the byte-identical contract: each scenario's trace.csv and
+        # metrics.csv hash to the values recorded with the benchmark
+        golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+        recorded = json.loads(golden.read_text())["scenarios"]
+        assert sorted(recorded) == sorted(bundled_scenario_names())
+        for name in bundled_scenario_names():
+            result = run_scenario(load_scenario(load_bundled_scenario(name)))
+            got = {"trace": hashlib.sha256(result.trace_csv.encode()).hexdigest(),
+                   "metrics": hashlib.sha256(result.metrics_csv.encode()).hexdigest()}
+            assert got == recorded[name], name
 
     def test_eclipse_claim_not_verified_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(Engine, "check_inclusion_claim",
