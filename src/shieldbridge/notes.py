@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import secrets
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,10 +31,10 @@ class NoteError(ValueError):
     pass
 
 
-def encode_int(value: int, width: int = VALUE_WIDTH) -> bytes:
+def encode_int(value: int) -> bytes:
     if value < 0:
         raise NoteError(f"amounts are non-negative integers, got {value}")
-    return value.to_bytes(width, "big")
+    return value.to_bytes(VALUE_WIDTH, "big")
 
 
 def encode_bytes(data: bytes) -> bytes:
@@ -146,10 +145,7 @@ def random_address(rng) -> Address:
 
 
 def rng_bytes(rng, n: int) -> bytes:
-    """n deterministic bytes from a seeded random.Random (or os randomness
-    when rng is None)."""
-    if rng is None:
-        return secrets.token_bytes(n)
+    """n deterministic bytes from a seeded random.Random."""
     return rng.getrandbits(8 * n).to_bytes(n, "big")
 
 

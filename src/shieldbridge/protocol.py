@@ -159,18 +159,8 @@ class ProtocolConfig:
     delta_mint: int = 24
     delta_confirm_issue: int = 6
     delta_confirm_redeem: int = 24
-    zc_block_interval: int = 1
     zc_fee: int = 1000
     tree_depth: int = 16
-
-
-@dataclass
-class LockPermit:
-    permit_id: str
-    issuer: str
-    vault_id: str
-    nonce: bytes
-    expiry: int
 
 
 @dataclass
@@ -180,7 +170,8 @@ class RequestRecord:
     state: str
     requester: str
     vault_id: str
-    permit: Optional[LockPermit] = None
+    permit_id: Optional[str] = None  # issue: the lock permit and its nonce,
+    nonce: Optional[bytes] = None    # from which the lock trapdoor derives
     lock_note: Optional[Note] = None  # the note this request's lock paid the vault
     lock_cm: Optional[bytes] = None
     release_cm: Optional[bytes] = None
@@ -294,15 +285,14 @@ class Engine:
     # -- clock -------------------------------------------------------------------
 
     def tick(self, actor_phase=None) -> list[tuple]:
-        """Advance one tick: mine per schedule, relay headers, let actors
+        """Advance one tick: mine a block, relay its header, let actors
         move, then fire every due deadline exactly once."""
         if not self._started:
             self.start()
         self.now += 1
-        if self.config.zc_block_interval and self.now % self.config.zc_block_interval == 0:
-            header = self.zcash.mine_block()
-            if not self.relayer_muted:
-                self.relay.submit_header(header)
+        header = self.zcash.mine_block()
+        if not self.relayer_muted:
+            self.relay.submit_header(header)
         if actor_phase is not None:
             actor_phase(self)
         events = self._enforce_deadlines()
@@ -519,12 +509,10 @@ class Engine:
         request_id = self._reserve("requestLock", issuer, vault_id)
         if isinstance(request_id, Rejection):
             return request_id
-        deadline = self.now + self.config.delta_mint
-        permit = LockPermit(self._next_id("permit", "P"), issuer, vault_id,
-                            rng_bytes(self.rng, 32), deadline)
         return self._open("requestLock", RequestRecord(
-            request_id, "issue", ISSUE_START, issuer, vault_id, permit=permit,
-            deadline_mint=deadline))
+            request_id, "issue", ISSUE_START, issuer, vault_id,
+            permit_id=self._next_id("permit", "P"), nonce=rng_bytes(self.rng, 32),
+            deadline_mint=self.now + self.config.delta_mint))
 
     def do_lock(self, issuer: str, request_id: str, amount: int,
                 tamper_random_rcm: bool = False):
@@ -533,7 +521,7 @@ class Engine:
         request = self._guard("lock", issuer, request_id)
         if isinstance(request, Rejection):
             return request
-        rcm = rng_bytes(self.rng, 32) if tamper_random_rcm else derive_rcm(request.permit.nonce)
+        rcm = rng_bytes(self.rng, 32) if tamper_random_rcm else derive_rcm(request.nonce)
         vault_addr = self.registry.record(request.vault_id).zcash_address
         result = self._pay(issuer, "lock", request, (vault_addr, amount, rcm))
         if isinstance(result, Rejection):
@@ -565,8 +553,8 @@ class Engine:
         issuer_wallet = self.actors[request.requester].wzec
         wzec_note = Note(issuer_wallet.address, value, rng_bytes(self.rng, 32))
         statement = MintStatement(lock_cm, commit_note(wzec_note),
-                                  request.permit.permit_id, block_hash, path)
-        return MintTransfer(statement, MintWitness(lock_note, wzec_note, request.permit.nonce))
+                                  request.permit_id, block_hash, path)
+        return MintTransfer(statement, MintWitness(lock_note, wzec_note, request.nonce))
 
     def build_note_ciphertext(self, note: Note, vault_id: str,
                               wrong_note: bool = False,
@@ -591,7 +579,7 @@ class Engine:
         request = self._guard("mint", issuer, request_id)
         if isinstance(request, Rejection):
             return request
-        result = self.issuing.submit_mint_tx(transfer, request.permit.nonce)
+        result = self.issuing.submit_mint_tx(transfer, request.nonce)
         if isinstance(result, Rejection):
             reason = result.reason
             if "replayed" in reason:

@@ -1,31 +1,32 @@
 """Scenario runner and command-line interface.
 
-Scenarios are flat `key = value` files with dotted sections (amounts as
-integers, rationals as num/den). A scenario declares protocol parameters,
-an oracle script, actors with strategies, a tick horizon, a seed, and
-`expect.*` assertions evaluated against the run's metrics. One scenario is
-one event loop; identical (config, seed) produces byte-identical trace and
-metrics files.
+Scenarios are flat `key = value` files with dotted sections. A scenario
+declares protocol parameters, an oracle script, actors with strategies, a
+tick horizon, a seed, and `expect.*` assertions on the run's metrics. The
+config dataclasses are the schema (`SCENARIO_KEYS` maps each key to a field,
+whose type and default apply), and `ROLES` gives each role the bots whose
+`STRATEGIES` it may use. One scenario is one event loop; identical (config,
+seed) produces byte-identical trace and metrics files.
 
 Subcommands:
     run          execute a scenario file (or bundled name): trace.csv, metrics.csv
     privacy      splitting bound reports plus an end-to-end split-and-issue run
     check-bounds exhaustive splitting bound verification, report to stdout
 
-Exit status is zero only when every scenario assertion and bound check
-passes.
+Exit status is 0 when every scenario assertion and bound check passes, 1
+when one fails, and 2 on a config error (one `config error:` line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from random import Random
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .notes import Note, NoteCommitment, commit_note, rng_bytes
 from .protocol import (
@@ -77,37 +78,11 @@ def parse_config(text: str) -> dict[str, str]:
     return entries
 
 
-def _as_int(entries, key, default=None) -> int:
-    if key not in entries:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(entries[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not an integer: {entries[key]!r}") from exc
-
-
-def _as_fraction(entries, key, default=None) -> Fraction:
-    if key not in entries:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    raw = entries[key]
-    try:
-        if "/" in raw:
-            num, den = raw.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(raw))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{key}: not a rational: {raw!r}") from exc
-
-
 @dataclass
 class ActorSpec:
     name: str
-    role: str            # vault | issuer | redeemer
-    strategy: str
+    role: str            # a key of ROLES
+    strategy: str = "honest"  # one of the role's bots' STRATEGIES
     zec: int = 0
     i: int = 0
     collateral: int = 0
@@ -126,100 +101,97 @@ class ScenarioConfig:
     oracle_script: list[tuple[int, Fraction]]
     actors: list[ActorSpec]
     expects: dict[str, str]
-    mute_relayer_at: Optional[int] = None
+    mute_relayer_at: int = 0  # tick the eclipse attack starts; 0: never
 
 
-_SCALAR_KEYS = {
-    "seed", "ticks", "params.v_max", "params.f", "params.sigma_std",
-    "params.i_w", "params.poc_validity", "params.pob_period",
-    "params.liq_margin", "relay.k", "relay.mute_honest_at",
-    "protocol.delta_mint", "protocol.delta_confirm_issue",
-    "protocol.delta_confirm_redeem", "zcash.block_interval", "zcash.fee",
-    "zcash.tree_depth",
+# Scenario key -> (config dataclass, field); the field's type picks the
+# key's parser and its default fills a missing key. The other keys are
+# actor.<name>.<ActorSpec field>, oracle.rate.<tick> and expect.<metric>.
+SCENARIO_KEYS = {
+    "seed": (ScenarioConfig, "seed"),
+    "ticks": (ScenarioConfig, "ticks"),
+    **{f"params.{f.name}": (RegistryParams, f.name) for f in fields(RegistryParams)},
+    "relay.k": (ProtocolConfig, "relay_k"),
+    "relay.mute_honest_at": (ScenarioConfig, "mute_relayer_at"),
+    "protocol.delta_mint": (ProtocolConfig, "delta_mint"),
+    "protocol.delta_confirm_issue": (ProtocolConfig, "delta_confirm_issue"),
+    "protocol.delta_confirm_redeem": (ProtocolConfig, "delta_confirm_redeem"),
+    "zcash.fee": (ProtocolConfig, "zc_fee"),
+    "zcash.tree_depth": (ProtocolConfig, "tree_depth"),
 }
-_ACTOR_FIELDS = {"role", "strategy", "zec", "i", "collateral", "vault",
-                 "amount", "at", "amount2", "at2"}
+_PARSERS = {
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    Fraction: (lambda raw: Fraction(*map(int, raw.split("/", 1))), "a rational"),
+}
 
 
-def _validate_keys(entries: dict[str, str]) -> None:
-    """A misspelled key silently ignored is worse than an error."""
-    for key in entries:
-        if key in _SCALAR_KEYS:
-            continue
-        parts = key.split(".")
-        if parts[0] == "expect" and len(parts) >= 2:
-            continue
-        if (parts[0] == "oracle" and len(parts) == 3 and parts[1] == "rate"
-                and parts[2].isdigit()):
-            continue
-        if parts[0] == "actor" and len(parts) == 3 and parts[2] in _ACTOR_FIELDS:
-            if f"actor.{parts[1]}.role" not in entries:
-                raise ConfigError(f"{key}: actor {parts[1]!r} has no actor.{parts[1]}.role")
-            continue
-        raise ConfigError(f"unrecognized key {key!r}")
+def _parse(key: str, raw: str, kind: type):
+    parse, what = _PARSERS[kind]
+    try:
+        return parse(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{key}: not {what}: {raw!r}") from exc
+
+
+def _build(cls, values: dict):
+    """cls(**values); a field with neither a value nor a default is a
+    missing key."""
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING:
+            key = next(k for k, target in SCENARIO_KEYS.items() if target == (cls, f.name))
+            raise ConfigError(f"missing required key {key!r}")
+    return cls(**values)
 
 
 def load_scenario(text: str) -> ScenarioConfig:
+    """One pass over the entries builds the configs; actors are then
+    checked against ROLES. A misspelled key is an error, never ignored."""
     entries = parse_config(text)
-    _validate_keys(entries)
-    params = RegistryParams(
-        v_max=_as_int(entries, "params.v_max"),
-        f=_as_fraction(entries, "params.f"),
-        sigma_std=_as_fraction(entries, "params.sigma_std"),
-        i_w=_as_int(entries, "params.i_w"),
-        poc_validity=_as_int(entries, "params.poc_validity", 100),
-        pob_period=_as_int(entries, "params.pob_period", 100),
-        liq_margin=_as_fraction(entries, "params.liq_margin", Fraction(1, 10)),
-    )
-    protocol = ProtocolConfig(
-        params,
-        relay_k=_as_int(entries, "relay.k", 24),
-        delta_mint=_as_int(entries, "protocol.delta_mint", 24),
-        delta_confirm_issue=_as_int(entries, "protocol.delta_confirm_issue", 6),
-        delta_confirm_redeem=_as_int(entries, "protocol.delta_confirm_redeem", 24),
-        zc_block_interval=_as_int(entries, "zcash.block_interval", 1),
-        zc_fee=_as_int(entries, "zcash.fee", 1000),
-        tree_depth=_as_int(entries, "zcash.tree_depth", 16),
-    )
-    oracle_script = []
-    actor_names = []
-    expects = {}
-    for key, value in entries.items():
-        parts = key.split(".")
-        if parts[0] == "oracle":
-            oracle_script.append((int(parts[2]), _as_fraction(entries, key)))
-        elif parts[0] == "actor" and parts[2] == "role":
-            actor_names.append(parts[1])
-        elif parts[0] == "expect":
-            expects[key.split(".", 1)[1]] = value
+    actor_types = {k: t for k, t in get_type_hints(ActorSpec).items() if k != "name"}
+    values = {ScenarioConfig: {}, RegistryParams: {}, ProtocolConfig: {}}
+    actors: dict[str, dict] = {}
+    oracle_script, expects = [], {}
+    for key, raw in entries.items():
+        section, _, rest = key.partition(".")
+        name, _, attr = rest.partition(".")
+        if key in SCENARIO_KEYS:
+            cls, attr = SCENARIO_KEYS[key]
+            values[cls][attr] = _parse(key, raw, get_type_hints(cls)[attr])
+        elif section == "expect" and rest:
+            expects[rest] = raw
+        elif section == "oracle" and name == "rate" and attr.isdigit():
+            oracle_script.append((int(attr), _parse(key, raw, Fraction)))
+        elif section == "actor" and attr in actor_types:
+            actors.setdefault(name, {})[attr] = _parse(key, raw, actor_types[attr])
+        else:
+            raise ConfigError(f"unrecognized key {key!r}")
+    params = _build(RegistryParams, values[RegistryParams])
+    protocol = _build(ProtocolConfig, {"params": params, **values[ProtocolConfig]})
     if not oracle_script:
         raise ConfigError("missing oracle script (oracle.rate.<tick> entries)")
-    actors = []
-    for name in actor_names:
-        prefix = f"actor.{name}."
-        actors.append(ActorSpec(
-            name=name,
-            role=entries[prefix + "role"],
-            strategy=entries.get(prefix + "strategy", "honest"),
-            zec=_as_int(entries, prefix + "zec", 0),
-            i=_as_int(entries, prefix + "i", 0),
-            collateral=_as_int(entries, prefix + "collateral", 0),
-            vault=entries.get(prefix + "vault", ""),
-            amount=_as_int(entries, prefix + "amount", 0),
-            at=_as_int(entries, prefix + "at", 1),
-            amount2=_as_int(entries, prefix + "amount2", 0),
-            at2=_as_int(entries, prefix + "at2", 0),
-        ))
-    mute_at = _as_int(entries, "relay.mute_honest_at", 0) or None
-    return ScenarioConfig(
-        seed=_as_int(entries, "seed"),
-        ticks=_as_int(entries, "ticks"),
-        protocol=protocol,
-        oracle_script=sorted(oracle_script),
-        actors=actors,
-        expects=expects,
-        mute_relayer_at=mute_at,
-    )
+    for name, given in actors.items():
+        if "role" not in given:
+            raise ConfigError(f"actor.{name}.{next(iter(given))}: "
+                              f"actor {name!r} has no actor.{name}.role")
+    order = list(entries)  # actors run in the order of their role lines
+    specs = [ActorSpec(name, **actors[name])
+             for name in sorted(actors, key=lambda n: order.index(f"actor.{n}.role"))]
+    vaults = {spec.name for spec in specs if spec.role == "vault"}
+    for spec in specs:
+        prefix = f"actor.{spec.name}."
+        if spec.role not in ROLES:
+            raise ConfigError(f"{prefix}role: unknown role {spec.role!r}; "
+                              f"roles: {', '.join(ROLES)}")
+        strategies = set().union(*(bot.STRATEGIES for bot in ROLES[spec.role]))
+        if spec.strategy not in strategies:
+            raise ConfigError(f"{prefix}strategy: role {spec.role!r} has no strategy "
+                              f"{spec.strategy!r}; strategies: {', '.join(sorted(strategies))}")
+        if spec.role != "vault" and spec.vault not in vaults:
+            raise ConfigError(f"{prefix}vault: {spec.vault!r} names no vault actor")
+    return _build(ScenarioConfig, {
+        **values[ScenarioConfig], "protocol": protocol,
+        "oracle_script": sorted(oracle_script), "actors": specs, "expects": expects})
 
 
 # --- actor strategies ----------------------------------------------------------------
@@ -227,6 +199,9 @@ def load_scenario(text: str) -> ScenarioConfig:
 
 class IssueBot:
     """Drives one Issue procedure; tamper knobs model byzantine issuers."""
+
+    STRATEGIES = ("honest", "no_lock", "no_mint", "random_rcm", "wrong_ciphertext",
+                  "wrong_relation", "replay_lock")
 
     def __init__(self, spec: ActorSpec):
         self.spec = spec
@@ -293,8 +268,7 @@ class IssueBot:
                     self._old_lock_note = request.lock_note
                     self._round = 1
                     self.phase = "wait"
-                    self.spec = ActorSpec(**{**spec.__dict__,
-                                             "at": engine.now + 1})
+                    self.spec = replace(spec, at=engine.now + 1)
                 else:
                     self.phase = "done"
 
@@ -302,7 +276,12 @@ class IssueBot:
 class RedeemBot:
     """Drives one (or two, for the replay carve-out) Redeem procedures."""
 
+    STRATEGIES = ("honest", "wrong_ciphertext", "redeem_wrong_ciphertext",
+                  "reuse_release", "double_redeem")
+
     def __init__(self, spec: ActorSpec):
+        if spec.role == "user":  # a user's redeem half starts at at2 with amount2
+            spec = replace(spec, at=spec.at2, amount=spec.amount2)
         self.spec = spec
         self.phase = "wait"
         self.request_id: Optional[str] = None
@@ -343,6 +322,9 @@ class RedeemBot:
 
 class VaultBot:
     """Vault behaviour: honest confirm/challenge, or scripted misbehaviour."""
+
+    STRATEGIES = ("honest", "silent", "spurious_challenge", "proof_replayer",
+                  "stale_proof", "wrong_note")
 
     def __init__(self, spec: ActorSpec):
         self.spec = spec
@@ -413,6 +395,11 @@ class VaultBot:
                     path = engine.zcash.merkle_path(NoteCommitment(request.release_cm),
                                                     block)
                     self._stale_proof = (path, block)
+
+
+# role -> the bots that play it; a user issues, then redeems
+ROLES = {"vault": (VaultBot,), "issuer": (IssueBot,), "redeemer": (RedeemBot,),
+         "user": (IssueBot, RedeemBot)}
 
 
 class EclipseBot:
@@ -486,19 +473,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> ScenarioRes
         engine.add_actor(spec.name,
                          zec_notes=(spec.zec,) if spec.zec else (),
                          i_balance=spec.i)
-        if spec.role == "vault":
-            bots.append(VaultBot(spec))
-        elif spec.role == "issuer":
-            bots.append(IssueBot(spec))
-        elif spec.role == "redeemer":
-            bots.append(RedeemBot(spec))
-        elif spec.role == "user":
-            bots.append(IssueBot(spec))
-            redeem_spec = ActorSpec(**{**spec.__dict__, "at": spec.at2,
-                                       "amount": spec.amount2})
-            bots.append(RedeemBot(redeem_spec))
-        else:
-            raise ConfigError(f"unknown role {spec.role!r} for actor {spec.name}")
+        bots.extend(bot(spec) for bot in ROLES[spec.role])
     engine.start()
     for spec in cfg.actors:
         if spec.role == "vault":
@@ -625,8 +600,7 @@ def run_privacy_analysis(h: int, k: int, seed: int = 1,
     params = RegistryParams(v_max=10**9, f=Fraction(2, 100),
                             sigma_std=Fraction(3, 2), i_w=5)
     protocol = ProtocolConfig(params, relay_k=4, delta_mint=16,
-                              delta_confirm_issue=6, delta_confirm_redeem=16,
-                              tree_depth=10)
+                              delta_confirm_redeem=16, tree_depth=10)
     engine = Engine(protocol, seed)
     engine.oracle.set_rate(0, Fraction(2, 1))
     collateral = 2 * 10**9 * 3  # comfortably above the capacity threshold
@@ -867,7 +841,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_chk.set_defaults(func=cmd_check_bounds)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -91,7 +91,6 @@ class VaultRegistry:
         self._obligations: dict[str, int] = {}   # private witness store
         self._history: dict[str, list[tuple[str, int]]] = {}
         self.accepted_poc_log: list[dict] = []   # simulator-side audit trail
-        self.liquidations: list[LiquidationEvent] = []
 
     # -- registration --
 
@@ -251,9 +250,7 @@ class VaultRegistry:
         self._history[vault_id].append(("liquidation", int(cut)))
         record.last_statement_tick = now
         record.last_statement_rate = rate
-        event = LiquidationEvent(vault_id, seized, Fraction(deficit))
-        self.liquidations.append(event)
-        return event
+        return LiquidationEvent(vault_id, seized, Fraction(deficit))
 
     # -- public serialization --
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,45 @@ class TestConfigParser:
         text = load_bundled_scenario("issue_happy") + "actor.A9.zec = 3\n"
         with pytest.raises(ConfigError, match="actor.A9.zec: actor 'A9' has no actor.A9.role"):
             load_scenario(text)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("actor.A1.role = issuer", "actor.A1.role = isuer",
+         "actor.A1.role: unknown role 'isuer'"),
+        ("actor.V1.strategy = honest", "actor.V1.strategy = silnt",
+         "actor.V1.strategy: role 'vault' has no strategy 'silnt'"),
+        ("actor.A1.strategy = honest", "actor.A1.strategy = double_redeem",
+         "actor.A1.strategy: role 'issuer' has no strategy 'double_redeem'"),
+        ("actor.A1.vault = V1", "actor.A1.vault = V9",
+         "actor.A1.vault: 'V9' names no vault actor"),
+        ("relay.k = 6", "relay.k = 6\nzcash.block_interval = 1",
+         "unrecognized key 'zcash.block_interval'"),
+    ], ids=["unknown-role", "unknown-vault-strategy", "redeem-strategy-for-issuer",
+            "unknown-vault", "block-interval-key"])
+    def test_inconsistent_actor_or_key_rejected(self, old, new, message):
+        text = load_bundled_scenario("issue_happy")
+        assert old in text
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_scenario(text.replace(old, new))
+
+    @pytest.mark.parametrize("strategy", ["no_lock", "double_redeem"])
+    def test_user_takes_issue_and_redeem_strategies(self, strategy):
+        # a user plays an IssueBot and a RedeemBot, so either half's
+        # strategies are valid
+        text = load_bundled_scenario("redeem_happy").replace(
+            "actor.A1.strategy = honest", f"actor.A1.strategy = {strategy}")
+        cfg = load_scenario(text)
+        assert [(a.name, a.role, a.strategy) for a in cfg.actors] == [
+            ("V1", "vault", "honest"), ("A1", "user", strategy)]
+
+    def test_actors_keep_role_line_order(self):
+        # actor order decides which engine RNG draws give each actor its
+        # addresses, so it follows the role lines, not each actor's first key
+        text = load_bundled_scenario("issue_happy")
+        moved = "actor.A1.amount = 5000000000\n"
+        shuffled = moved + text.replace(moved, "")
+        cfg = load_scenario(shuffled)
+        assert [a.name for a in cfg.actors] == ["V1", "A1"]
+        assert cfg == load_scenario(text)
 
 
 class TestBundledScenarios:
@@ -290,6 +330,20 @@ class TestCli:
         dist_header = (tmp_path / "distribution.csv").read_text().splitlines()[0]
         assert dist_header == "t,j,expectation_num,expectation_den"
 
-    def test_unknown_bundled_scenario(self):
-        with pytest.raises(ConfigError, match="no bundled scenario"):
-            main(["run", "--scenario", "does_not_exist"])
+    def test_unknown_bundled_scenario(self, capsys):
+        assert main(["run", "--scenario", "does_not_exist"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: no bundled scenario 'does_not_exist'")
+
+    def test_malformed_scenario_exits_2(self, tmp_path, capsys):
+        # a config error is not a failed expectation (exit 1): status 2, one
+        # line on stderr, no traceback
+        text = load_bundled_scenario("issue_happy").replace(
+            "actor.V1.strategy = honest", "actor.V1.strategy = silnt")
+        f = tmp_path / "bad.cfg"
+        f.write_text(text)
+        assert main(["run", "--scenario", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: actor.V1.strategy: role 'vault' "
+                              "has no strategy 'silnt'")
+        assert err.count("\n") == 1
