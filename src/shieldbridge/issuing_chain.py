@@ -200,6 +200,7 @@ class PendingTx:
     txid: str
     kind: str  # "mint" | "burn"
     status: str
+    transfer: Union[MintTransfer, BurnTransfer]
     escrow: int = 0  # wZEC held back while a burn is pending
 
 
@@ -228,7 +229,6 @@ class IssuingChain:
         self.burned_total = 0
         self.public_log: list[dict] = []
         self._tx_counter = 0
-        self._payloads: dict[str, Union[MintTransfer, BurnTransfer]] = {}
         self._live_notes: dict[bytes, Note] = {}  # witness store: unspent wZEC
 
     # -- supply --
@@ -288,9 +288,8 @@ class IssuingChain:
         self.used_permit_nonces.add(permit_nonce)
         self._tx_counter += 1
         txid = f"I-mint-{self._tx_counter}"
-        tx = PendingTx(txid, "mint", PENDING)
+        tx = PendingTx(txid, "mint", PENDING, transfer)
         self.pending[txid] = tx
-        self._payloads[txid] = transfer
         self.public_log.append({"txid": txid, **st.public_view(), "status": PENDING})
         return tx
 
@@ -313,9 +312,8 @@ class IssuingChain:
 
         self._tx_counter += 1
         txid = f"I-burn-{self._tx_counter}"
-        tx = PendingTx(txid, "burn", PENDING, escrow=wit.burn_amount)
+        tx = PendingTx(txid, "burn", PENDING, transfer, escrow=wit.burn_amount)
         self.pending[txid] = tx
-        self._payloads[txid] = transfer
         self.public_log.append({"txid": txid, **st.public_view(wit.spend_tx),
                                 "status": PENDING})
         return tx
@@ -330,7 +328,7 @@ class IssuingChain:
             raise LedgerError(f"finalize on non-pending tx {txid}")
         if outcome not in (CONFIRMED, VOIDED):
             raise LedgerError(f"bad outcome {outcome}")
-        transfer = self._payloads[txid]
+        transfer = tx.transfer
         credited: Optional[Note] = None
         if tx.kind == "mint":
             if outcome == CONFIRMED:

@@ -2,11 +2,15 @@
 
 The engine owns every component (backing chain, relay, issuing chain,
 oracle, vault registry) plus the actors' wallets, and exposes exactly the
-protocol operations. Each operation appends one trace row
+protocol operations. A run has two records: `Engine.trace`, one row per
+operation,
 
     tick, actor, op, request_id, state_before, state_after, outcome
 
-which is the conformance contract for trace-grammar tests. Deadline
+which is the conformance contract for trace-grammar tests, and
+`EngineMetrics.events`, one tuple per slash, upheld challenge, relay
+violation and liquidation. The counts in `metrics.csv` and the events
+`tick()` returns are read off these two. Deadline
 enforcement happens once per tick, after actors had their chance to move:
 a missed mint deadline forfeits the issuer's warranty, a silent vault has
 its pending mint auto-confirmed (and pays the warranty from collateral),
@@ -148,7 +152,7 @@ TIMEOUTS = {(t.kind, t.before): t for t in LIFECYCLE.values() if t.party == SYST
 
 
 def _event_name(op: str) -> str:
-    """A timeout's event and slash reason: mintTimeout -> mint-timeout."""
+    """An op's event and a timeout's slash reason: mintTimeout -> mint-timeout."""
     return re.sub(r"([A-Z])", r"-\1", op).lower()
 
 
@@ -205,12 +209,6 @@ class EngineMetrics:
     supply_series: list = field(default_factory=list)
     zec_locked_total: int = 0
     zec_released_total: int = 0
-    slash_count: int = 0
-    challenge_upheld: int = 0
-    challenge_rejected: int = 0
-    replay_rejections: int = 0
-    relay_violations: int = 0
-    liquidation_count: int = 0
 
     def record(self, tick: int, kind: str, *details) -> None:
         self.events.append((tick, kind) + tuple(details))
@@ -286,7 +284,8 @@ class Engine:
 
     def tick(self, actor_phase=None) -> list[tuple]:
         """Advance one tick: mine a block, relay its header, let actors
-        move, then fire every due deadline exactly once."""
+        move, then fire every due deadline exactly once. Returns the rows the
+        timeouts and liquidations traced, as (tick, event, request id or vault)."""
         if not self._started:
             self.start()
         self.now += 1
@@ -295,16 +294,16 @@ class Engine:
             self.relay.submit_header(header)
         if actor_phase is not None:
             actor_phase(self)
-        events = self._enforce_deadlines()
+        start = len(self.trace)
+        self._enforce_deadlines()
         for vault_id in self.registry.vaults:
             event = self.registry.check_liquidation(vault_id, self.now)
             if event is not None:
-                self.metrics.liquidation_count += 1
                 self.metrics.record(self.now, "liquidation", vault_id, event.seized)
                 self._trace(vault_id, "liquidation", "", "", "", OK)
-                events.append((self.now, "liquidation", vault_id))
         self.metrics.supply_series.append((self.now, self.issuing.supply))
-        return events
+        return [(tick, _event_name(op), request_id or actor)
+                for tick, actor, op, request_id, *_ in self.trace[start:]]
 
     def run_until(self, tick: int, actor_phase=None) -> None:
         while self.now < tick:
@@ -321,8 +320,6 @@ class Engine:
 
     def _reject(self, actor, op, request_id, state, reason) -> Rejection:
         self._trace(actor, op, request_id, state, state, f"rejected:{reason}")
-        if "replay" in reason:
-            self.metrics.replay_rejections += 1
         return Rejection(reason)
 
     # -- lifecycle ---------------------------------------------------------------
@@ -393,7 +390,6 @@ class Engine:
             self._slash(request.vault_id, request.requester, taken, reason)
 
     def _slash(self, payer: str, payee: str, amount: int, reason: str) -> None:
-        self.metrics.slash_count += 1
         self.metrics.record(self.now, "slash", payer, payee, amount, reason)
 
     def _reserve(self, op: str, requester: str, vault_id: str):
@@ -589,7 +585,6 @@ class Engine:
         # detected safety violation, not a silent success
         if not self._on_true_chain(transfer.statement.lock_cm.digest,
                                    transfer.statement.inclusion_block):
-            self.metrics.relay_violations += 1
             self.metrics.record(self.now, "relay-violation", request_id)
         request.deadline_confirm = self.now + self.config.delta_confirm_issue
         request.pending_txid = result.txid
@@ -628,11 +623,9 @@ class Engine:
                                    NoteCommitment(self._claimed_cm(request)),
                                    self.directory, vault_addr)
         if verdict != CHALLENGE_UPHELD:
-            self.metrics.challenge_rejected += 1
             return self._reject(vault_id, op, request_id, request.state,
                                 "challenge-not-upheld")
         self._advance(request, op, vault_id)
-        self.metrics.challenge_upheld += 1
         self.metrics.record(self.now, "challenge", request_id, "upheld")
         return OK
 
@@ -736,18 +729,15 @@ class Engine:
 
     # -- deadlines -------------------------------------------------------------------
 
-    def _enforce_deadlines(self) -> list[tuple]:
+    def _enforce_deadlines(self) -> None:
         """Fire the timeout row of every open request past its deadline, in
         request-creation order."""
-        events = []
         for request in self.requests.values():
             step = TIMEOUTS.get((request.kind, request.state))
             if (step is None or request.terminal
                     or self.now <= getattr(request, step.deadline)):
                 continue
             self._advance(request, step.op, SYSTEM)
-            events.append((self.now, _event_name(step.op), request.request_id))
-        return events
 
     # -- scanning and metrics ----------------------------------------------------------
 
@@ -770,7 +760,6 @@ class Engine:
         verdict = self.relay.verify_note_inclusion(cm, path, block_hash)
         if not isinstance(verdict, Rejection):
             if not self._on_true_chain(cm.digest, block_hash):
-                self.metrics.relay_violations += 1
                 self.metrics.record(self.now, "relay-violation", "inclusion-forgery")
             return "verified"
         return f"rejected:{verdict.reason}"

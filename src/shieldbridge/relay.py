@@ -15,7 +15,7 @@ that condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .notes import NoteCommitment
 from .zcash_chain import BlockHeader, MerklePath, Rejection, fold_path
@@ -29,10 +29,8 @@ VERIFIED = "verified"
 @dataclass
 class RelayMetrics:
     headers_accepted: int = 0
-    headers_rejected: int = 0
     tip_switches: int = 0
     finality_flips: int = 0
-    violations: list = field(default_factory=list)
 
 
 class Relay:
@@ -58,10 +56,8 @@ class Relay:
             return ACCEPTED  # idempotent resubmission
         parent = self.headers.get(header.parent)
         if parent is None:
-            self.metrics.headers_rejected += 1
             return Rejection("unknown-parent")
         if header.height != parent.height + 1 or header.work != 1:
-            self.metrics.headers_rejected += 1
             return Rejection("invalid-header")
         self.headers[header.hash] = header
         self.cum_work[header.hash] = self.cum_work[header.parent] + header.work
@@ -93,9 +89,6 @@ class Relay:
                 break
             if previous is not None:
                 self.metrics.finality_flips += 1
-                self.metrics.violations.append(
-                    ("finality-flip", cursor.height, previous.hex(), cursor.hash.hex())
-                )
             self.finalized[cursor.height] = cursor.hash
             if cursor.parent not in self.headers:
                 break

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from importlib import resources
@@ -136,12 +137,15 @@ def _parse(key: str, raw: str, kind: type):
 
 def _build(cls, values: dict):
     """cls(**values); a field with neither a value nor a default is a
-    missing key."""
+    missing key, and a value the dataclass rejects is a config error."""
     for f in fields(cls):
         if f.name not in values and f.default is MISSING:
             key = next(k for k, target in SCENARIO_KEYS.items() if target == (cls, f.name))
             raise ConfigError(f"missing required key {key!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a field's range check
+        raise ConfigError(str(exc)) from exc
 
 
 def load_scenario(text: str) -> ScenarioConfig:
@@ -496,16 +500,19 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> ScenarioRes
 
 
 def collect_metrics(engine: Engine) -> dict:
+    """The run's final figures; the counts are read off the events and the trace."""
     m = engine.metrics
+    kinds = Counter(event[1] for event in m.events)
+    rejected = [row[6] for row in engine.trace if row[6].startswith("rejected:")]
     out = {
         "final_supply": engine.issuing.supply,
         "pool_value": engine.issuing.pool_value(),
-        "slash_count": m.slash_count,
-        "challenge_upheld": m.challenge_upheld,
-        "challenge_rejected": m.challenge_rejected,
-        "replay_rejections": m.replay_rejections,
-        "relay_violations": m.relay_violations,
-        "liquidation_count": m.liquidation_count,
+        "slash_count": kinds["slash"],
+        "challenge_upheld": kinds["challenge"],
+        "challenge_rejected": rejected.count("rejected:challenge-not-upheld"),
+        "replay_rejections": sum("replay" in outcome for outcome in rejected),
+        "relay_violations": kinds["relay-violation"],
+        "liquidation_count": kinds["liquidation"],
         "zec_locked_total": m.zec_locked_total,
         "zec_released_total": m.zec_released_total,
         "finality_flips": engine.relay.metrics.finality_flips,
@@ -695,15 +702,10 @@ def run_relay_safety(n_blocks: int, alpha: float, k: int, seed: int,
             adv_blocks += 1
             if chain.blocks[adv_tip].cum_work > chain.main_work():
                 # publish: submit the branch headers, then reorg the chain
-                branch = []
-                cursor = adv_tip
-                while not chain.block_on_main(cursor):
-                    branch.append(chain.blocks[cursor].header)
-                    cursor = chain.blocks[cursor].header.parent
-                fork_height = chain.blocks[cursor].header.height
+                fork_height, side = chain.side_branch(adv_tip)
                 deepest = max(deepest, chain.height - fork_height)
-                for h in reversed(branch):
-                    relay.submit_header(h)
+                for bh in side:
+                    relay.submit_header(chain.blocks[bh].header)
                 chain.reorg_to(adv_tip)
                 adv_tip = None
                 reorgs += 1

@@ -15,6 +15,7 @@ contains only nullifiers, commitments, ciphertexts and the fee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 from .notes import (
@@ -51,20 +52,13 @@ class Rejection:
 # --- commitment tree ----------------------------------------------------------
 
 
-def _empty_roots(depth: int) -> list[bytes]:
+@cache
+def empty_roots(depth: int) -> list[bytes]:
+    """Roots of the empty subtrees of height 0..depth, computed on first use."""
     roots = [digest(b"empty-leaf")]
     for level in range(depth):
         roots.append(digest(b"tree-node", roots[level], roots[level]))
     return roots
-
-
-_EMPTY_CACHE: dict[int, list[bytes]] = {}
-
-
-def empty_roots(depth: int) -> list[bytes]:
-    if depth not in _EMPTY_CACHE:
-        _EMPTY_CACHE[depth] = _empty_roots(depth)
-    return _EMPTY_CACHE[depth]
 
 
 @dataclass(frozen=True)
@@ -322,6 +316,17 @@ class ChainState:
         h = block.header.height
         return h < len(self.main) and self.main[h] == block_hash
 
+    def side_branch(self, tip_hash: bytes) -> tuple[int, list[bytes]]:
+        """(fork height, the branch's off-main block hashes oldest first)
+        for the branch ending at `tip_hash`."""
+        side = []
+        cursor = tip_hash
+        while not self.block_on_main(cursor):
+            side.append(cursor)
+            cursor = self.blocks[cursor].header.parent
+        side.reverse()
+        return self.blocks[cursor].header.height, side
+
     # -- transactions --
 
     def submit_shielded_tx(self, tx: ShieldedTx, allow_unbacked: bool = False):
@@ -394,23 +399,14 @@ class ChainState:
         return scratch.root()
 
     def _branch_leaves(self, tip_hash: bytes) -> list[bytes]:
-        leaves: list[bytes] = []
-        for bh in self._path_from_genesis(tip_hash):
+        """The branch's leaves: the main tree's up to the fork, then the side's."""
+        fork_height, side = self.side_branch(tip_hash)
+        fork_block = self.blocks[self.main[fork_height]]
+        leaves = self.pool.tree.leaves[:fork_block.leaf_count]
+        for bh in side:
             for tx in self.blocks[bh].txs:
                 leaves.extend(out.cm.digest for out in tx.outputs)
         return leaves
-
-    def _path_from_genesis(self, tip_hash: bytes) -> list[bytes]:
-        chain = []
-        cursor = tip_hash
-        while True:
-            chain.append(cursor)
-            block = self.blocks[cursor]
-            if block.header.height == 0:
-                break
-            cursor = block.header.parent
-        chain.reverse()
-        return chain
 
     # -- reorg --
 
@@ -421,11 +417,7 @@ class ChainState:
         branch = self.blocks[branch_tip]
         if branch.cum_work <= self.main_work():
             return Rejection("insufficient-work")
-        new_chain = self._path_from_genesis(branch_tip)
-        fork_height = 0
-        limit = min(len(new_chain), len(self.main))
-        while fork_height + 1 < limit and new_chain[fork_height + 1] == self.main[fork_height + 1]:
-            fork_height += 1
+        fork_height, side = self.side_branch(branch_tip)
 
         orphaned = []
         removed_nfs: set[bytes] = set()
@@ -437,8 +429,8 @@ class ChainState:
         self.pool.unapply_leaves(fork_block.leaf_count, removed_nfs)
 
         old_tip = self.main[-1]
-        self.main = new_chain[: fork_height + 1]
-        for bh in new_chain[fork_height + 1:]:
+        del self.main[fork_height + 1:]
+        for bh in side:
             block = self.blocks[bh]
             for tx in block.txs:
                 self.pool.apply_tx(tx)

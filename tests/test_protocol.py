@@ -22,6 +22,7 @@ from shieldbridge.protocol import (
     ops_by_request,
     sequence_ok,
 )
+from shieldbridge.simcli import collect_metrics
 from shieldbridge.vault_registry import RegistryParams
 from shieldbridge.zcash_chain import Rejection
 
@@ -73,7 +74,7 @@ class TestIssueHappyPath:
         assert engine.actors["A1"].wzec.balance() == MINTED
         # warranty came back, nothing slashed
         assert engine.issuing.i_ledger.balance("A1") == 100
-        assert engine.metrics.slash_count == 0
+        assert collect_metrics(engine)["slash_count"] == 0
         # the vault can spend the locked note
         assert engine.actors["V1"].zcash.balance() == 20_000_000_000 + LOCK
         assert conformance_errors(engine) == []
@@ -170,7 +171,7 @@ class TestIssueRejections:
         ct = engine.build_note_ciphertext(old_transfer.witness.lock_note, "V1")
         rej = engine.do_mint("A1", second.request_id, transfer, ct)
         assert isinstance(rej, Rejection) and "lock-cm-replayed" in rej.reason
-        assert engine.metrics.replay_rejections == 1
+        assert collect_metrics(engine)["replay_rejections"] == 1
 
 
 class TestTransferFailures:
@@ -224,7 +225,7 @@ class TestIssueTimeouts:
         assert request.terminal and request.close_reason == "mint-timeout"
         assert engine.issuing.i_ledger.balance("A1") == 95
         assert engine.issuing.i_ledger.balance("V1") == 105  # holder of i_w now
-        assert engine.metrics.slash_count == 1
+        assert collect_metrics(engine)["slash_count"] == 1
         assert conformance_errors(engine) == []
 
     def test_tick_reports_timeout(self):
@@ -234,6 +235,17 @@ class TestIssueTimeouts:
         while not request.terminal:
             events += engine.tick()
         assert events == [(engine.now, "mint-timeout", request.request_id)]
+
+    def test_tick_reports_liquidation(self):
+        engine = make_engine()
+        run_issue(engine)
+        engine.oracle.set_rate(engine.now + 1, Fraction(4, 1))  # collateral now short
+        events = []
+        for _ in range(engine.config.params.pob_period + 2):  # the statement goes stale
+            events += engine.tick()
+        (tick, kind, vault_id, _seized), = engine.metrics.events
+        assert (kind, vault_id) == ("liquidation", "V1")
+        assert events == [(tick, "liquidation", "V1")]
 
     def test_silent_vault_auto_confirm_and_slash(self):
         engine = make_engine()
@@ -264,7 +276,7 @@ class TestIssueChallenge:
         assert engine.issuing.supply == 0  # mint voided
         assert engine.issuing.i_ledger.balance("A1") == 95  # warranty lost
         assert engine.issuing.i_ledger.balance("V1") == 105
-        assert engine.metrics.challenge_upheld == 1
+        assert collect_metrics(engine)["challenge_upheld"] == 1
         assert conformance_errors(engine) == []
 
     def test_wrong_note_ciphertext_challenged(self):
@@ -279,6 +291,7 @@ class TestIssueChallenge:
         rej = engine.challenge_issue("V1", request.request_id)
         assert isinstance(rej, Rejection) and rej.reason == "challenge-not-upheld"
         assert request.state == AWAIT_ISSUE_CONFIRM  # vault must still act
+        assert collect_metrics(engine)["challenge_rejected"] == 1
 
     def test_forged_secret_challenge_rejected(self):
         engine = make_engine()

@@ -75,8 +75,11 @@ class TestConfigParser:
          "actor.A1.vault: 'V9' names no vault actor"),
         ("relay.k = 6", "relay.k = 6\nzcash.block_interval = 1",
          "unrecognized key 'zcash.block_interval'"),
+        ("params.f = 2/100", "params.f = 1", "fee must satisfy 0 <= f < 1"),
+        ("params.sigma_std = 3/2", "params.sigma_std = 1/2", "sigma_std must be >= 1"),
     ], ids=["unknown-role", "unknown-vault-strategy", "redeem-strategy-for-issuer",
-            "unknown-vault", "block-interval-key"])
+            "unknown-vault", "block-interval-key", "fee-out-of-range",
+            "sigma-below-one"])
     def test_inconsistent_actor_or_key_rejected(self, old, new, message):
         text = load_bundled_scenario("issue_happy")
         assert old in text
@@ -347,3 +350,12 @@ class TestCli:
         assert err.startswith("config error: actor.V1.strategy: role 'vault' "
                               "has no strategy 'silnt'")
         assert err.count("\n") == 1
+
+    def test_out_of_range_param_exits_2(self, tmp_path, capsys):
+        # a value the parameter dataclass rejects is a config error too
+        text = load_bundled_scenario("issue_happy").replace("params.f = 2/100",
+                                                            "params.f = 1")
+        f = tmp_path / "bad.cfg"
+        f.write_text(text)
+        assert main(["run", "--scenario", str(f)]) == 2
+        assert capsys.readouterr().err == "config error: fee must satisfy 0 <= f < 1\n"

@@ -8,6 +8,7 @@ from shieldbridge.notes import (
     SharedSecretDirectory,
     commit_note,
     derive_nullifier,
+    encrypt_note,
     random_address,
     rng_bytes,
 )
@@ -256,12 +257,36 @@ class TestReorg:
                 seen.add(nf)
 
 
+def branch_root_from_genesis(chain, tip_hash):
+    """Oracle for a block's tree root: the outputs of every block from
+    genesis to `tip_hash`, in a fresh tree."""
+    hashes = [tip_hash]
+    while chain.blocks[hashes[-1]].header.height > 0:
+        hashes.append(chain.blocks[hashes[-1]].header.parent)
+    tree = CommitmentTree(chain.pool.tree.depth)
+    for bh in reversed(hashes):
+        for tx in chain.blocks[bh].txs:
+            for out in tx.outputs:
+                tree.append(out.cm)
+    return tree.root()
+
+
+def output_only_tx(rng, directory):
+    """An unbacked one-output body for a side block."""
+    note = Note(random_address(rng), rng.randrange(1, 1_000), rng_bytes(rng, 32))
+    epk = directory.new_ephemeral(rng)
+    ct = encrypt_note(note, note.address, directory.secret_for(epk, note.address), epk)
+    return ShieldedTx((), (OutputDescription(commit_note(note), ct, note),), 0)
+
+
 class TestRandomizedChurn:
     def test_replay_invariant_over_random_fork_walks(self, directory):
-        # random interleaving of spends, side-branch mining and reorg
-        # attempts: the incrementally maintained state must always equal a
-        # from-genesis replay, and accepted reorgs never duplicate nullifiers
-        for seed in range(12):
+        # random interleaving of spends, side-branch mining (some side
+        # blocks with a body) and reorg attempts: every side header's root
+        # matches a from-genesis walk, the incrementally maintained state
+        # always equals a from-genesis replay, and accepted reorgs never
+        # duplicate nullifiers
+        for seed in range(20):
             rng = random.Random(seed)
             chain, wallet = seed_chain(rng, directory, values=(50_000,))
             side_tips = []
@@ -285,12 +310,15 @@ class TestRandomizedChurn:
                     fork_depth = rng.randrange(1, min(4, chain.height + 1))
                     parent = side_tips[-1] if side_tips and rng.random() < 0.5 \
                         else chain.main[-1 - fork_depth]
-                    side_tips.append(chain.mine_block(parent_hash=parent,
-                                                      txs=[]).hash)
+                    txs = [output_only_tx(rng, directory)] if rng.random() < 0.5 else []
+                    header = chain.mine_block(parent_hash=parent, txs=txs)
+                    assert header.tree_root == branch_root_from_genesis(
+                        chain, header.hash), seed
+                    side_tips.append(header.hash)
                 elif move == 3 and side_tips:
                     chain.reorg_to(side_tips[rng.randrange(len(side_tips))])
             root, size, nfs = chain.replay_from_genesis()
-            assert root == chain.pool.tree.root(), seed
+            assert root == chain.pool.tree.root() == chain.tip.header.tree_root, seed
             assert size == len(chain.pool.tree), seed
             assert nfs == chain.pool.nullifiers, seed
             seen = set()
