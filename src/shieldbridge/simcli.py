@@ -44,6 +44,7 @@ from .splitting import (
     DESK_SCALE_LIMIT,
     BoundsReport,
     SplitConfig,
+    SplittingError,
     check_bounds,
     exact_conditional_expectation,
     sample_prior,
@@ -165,7 +166,10 @@ def load_scenario(text: str) -> ScenarioConfig:
         elif section == "expect" and rest:
             expects[rest] = raw
         elif section == "oracle" and name == "rate" and attr.isdigit():
-            oracle_script.append((int(attr), _parse(key, raw, Fraction)))
+            rate = _parse(key, raw, Fraction)
+            if rate <= 0:
+                raise ConfigError(f"{key}: rate must be positive, got {rate}")
+            oracle_script.append((int(attr), rate))
         elif section == "actor" and attr in actor_types:
             actors.setdefault(name, {})[attr] = _parse(key, raw, actor_types[attr])
         else:
@@ -587,16 +591,23 @@ def distribution_csv(cfg: SplitConfig) -> str:
 # --- privacy analysis -----------------------------------------------------------------
 
 
+def _split_config(h: int, k: int) -> SplitConfig:
+    """The SplitConfig of an exhaustive check; bad parameters are config errors."""
+    if 2**h > DESK_SCALE_LIMIT:
+        raise ConfigError(f"2^h = {2**h} exceeds the desk-scale limit {DESK_SCALE_LIMIT}; "
+                          f"use h <= 16")
+    try:
+        return SplitConfig(h, k)
+    except SplittingError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def run_privacy_analysis(h: int, k: int, seed: int = 1,
                          total: Optional[int] = None) -> dict:
     """Bound verification plus an end-to-end run: one user splits a total
     across k vaults via k Issue procedures; each vault's observer view ends
     up containing exactly one piece value and never the total."""
-    if 2**h > DESK_SCALE_LIMIT:
-        raise ConfigError(
-            f"2^h = {2**h} exceeds the desk-scale limit {DESK_SCALE_LIMIT}; "
-            f"use h <= 16")
-    cfg = SplitConfig(h, k)
+    cfg = _split_config(h, k)
     report = check_bounds(cfg)
     rng = Random(seed)
     t = total if total is not None else sample_prior(h, rng)
@@ -798,8 +809,7 @@ def cmd_privacy(args) -> int:
 
 
 def cmd_check_bounds(args) -> int:
-    cfg = SplitConfig(args.h, args.k)
-    report = check_bounds(cfg)
+    report = check_bounds(_split_config(args.h, args.k))
     by_claim: dict[str, list] = {}
     for row in report.rows:
         by_claim.setdefault(row.claim, []).append(row)

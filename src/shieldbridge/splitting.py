@@ -7,8 +7,10 @@ module implements:
 
   * the scale-independent prior over totals,
   * the randomized splitting procedure (single uniform draw i),
-  * exact conditional and marginal piece-size distributions, computed by
-    full enumeration of the draw with rational arithmetic,
+  * exact conditional and marginal piece-size distributions over every
+    total, the conditionals counted from the draw's bits (Lemma 1's bit
+    counts) with rational arithmetic; the tests enumerate every draw as
+    the oracle,
   * posterior ratios Pr[T=t | piece=v] / Pr[T=t], and
   * exhaustive desk-scale verifiers for the distributional bounds the
     strategy is designed to satisfy, reported claim by claim.
@@ -18,9 +20,10 @@ All probabilities are exact fractions; no bound check depends on rounding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 DESK_SCALE_LIMIT = 2**16  # exhaustive checks refuse larger supports
 
@@ -75,10 +78,6 @@ class SplitResult(NamedTuple):
     pieces: tuple[int, ...]
     withheld: int
 
-    @property
-    def total(self) -> int:
-        return sum(self.pieces) + self.withheld
-
 
 # --- prior ------------------------------------------------------------------
 
@@ -132,25 +131,9 @@ def draw_bound(t: int, cfg: SplitConfig) -> int:
     return _branch(t, cfg)[3]
 
 
-_BITS_MEMO: dict[int, tuple[int, ...]] = {0: ()}
-
-
+@functools.lru_cache(maxsize=DESK_SCALE_LIMIT)
 def _binary_pieces(x: int) -> tuple[int, ...]:
-    memo = _BITS_MEMO.get(x)
-    if memo is not None:
-        return memo
-    out = []
-    bit = 1
-    v = x
-    while v:
-        if v & 1:
-            out.append(bit)
-        v >>= 1
-        bit <<= 1
-    result = tuple(out)
-    if x < DESK_SCALE_LIMIT:
-        _BITS_MEMO[x] = result
-    return result
+    return tuple(1 << b for b in range(x.bit_length()) if x >> b & 1)
 
 
 def _assemble(t: int, cfg: SplitConfig, d: int, e: int, q: int, i_max: int,
@@ -214,44 +197,32 @@ class PieceDistribution:
         return self.values[self.index_of(value, self.cfg)]
 
 
-_COND_CACHE: dict[tuple[int, int, int], PieceDistribution] = {}
-_MARG_CACHE: dict[tuple[int, int], PieceDistribution] = {}
-
-
 def exact_conditional_expectation(t: int, cfg: SplitConfig) -> PieceDistribution:
-    """E[X_j | T=t] for every piece-size index j, by enumerating every
-    equiprobable value of the single draw i. No sampling involved."""
-    key = (cfg.h, cfg.k, t)
-    cached = _COND_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """E[X_j | T=t] for every piece-size index j, exact over the n = i_max + 1
+    equiprobable draws i. Draw i gives d pieces of 2^m plus the set bits of
+    i*e and (i_max - i)*e; both i and i_max - i run over [0, i_max], so bit b
+    gives a piece 2^b * e in 2 * _ones_in_range(n, b) draws. The rest are 0."""
     cfg.check_total(t)
-    i_max = _branch(t, cfg)[3]
+    d, e, _, i_max = _branch(t, cfg)
+    n = i_max + 1
     counts = [0] * (cfg.m + 2)
-    for i in range(i_max + 1):
-        result = pieces_for_draw(t, cfg, i)
-        for piece in result.pieces:
-            counts[piece.bit_length()] += 1  # 0 -> 0, 2^b -> b+1
-    dist = PieceDistribution(cfg, tuple(Fraction(c, i_max + 1) for c in counts))
-    _COND_CACHE[key] = dist
-    return dist
+    counts[cfg.m + 1] = d * n
+    for b in range(i_max.bit_length()):
+        counts[b + e.bit_length()] += 2 * _ones_in_range(n, b)
+    counts[0] = cfg.k * n - sum(counts)
+    return PieceDistribution(cfg, tuple(Fraction(c, n) for c in counts))
 
 
+@functools.cache
 def marginal_expectation(cfg: SplitConfig) -> PieceDistribution:
     """E[X_j] under the prior: sum over totals of prior * conditional."""
-    key = (cfg.h, cfg.k)
-    cached = _MARG_CACHE.get(key)
-    if cached is not None:
-        return cached
     totals = [Fraction(0)] * (cfg.m + 2)
     for t in range(1, cfg.t_max + 1):
         p = prior_pmf(cfg.h, t)
         cond = exact_conditional_expectation(t, cfg).values
         for j in range(cfg.m + 2):
             totals[j] += p * cond[j]
-    dist = PieceDistribution(cfg, tuple(totals))
-    _MARG_CACHE[key] = dist
-    return dist
+    return PieceDistribution(cfg, tuple(totals))
 
 
 def posterior_ratio(t: int, v: int, cfg: SplitConfig) -> Fraction:
@@ -279,8 +250,7 @@ def posterior_pmf(v: int, cfg: SplitConfig) -> dict[int, Fraction]:
 # --- bound verification -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClaimRow:
+class ClaimRow(NamedTuple):
     """One verified claim: lhs against rhs, with its parameters."""
 
     claim: str
@@ -304,7 +274,7 @@ class BoundsReport:
     def add(self, claim, param_j, param_t, lhs, rhs, passed=None):
         if passed is None:
             passed = lhs <= rhs
-        self.rows.append(ClaimRow(claim, param_j, param_t, Fraction(lhs), Fraction(rhs), passed))
+        self.rows.append(ClaimRow(claim, param_j, param_t, lhs, rhs, passed))
 
     def failures(self) -> list[ClaimRow]:
         return [r for r in self.rows if not r.passed]
@@ -360,12 +330,7 @@ def check_lemma1(c: int, a: int) -> BoundsReport:
     return report
 
 
-def _theorem_case_one_rhs(cfg: SplitConfig, j: int) -> Fraction:
-    denom = min(Fraction(cfg.k, 2), Fraction(max(cfg.m + 1 - j, cfg.log2k)))
-    return Fraction(3 * cfg.h) / denom
-
-
-def check_bounds(cfg: SplitConfig, report: Optional[BoundsReport] = None) -> BoundsReport:
+def check_bounds(cfg: SplitConfig) -> BoundsReport:
     """Exhaustive desk-scale verification of the strategy's guarantees.
 
     Covers the conditional upper bounds, the marginal lower bounds, the
@@ -376,8 +341,7 @@ def check_bounds(cfg: SplitConfig, report: Optional[BoundsReport] = None) -> Bou
     """
     if 2**cfg.h > DESK_SCALE_LIMIT:
         raise SplittingError(f"2^h > {DESK_SCALE_LIMIT}: refuse exhaustive check")
-    if report is None:
-        report = BoundsReport()
+    report = BoundsReport()
     m, k, h, lg = cfg.m, cfg.k, cfg.h, cfg.log2k
 
     conds = {t: exact_conditional_expectation(t, cfg) for t in range(1, cfg.t_max + 1)}
@@ -401,6 +365,8 @@ def check_bounds(cfg: SplitConfig, report: Optional[BoundsReport] = None) -> Bou
     report.add("lemma3_iv", 0, "", Fraction(k, 8), marg[0])
 
     # posterior-ratio upper bounds
+    case_one_rhs = [Fraction(3 * h) / min(Fraction(k, 2), Fraction(max(m + 1 - j, lg)))
+                    for j in range(m + 2)]
     for t, dist in conds.items():
         ratio0 = dist.values[0] / marg[0]
         report.add("theorem_zero", 0, t, ratio0, Fraction(8))
@@ -414,11 +380,10 @@ def check_bounds(cfg: SplitConfig, report: Optional[BoundsReport] = None) -> Bou
                 report.add("theorem_top", p, t, ratio, rhs)
                 continue
             # primary convention: the bound's j is the piece-size index
-            report.add("theorem_piece", p, t, ratio, _theorem_case_one_rhs(cfg, idx))
+            report.add("theorem_piece", p, t, ratio, case_one_rhs[idx])
             # alternate: j read literally off "piece value = 2^(j+1)"
             if p >= 1:
-                report.add("theorem_piece[literal]", p, t, ratio,
-                           _theorem_case_one_rhs(cfg, p - 1))
+                report.add("theorem_piece[literal]", p, t, ratio, case_one_rhs[p - 1])
 
     # anonymity floor: scales consistent with one observed piece
     for p in range(0, m + 1):

@@ -77,9 +77,11 @@ class TestConfigParser:
          "unrecognized key 'zcash.block_interval'"),
         ("params.f = 2/100", "params.f = 1", "fee must satisfy 0 <= f < 1"),
         ("params.sigma_std = 3/2", "params.sigma_std = 1/2", "sigma_std must be >= 1"),
+        ("oracle.rate.0 = 2/1", "oracle.rate.0 = 0",
+         "oracle.rate.0: rate must be positive, got 0"),
     ], ids=["unknown-role", "unknown-vault-strategy", "redeem-strategy-for-issuer",
             "unknown-vault", "block-interval-key", "fee-out-of-range",
-            "sigma-below-one"])
+            "sigma-below-one", "oracle-rate-nonpositive"])
     def test_inconsistent_actor_or_key_rejected(self, old, new, message):
         text = load_bundled_scenario("issue_happy")
         assert old in text
@@ -359,3 +361,17 @@ class TestCli:
         f.write_text(text)
         assert main(["run", "--scenario", str(f)]) == 2
         assert capsys.readouterr().err == "config error: fee must satisfy 0 <= f < 1\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check-bounds", "--h", "8", "--k", "3"], "k must be a power of two >= 2"),
+        (["check-bounds", "--h", "17", "--k", "4"],
+         "2^h = 131072 exceeds the desk-scale limit 65536"),
+        (["privacy", "--h", "8", "--k", "3"], "k must be a power of two >= 2"),
+    ], ids=["check-bounds-k3", "check-bounds-h17", "privacy-k3"])
+    def test_bad_split_params_exit_2(self, argv, message, capsys):
+        # bad splitting parameters are a config error, not a failed bound
+        # check (exit 1)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert err.count("\n") == 1

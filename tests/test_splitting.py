@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -155,10 +156,11 @@ class TestExactDistributions:
         for t in range(1, CFG108.t_max + 1):
             assert sum(exact_conditional_expectation(t, CFG108).values) == CFG108.k
 
-    def test_matches_brute_force_average(self):
+    @pytest.mark.parametrize("cfg", [CFG74, CFG84, CFG108, SplitConfig(12, 16)],
+                             ids=lambda cfg: f"h{cfg.h}-k{cfg.k}")
+    def test_matches_brute_force_average(self, cfg):
         # independent oracle: average piece counts over all draws directly
-        cfg = CFG74
-        for t in (1, 2, 5, 37, 64, 100, 127):
+        for t in range(1, cfg.t_max + 1):
             i_max = draw_bound(t, cfg)
             sums = [0] * (cfg.m + 2)
             for i in range(i_max + 1):
@@ -275,3 +277,21 @@ class TestCheckBounds:
     def test_desk_scale_refusal(self):
         with pytest.raises(SplittingError):
             check_bounds(SplitConfig(17, 4))
+
+    @pytest.mark.parametrize("h, k, report_sha, distribution_sha", [
+        (8, 4, "647313793fa2231669d67873bed3abf8c5939b01eed68e0cf0b51cd3e83aa116",
+         "5e7b51eb0e997b8114e2eed15236e30155d088d1aa48799bd16d608e4a13c973"),
+        (10, 8, "cbdcd12cf9405bb0254459acc96ff5d890fc099ccfa9ab8a97fb1ef858361074",
+         "27953a7843896c34fc22a3ffc1ed685aecf760bdab9883722f60a3bb89aa0659"),
+        (12, 16, "2908bdcea69b141ed10f8c05cd737de5598fae29be46ebd0b6efdd513191d6d6",
+         "a95a35bd0b83875d325ced42b7fbfe830154d937d49ca7dbb3921bbbf05ada91"),
+    ], ids=["h8-k4", "h10-k8", "h12-k16"])
+    def test_report_bytes_match_recorded(self, h, k, report_sha, distribution_sha):
+        # recorded from the enumeration-based distributions: every row, its
+        # order and its text are pinned, not just the pass/fail verdicts
+        from shieldbridge.simcli import bounds_report_csv, distribution_csv
+        cfg = SplitConfig(h, k)
+        report = bounds_report_csv(check_bounds(cfg))
+        assert hashlib.sha256(report.encode()).hexdigest() == report_sha
+        distribution = distribution_csv(cfg)
+        assert hashlib.sha256(distribution.encode()).hexdigest() == distribution_sha
