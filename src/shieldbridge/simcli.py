@@ -500,7 +500,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> ScenarioRes
     failures = check_expects(cfg.expects, metrics)
     failures += conformance_errors(engine)
     return ScenarioResult(metrics, trace_to_csv(engine.trace_rows()),
-                          metrics_to_csv(engine), failures, engine)
+                          _metrics_csv(engine, metrics), failures, engine)
 
 
 def collect_metrics(engine: Engine) -> dict:
@@ -560,13 +560,17 @@ def trace_to_csv(rows: list[tuple]) -> str:
 
 
 def metrics_to_csv(engine: Engine) -> str:
+    return _metrics_csv(engine, collect_metrics(engine))
+
+
+def _metrics_csv(engine: Engine, metrics: dict) -> str:
     lines = ["tick,name,value"]
     for event in engine.metrics.events:
         tick, kind, *details = event
         lines.append(f"{tick},{kind},{';'.join(str(d) for d in details)}")
     for tick, supply in engine.metrics.supply_series:
         lines.append(f"{tick},supply,{supply}")
-    for key, value in sorted(collect_metrics(engine).items()):
+    for key, value in sorted(metrics.items()):
         lines.append(f"final,{key},{value}")
     return "\n".join(lines) + "\n"
 
@@ -591,15 +595,18 @@ def distribution_csv(cfg: SplitConfig) -> str:
 # --- privacy analysis -----------------------------------------------------------------
 
 
-def _split_config(h: int, k: int) -> SplitConfig:
-    """The SplitConfig of an exhaustive check; bad parameters are config errors."""
+def _split_config(h: int, k: int, total: Optional[int] = None) -> SplitConfig:
+    """The SplitConfig of an exhaustive check; bad parameters or total are config errors."""
     if 2**h > DESK_SCALE_LIMIT:
         raise ConfigError(f"2^h = {2**h} exceeds the desk-scale limit {DESK_SCALE_LIMIT}; "
                           f"use h <= 16")
     try:
-        return SplitConfig(h, k)
+        cfg = SplitConfig(h, k)
+        if total is not None:
+            cfg.check_total(total)
     except SplittingError as exc:
         raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def run_privacy_analysis(h: int, k: int, seed: int = 1,
@@ -607,7 +614,7 @@ def run_privacy_analysis(h: int, k: int, seed: int = 1,
     """Bound verification plus an end-to-end run: one user splits a total
     across k vaults via k Issue procedures; each vault's observer view ends
     up containing exactly one piece value and never the total."""
-    cfg = _split_config(h, k)
+    cfg = _split_config(h, k, total)
     report = check_bounds(cfg)
     rng = Random(seed)
     t = total if total is not None else sample_prior(h, rng)

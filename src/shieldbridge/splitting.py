@@ -15,7 +15,8 @@ module implements:
   * exhaustive desk-scale verifiers for the distributional bounds the
     strategy is designed to satisfy, reported claim by claim.
 
-All probabilities are exact fractions; no bound check depends on rounding.
+All probabilities are exact fractions, and every verdict is an integer
+cross-multiplication of them; no bound check depends on rounding.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 DESK_SCALE_LIMIT = 2**16  # exhaustive checks refuse larger supports
+_ZERO = Fraction(0)  # every zero expectation shares this one value
 
 
 class SplittingError(ValueError):
@@ -210,19 +212,25 @@ def exact_conditional_expectation(t: int, cfg: SplitConfig) -> PieceDistribution
     for b in range(i_max.bit_length()):
         counts[b + e.bit_length()] += 2 * _ones_in_range(n, b)
     counts[0] = cfg.k * n - sum(counts)
-    return PieceDistribution(cfg, tuple(Fraction(c, n) for c in counts))
+    return PieceDistribution(cfg, tuple([Fraction(c, n) if c else _ZERO for c in counts]))
 
 
 @functools.cache
 def marginal_expectation(cfg: SplitConfig) -> PieceDistribution:
-    """E[X_j] under the prior: sum over totals of prior * conditional."""
-    totals = [Fraction(0)] * (cfg.m + 2)
+    """E[X_j] under the prior: sum over totals of prior * conditional.
+
+    Total t has prior 1/(h * 2^N), N = floor(log2 t), so conditional c/n adds
+    the integer c over n * 2^N: one Fraction per such denominator, then / h."""
+    sums = [{} for _ in range(cfg.m + 2)]  # per index: n * 2^N -> sum of c
     for t in range(1, cfg.t_max + 1):
-        p = prior_pmf(cfg.h, t)
-        cond = exact_conditional_expectation(t, cfg).values
-        for j in range(cfg.m + 2):
-            totals[j] += p * cond[j]
-    return PieceDistribution(cfg, tuple(totals))
+        scale = t.bit_length() - 1
+        for by_den, x in zip(sums, exact_conditional_expectation(t, cfg).values):
+            if c := x.numerator:
+                den = x.denominator << scale
+                by_den[den] = by_den.get(den, 0) + c
+    return PieceDistribution(cfg, tuple(
+        sum((Fraction(c, den) for den, c in by_den.items()), _ZERO) / cfg.h
+        for by_den in sums))
 
 
 def posterior_ratio(t: int, v: int, cfg: SplitConfig) -> Fraction:
@@ -272,8 +280,8 @@ class BoundsReport:
     rows: list[ClaimRow] = field(default_factory=list)
 
     def add(self, claim, param_j, param_t, lhs, rhs, passed=None):
-        if passed is None:
-            passed = lhs <= rhs
+        if passed is None:  # lhs <= rhs, cross-multiplied
+            passed = lhs.numerator * rhs.denominator <= rhs.numerator * lhs.denominator
         self.rows.append(ClaimRow(claim, param_j, param_t, lhs, rhs, passed))
 
     def failures(self) -> list[ClaimRow]:
@@ -297,6 +305,11 @@ def _ones_in_range(count: int, bit: int) -> int:
     period = 1 << (bit + 1)
     half = 1 << bit
     return (count // period) * half + max(0, (count % period) - half)
+
+
+def _ratio(x: Fraction, y: Fraction) -> Fraction:
+    """x / y, cross-multiplied into one Fraction without Fraction division."""
+    return Fraction(x.numerator * y.denominator, x.denominator * y.numerator)
 
 
 def check_lemma1(c: int, a: int) -> BoundsReport:
@@ -346,15 +359,16 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
 
     conds = {t: exact_conditional_expectation(t, cfg) for t in range(1, cfg.t_max + 1)}
     marg = marginal_expectation(cfg).values
+    three_halves, k_bound, eight = Fraction(3, 2), Fraction(k), Fraction(8)
 
     # conditional upper bounds
     for t, dist in conds.items():
         for j in range(1, m - k // 2 + 1):
-            report.add("lemma2_i", j, t, dist.values[j], Fraction(3, 2))
+            report.add("lemma2_i", j, t, dist.values[j], three_halves)
         cap = Fraction(t // 2**m)
         report.add("lemma2_ii[idx=m+1]", m + 1, t, dist.values[m + 1], cap)
         report.add("lemma2_ii[idx=m]", m, t, dist.values[m], cap)
-        report.add("lemma2_iii", 0, t, dist.values[0], Fraction(k))
+        report.add("lemma2_iii", 0, t, dist.values[0], k_bound)
 
     # marginal lower bounds (lhs is the bound, rhs the computed marginal)
     for j in range(1, m - k // 2 + 1):
@@ -368,13 +382,12 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
     case_one_rhs = [Fraction(3 * h) / min(Fraction(k, 2), Fraction(max(m + 1 - j, lg)))
                     for j in range(m + 2)]
     for t, dist in conds.items():
-        ratio0 = dist.values[0] / marg[0]
-        report.add("theorem_zero", 0, t, ratio0, Fraction(8))
+        report.add("theorem_zero", 0, t, _ratio(dist.values[0], marg[0]), eight)
         for p in range(0, m + 1):
             idx = p + 1
-            if marg[idx] == 0 or dist.values[idx] == 0:
+            if marg[idx].numerator == 0 or dist.values[idx].numerator == 0:
                 continue
-            ratio = dist.values[idx] / marg[idx]
+            ratio = _ratio(dist.values[idx], marg[idx])
             if p == m and t >= 2 ** (m + 1):
                 rhs = Fraction(4 * h * (t // 2**m), 3 * (k - 2 * lg))
                 report.add("theorem_top", p, t, ratio, rhs)
@@ -391,7 +404,7 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
         scales = {
             (t.bit_length() - 1)
             for t, dist in conds.items()
-            if dist.values[idx] > 0
+            if dist.values[idx].numerator > 0
         }
         claim = "anonymity_floor" if p < m else "anonymity_floor[info]"
         report.add(claim, p, "", Fraction(lg), Fraction(len(scales)))

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import shieldbridge
+from shieldbridge import simcli
 from shieldbridge.protocol import Engine, ProtocolError
 from shieldbridge.simcli import (
     ConfigError,
     bundled_scenario_names,
+    collect_metrics,
     load_bundled_scenario,
     load_scenario,
     main,
@@ -208,6 +210,19 @@ class TestBundledScenarios:
         with pytest.raises(ProtocolError, match="rejected:bad-path"):
             run_scenario(cfg)
 
+    def test_metrics_collected_once_per_run(self, monkeypatch):
+        # the expects and metrics.csv read the same dict
+        calls = []
+
+        def counting(engine):
+            calls.append(engine)
+            return collect_metrics(engine)
+
+        monkeypatch.setattr(simcli, "collect_metrics", counting)
+        result = run_scenario(load_scenario(load_bundled_scenario("redeem_happy")))
+        assert result.ok, result.failures
+        assert len(calls) == 1
+
     def test_different_seed_changes_ids_not_outcomes(self):
         cfg = load_scenario(load_bundled_scenario("issue_happy"))
         a = run_scenario(cfg, seed=1)
@@ -367,7 +382,10 @@ class TestCli:
         (["check-bounds", "--h", "17", "--k", "4"],
          "2^h = 131072 exceeds the desk-scale limit 65536"),
         (["privacy", "--h", "8", "--k", "3"], "k must be a power of two >= 2"),
-    ], ids=["check-bounds-k3", "check-bounds-h17", "privacy-k3"])
+        (["privacy", "--h", "8", "--k", "4", "--t", "300"], "total 300 outside [1, 255]"),
+        (["privacy", "--h", "8", "--k", "4", "--t", "0"], "total 0 outside [1, 255]"),
+    ], ids=["check-bounds-k3", "check-bounds-h17", "privacy-k3", "privacy-t300",
+            "privacy-t0"])
     def test_bad_split_params_exit_2(self, argv, message, capsys):
         # bad splitting parameters are a config error, not a failed bound
         # check (exit 1)

@@ -3,8 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shieldbridge.splitting import (
+    DESK_SCALE_LIMIT,
+    BoundsReport,
+    ClaimRow,
     PieceDistribution,
     SplitConfig,
     SplittingError,
@@ -295,3 +300,121 @@ class TestCheckBounds:
         assert hashlib.sha256(report.encode()).hexdigest() == report_sha
         distribution = distribution_csv(cfg)
         assert hashlib.sha256(distribution.encode()).hexdigest() == distribution_sha
+
+
+# --- Fraction oracle ------------------------------------------------------------
+# check_bounds and marginal_expectation as they were before their verdicts
+# became integer cross-multiplications and the marginal an integer sum per
+# denominator: every sum, ratio and verdict here is Fraction arithmetic. The
+# bodies are kept as written then; only the names differ, the cache on the
+# marginal is dropped, and the report's add compares lhs <= rhs as Fractions.
+
+
+class FractionReport(BoundsReport):
+    def add(self, claim, param_j, param_t, lhs, rhs, passed=None):
+        if passed is None:
+            passed = lhs <= rhs
+        self.rows.append(ClaimRow(claim, param_j, param_t, lhs, rhs, passed))
+
+
+def fraction_marginal_expectation(cfg: SplitConfig) -> PieceDistribution:
+    """E[X_j] under the prior: sum over totals of prior * conditional."""
+    totals = [Fraction(0)] * (cfg.m + 2)
+    for t in range(1, cfg.t_max + 1):
+        p = prior_pmf(cfg.h, t)
+        cond = exact_conditional_expectation(t, cfg).values
+        for j in range(cfg.m + 2):
+            totals[j] += p * cond[j]
+    return PieceDistribution(cfg, tuple(totals))
+
+
+def fraction_check_bounds(cfg: SplitConfig) -> BoundsReport:
+    if 2**cfg.h > DESK_SCALE_LIMIT:
+        raise SplittingError(f"2^h > {DESK_SCALE_LIMIT}: refuse exhaustive check")
+    report = FractionReport()
+    m, k, h, lg = cfg.m, cfg.k, cfg.h, cfg.log2k
+
+    conds = {t: exact_conditional_expectation(t, cfg) for t in range(1, cfg.t_max + 1)}
+    marg = fraction_marginal_expectation(cfg).values
+
+    # conditional upper bounds
+    for t, dist in conds.items():
+        for j in range(1, m - k // 2 + 1):
+            report.add("lemma2_i", j, t, dist.values[j], Fraction(3, 2))
+        cap = Fraction(t // 2**m)
+        report.add("lemma2_ii[idx=m+1]", m + 1, t, dist.values[m + 1], cap)
+        report.add("lemma2_ii[idx=m]", m, t, dist.values[m], cap)
+        report.add("lemma2_iii", 0, t, dist.values[0], Fraction(k))
+
+    # marginal lower bounds (lhs is the bound, rhs the computed marginal)
+    for j in range(1, m - k // 2 + 1):
+        report.add("lemma3_i", j, "", Fraction(k, 4 * h), marg[j])
+    for j in range(m - k // 2 + 1, m + 1):
+        report.add("lemma3_ii", j, "", Fraction(max(m + 1 - j, lg), 2 * h), marg[j])
+    report.add("lemma3_iii", m + 1, "", Fraction(3 * (k - 2 * lg), 4 * h), marg[m + 1])
+    report.add("lemma3_iv", 0, "", Fraction(k, 8), marg[0])
+
+    # posterior-ratio upper bounds
+    case_one_rhs = [Fraction(3 * h) / min(Fraction(k, 2), Fraction(max(m + 1 - j, lg)))
+                    for j in range(m + 2)]
+    for t, dist in conds.items():
+        ratio0 = dist.values[0] / marg[0]
+        report.add("theorem_zero", 0, t, ratio0, Fraction(8))
+        for p in range(0, m + 1):
+            idx = p + 1
+            if marg[idx] == 0 or dist.values[idx] == 0:
+                continue
+            ratio = dist.values[idx] / marg[idx]
+            if p == m and t >= 2 ** (m + 1):
+                rhs = Fraction(4 * h * (t // 2**m), 3 * (k - 2 * lg))
+                report.add("theorem_top", p, t, ratio, rhs)
+                continue
+            # primary convention: the bound's j is the piece-size index
+            report.add("theorem_piece", p, t, ratio, case_one_rhs[idx])
+            # alternate: j read literally off "piece value = 2^(j+1)"
+            if p >= 1:
+                report.add("theorem_piece[literal]", p, t, ratio, case_one_rhs[p - 1])
+
+    # anonymity floor: scales consistent with one observed piece
+    for p in range(0, m + 1):
+        idx = p + 1
+        scales = {
+            (t.bit_length() - 1)
+            for t, dist in conds.items()
+            if dist.values[idx] > 0
+        }
+        claim = "anonymity_floor" if p < m else "anonymity_floor[info]"
+        report.add(claim, p, "", Fraction(lg), Fraction(len(scales)))
+    return report
+
+
+def assert_matches_fraction_oracle(cfg: SplitConfig) -> None:
+    marg = marginal_expectation(cfg).values
+    assert marg == fraction_marginal_expectation(cfg).values
+    assert all(type(x) is Fraction for x in marg)
+    rows = check_bounds(cfg).rows
+    expected = fraction_check_bounds(cfg).rows
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        # ClaimRow equality compares all six fields; Fraction == is by value
+        assert row == want
+        assert type(row.lhs) is Fraction and type(row.rhs) is Fraction
+        assert type(row.passed) is bool
+
+
+# every valid (h, k) with h <= 9: k = 16 needs h >= 11
+SMALL_CONFIGS = [(h, k) for h in range(1, 10) for k in (2, 4, 8)
+                 if h + 1 - (k.bit_length() - 1) >= max(1, k // 2)]
+
+
+class TestFractionOracle:
+    @pytest.mark.parametrize("cfg", [CFG74, CFG84, CFG108, SplitConfig(12, 16)],
+                             ids=lambda cfg: f"h{cfg.h}-k{cfg.k}")
+    def test_integer_verdicts_match_fraction_oracle(self, cfg):
+        assert_matches_fraction_oracle(cfg)
+
+    # the search space is finite: hypothesis stops once all 20 are drawn
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(SMALL_CONFIGS))
+    def test_every_small_config_matches_fraction_oracle(self, hk):
+        assert_matches_fraction_oracle(SplitConfig(*hk))
