@@ -166,6 +166,12 @@ class ProtocolConfig:
     zc_fee: int = 1000
     tree_depth: int = 16
 
+    def __post_init__(self):
+        for name, low in (("relay_k", 1), ("delta_mint", 1), ("delta_confirm_issue", 1),
+                          ("delta_confirm_redeem", 1), ("zc_fee", 0), ("tree_depth", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+
 
 @dataclass
 class RequestRecord:
@@ -553,17 +559,13 @@ class Engine:
         return MintTransfer(statement, MintWitness(lock_note, wzec_note, request.nonce))
 
     def build_note_ciphertext(self, note: Note, vault_id: str,
-                              wrong_note: bool = False,
                               corrupt: bool = False) -> NoteCiphertext:
-        """C^V construction; byzantine variants encrypt a different note or
-        flip a byte after encryption."""
+        """C^V construction; the byzantine variant flips a byte after
+        encryption."""
         vault_addr = self.registry.record(vault_id).zcash_address
-        payload_note = note
-        if wrong_note:
-            payload_note = Note(note.address, note.value + 1, rng_bytes(self.rng, 32))
         epk = self.directory.new_ephemeral(self.rng)
         secret = self.directory.secret_for(epk, vault_addr)
-        ct = encrypt_note(payload_note, vault_addr, secret, epk)
+        ct = encrypt_note(note, vault_addr, secret, epk)
         if corrupt:
             broken = bytearray(ct.payload)
             broken[0] ^= 0xFF

@@ -6,7 +6,10 @@ tick horizon, a seed, and `expect.*` assertions on the run's metrics. The
 config dataclasses are the schema (`SCENARIO_KEYS` maps each key to a field,
 whose type and default apply), and `ROLES` gives each role the bots whose
 `STRATEGIES` it may use. One scenario is one event loop; identical (config,
-seed) produces byte-identical trace and metrics files.
+seed) produces byte-identical trace and metrics files. The issuer, redeemer
+and eclipse bots are per-tick scripts; after each step, a bot's `phase`
+("stalled", "done" or None while running) and `request_id` are what the
+benchmark's workloads read.
 
 Subcommands:
     run          execute a scenario file (or bundled name): trace.csv, metrics.csv
@@ -91,8 +94,13 @@ class ActorSpec:
     vault: str = ""
     amount: int = 0
     at: int = 1
-    amount2: int = 0     # second request amount (replay / carve-out flows)
+    amount2: int = 0     # a user's redeem half, or a redeemer's second round
     at2: int = 0
+
+    def __post_init__(self):
+        for name in ("zec", "i", "collateral", "amount", "at", "amount2", "at2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"actor.{self.name}.{name} must be >= 0")
 
 
 @dataclass
@@ -176,14 +184,14 @@ def load_scenario(text: str) -> ScenarioConfig:
             raise ConfigError(f"unrecognized key {key!r}")
     params = _build(RegistryParams, values[RegistryParams])
     protocol = _build(ProtocolConfig, {"params": params, **values[ProtocolConfig]})
-    if not oracle_script:
-        raise ConfigError("missing oracle script (oracle.rate.<tick> entries)")
+    if 0 not in dict(oracle_script):
+        raise ConfigError("missing oracle.rate.0: the oracle script must start at tick 0")
     for name, given in actors.items():
         if "role" not in given:
             raise ConfigError(f"actor.{name}.{next(iter(given))}: "
                               f"actor {name!r} has no actor.{name}.role")
     order = list(entries)  # actors run in the order of their role lines
-    specs = [ActorSpec(name, **actors[name])
+    specs = [_build(ActorSpec, {"name": name, **actors[name]})
              for name in sorted(actors, key=lambda n: order.index(f"actor.{n}.role"))]
     vaults = {spec.name for spec in specs if spec.role == "vault"}
     for spec in specs:
@@ -205,127 +213,107 @@ def load_scenario(text: str) -> ScenarioConfig:
 # --- actor strategies ----------------------------------------------------------------
 
 
-class IssueBot:
-    """Drives one Issue procedure; tamper knobs model byzantine issuers."""
+class _ScriptBot:
+    """Steps `_run(engine)`, a script that yields once per tick; one that
+    yields "stalled" is never resumed, and one that returns is "done"."""
+
+    phase: Optional[str] = None
+    request_id: Optional[str] = None  # the request the script last opened
+    _script = None
+
+    def step(self, engine: Engine) -> None:
+        if self._script is None:
+            self._script = self._run(engine)
+        if self.phase != "stalled":
+            self.phase = next(self._script, "done")
+
+
+class IssueBot(_ScriptBot):
+    """Plays one Issue procedure; the other strategies model byzantine issuers."""
 
     STRATEGIES = ("honest", "no_lock", "no_mint", "random_rcm", "wrong_ciphertext",
                   "wrong_relation", "replay_lock")
+    step = _ScriptBot.step  # perfbench's tracer times each bot class's own step
 
     def __init__(self, spec: ActorSpec):
         self.spec = spec
-        self.phase = "wait"
-        self.request_id: Optional[str] = None
-        s = spec.strategy
-        self.skip_lock = s == "no_lock"
-        self.skip_mint = s in ("no_lock", "no_mint")
-        self.lock_tamper = s == "random_rcm"
-        self.ct_corrupt = s == "wrong_ciphertext"
-        self.wrong_relation = s == "wrong_relation"
-        self.replay_lock = s == "replay_lock"
-        self._old_lock_note = None
-        self._round = 0
 
-    def step(self, engine: Engine) -> None:
-        spec = self.spec
-        if self.phase == "wait":
-            if engine.now >= spec.at:
-                request = engine.request_lock(spec.name, spec.vault)
-                if isinstance(request, Rejection):
-                    return
-                self.request_id = request.request_id
-                self.phase = "locking"
-        if self.phase == "locking":
-            if self.skip_lock:
-                self.phase = "stalled"
-                return
-            if self._round == 0:  # a replay round reuses the old note at mint time
-                engine.do_lock(spec.name, self.request_id, spec.amount,
-                               tamper_random_rcm=self.lock_tamper)
-            self.phase = "minting"
-            return
-        if self.phase == "minting":
-            if self.skip_mint:
-                self.phase = "stalled"
-                return
-            request = engine.requests[self.request_id]
+    def _run(self, engine: Engine):
+        spec, strategy = self.spec, self.spec.strategy
+        replayed = None  # replay_lock's second round mints again from the first lock
+        while True:
+            while engine.now < spec.at or isinstance(
+                    request := engine.request_lock(spec.name, spec.vault), Rejection):
+                yield
+            self.request_id = request.request_id
+            if strategy == "no_lock":
+                yield "stalled"
+            if replayed is None:
+                engine.do_lock(spec.name, request.request_id, spec.amount,
+                               tamper_random_rcm=strategy == "random_rcm")
+            yield
+            if strategy == "no_mint":
+                yield "stalled"
+            lock_note = replayed or request.lock_note
+            while not request.terminal:
+                block = lock_note and engine.block_of(commit_note(lock_note).digest)
+                if block is not None and engine.relay.is_final(block):
+                    break
+                yield
             if request.terminal:
-                self.phase = "done"
                 return
-            override = self._old_lock_note if self._round > 0 else None
-            lock_note = override or request.lock_note
-            if lock_note is None:
-                return
-            block = engine.block_of(commit_note(lock_note).digest)
-            if block is None or not engine.relay.is_final(block):
-                return
-            transfer = engine.build_mint(self.request_id,
-                                         wrong_relation=self.wrong_relation,
-                                         lock_note_override=override)
+            transfer = engine.build_mint(request.request_id,
+                                         wrong_relation=strategy == "wrong_relation",
+                                         lock_note_override=replayed)
             ct = engine.build_note_ciphertext(transfer.witness.lock_note, spec.vault,
-                                              corrupt=self.ct_corrupt)
-            result = engine.do_mint(spec.name, self.request_id, transfer, ct)
-            if isinstance(result, Rejection):
-                self.phase = "stalled"  # deadline will close the request
+                                              corrupt=strategy == "wrong_ciphertext")
+            if isinstance(engine.do_mint(spec.name, request.request_id, transfer, ct),
+                          Rejection):
+                yield "stalled"  # the deadline will close the request
+            yield
+            while not request.terminal:
+                yield
+            if strategy != "replay_lock" or replayed is not None:
                 return
-            self.phase = "minted"
-            return
-        if self.phase == "minted":
-            request = engine.requests[self.request_id]
-            if request.terminal:
-                if self.replay_lock and self._round == 0:
-                    self._old_lock_note = request.lock_note
-                    self._round = 1
-                    self.phase = "wait"
-                    self.spec = replace(spec, at=engine.now + 1)
-                else:
-                    self.phase = "done"
+            replayed = request.lock_note
+            yield  # the replay round opens its request on the next tick
 
 
-class RedeemBot:
-    """Drives one (or two, for the replay carve-out) Redeem procedures."""
+class RedeemBot(_ScriptBot):
+    """Plays one Redeem procedure, or two for double_redeem and reuse_release."""
 
     STRATEGIES = ("honest", "wrong_ciphertext", "redeem_wrong_ciphertext",
                   "reuse_release", "double_redeem")
+    step = _ScriptBot.step  # perfbench's tracer times each bot class's own step
 
     def __init__(self, spec: ActorSpec):
         if spec.role == "user":  # a user's redeem half starts at at2 with amount2
             spec = replace(spec, at=spec.at2, amount=spec.amount2)
         self.spec = spec
-        self.phase = "wait"
-        self.request_id: Optional[str] = None
-        self.ct_corrupt = spec.strategy in ("wrong_ciphertext",
-                                            "redeem_wrong_ciphertext")
-        self.reuse_release = spec.strategy == "reuse_release"
-        self.two_rounds = spec.strategy in ("reuse_release", "double_redeem")
-        self._release_note: Optional[Note] = None
-        self._round = 0
 
-    def step(self, engine: Engine) -> None:
-        spec = self.spec
-        start = spec.at if self._round == 0 else (spec.at2 or spec.at)
-        amount = spec.amount if self._round == 0 else (spec.amount2 or spec.amount)
-        if self.phase == "wait":
-            if engine.now >= start and engine.actors[spec.name].wzec.balance() >= amount:
-                reuse = self._release_note if (self._round > 0
-                                               and self.reuse_release) else None
-                transfer, release_note = engine.build_burn(
-                    spec.name, spec.vault, amount,
-                    reuse_note=reuse, ct_corrupt=self.ct_corrupt)
-                request = engine.do_burn(spec.name, spec.vault, transfer)
-                if isinstance(request, Rejection):
-                    self.phase = "done"
-                    return
-                self.request_id = request.request_id
-                self._release_note = release_note
-                self.phase = "pending"
-        elif self.phase == "pending":
-            request = engine.requests[self.request_id]
-            if request.terminal:
-                if self.two_rounds and self._round == 0:
-                    self._round = 1
-                    self.phase = "wait"
-                else:
-                    self.phase = "done"
+    def _run(self, engine: Engine):
+        spec, strategy = self.spec, self.spec.strategy
+        rounds = [(spec.at, spec.amount)]
+        if strategy in ("double_redeem", "reuse_release"):  # burn again once the first closes
+            rounds.append((spec.at2 or spec.at, spec.amount2 or spec.amount))
+        request = reuse = None
+        for start, amount in rounds:
+            if request is not None:
+                yield  # a round starts on the tick after the previous one closed
+            while engine.now < start or engine.actors[spec.name].wzec.balance() < amount:
+                yield
+            transfer, release_note = engine.build_burn(
+                spec.name, spec.vault, amount, reuse_note=reuse,
+                ct_corrupt=strategy in ("wrong_ciphertext", "redeem_wrong_ciphertext"))
+            request = engine.do_burn(spec.name, spec.vault, transfer)
+            if isinstance(request, Rejection):
+                return
+            self.request_id = request.request_id
+            if strategy == "reuse_release":
+                reuse = release_note
+            yield
+            while not request.terminal:
+                yield
 
 
 class VaultBot:
@@ -410,7 +398,7 @@ ROLES = {"vault": (VaultBot,), "issuer": (IssueBot,), "redeemer": (RedeemBot,),
          "user": (IssueBot, RedeemBot)}
 
 
-class EclipseBot:
+class EclipseBot(_ScriptBot):
     """Header-withholding attack: mutes honest relaying, feeds the relay a
     forged branch, then presents an inclusion proof for a commitment the
     true chain never contained."""
@@ -418,40 +406,28 @@ class EclipseBot:
     def __init__(self, at: int, rng: Random):
         self.at = at
         self.rng = rng
-        self.phase = "wait"
-        self.fake_cm: Optional[NoteCommitment] = None
-        self.tree: Optional[CommitmentTree] = None
-        self.forged_block: Optional[BlockHeader] = None
-        self.tip: Optional[BlockHeader] = None
-        self.done = False
 
-    def step(self, engine: Engine) -> None:
-        if self.done or engine.now < self.at:
-            return
-        if self.phase == "wait":
-            engine.relayer_muted = True
-            self.fake_cm = NoteCommitment(rng_bytes(self.rng, 32))
-            self.tree = CommitmentTree(depth=engine.zcash.pool.tree.depth)
-            self.tree.append(self.fake_cm)
-            parent = engine.relay.headers[engine.relay.best_tip]
-            self.forged_block = BlockHeader(parent.height + 1, parent.hash,
-                                            self.tree.root(), 1, nonce=10**6)
-            engine.relay.submit_header(self.forged_block)
-            self.tip = self.forged_block
-            self.phase = "extend"
-            return
-        if self.phase == "extend":
-            nxt = BlockHeader(self.tip.height + 1, self.tip.hash,
-                              self.tip.tree_root, 1, nonce=10**6 + self.tip.height)
-            engine.relay.submit_header(nxt)
-            self.tip = nxt
-            if engine.relay.is_final(self.forged_block.hash):
-                path = self.tree.path_at(0, 1)
-                verdict = engine.check_inclusion_claim(self.fake_cm, path,
-                                                       self.forged_block.hash)
-                if verdict != "verified":
-                    raise ProtocolError(f"final forged branch, yet the claim was {verdict}")
-                self.done = True
+    def _run(self, engine: Engine):
+        while engine.now < self.at:
+            yield
+        engine.relayer_muted = True
+        fake_cm = NoteCommitment(rng_bytes(self.rng, 32))
+        tree = CommitmentTree(depth=engine.zcash.pool.tree.depth)
+        tree.append(fake_cm)
+        parent = engine.relay.headers[engine.relay.best_tip]
+        forged = BlockHeader(parent.height + 1, parent.hash, tree.root(), 1, nonce=10**6)
+        engine.relay.submit_header(forged)
+        tip = forged
+        while True:
+            yield
+            tip = BlockHeader(tip.height + 1, tip.hash, tip.tree_root, 1,
+                              nonce=10**6 + tip.height)
+            engine.relay.submit_header(tip)
+            if engine.relay.is_final(forged.hash):
+                break
+        verdict = engine.check_inclusion_claim(fake_cm, tree.path_at(0, 1), forged.hash)
+        if verdict != "verified":
+            raise ProtocolError(f"final forged branch, yet the claim was {verdict}")
 
 
 # --- scenario execution ---------------------------------------------------------------

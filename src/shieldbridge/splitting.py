@@ -279,9 +279,9 @@ ATTRIBUTED_TAGS = ("[idx=m]", "[literal]", "[info]")
 class BoundsReport:
     rows: list[ClaimRow] = field(default_factory=list)
 
-    def add(self, claim, param_j, param_t, lhs, rhs, passed=None):
-        if passed is None:  # lhs <= rhs, cross-multiplied
-            passed = lhs.numerator * rhs.denominator <= rhs.numerator * lhs.denominator
+    def add(self, claim, param_j, param_t, lhs, rhs):
+        """Record the claim lhs <= rhs, decided by cross-multiplication."""
+        passed = lhs.numerator * rhs.denominator <= rhs.numerator * lhs.denominator
         self.rows.append(ClaimRow(claim, param_j, param_t, lhs, rhs, passed))
 
     def failures(self) -> list[ClaimRow]:
@@ -337,8 +337,7 @@ def check_lemma1(c: int, a: int) -> BoundsReport:
         p = Fraction(_ones_in_range(n, j), n)
         report.add("lemma1_ii", j, a, p, Fraction(1, 2))
     expected_ones = sum(Fraction(_ones_in_range(n, j), n) for j in range(c + 2))
-    report.add("lemma1_iii_lower", c, a, Fraction(c, 4), expected_ones,
-               passed=expected_ones >= Fraction(c, 4))
+    report.add("lemma1_iii_lower", c, a, Fraction(c, 4), expected_ones)
     report.add("lemma1_iii_upper", c, a, expected_ones, Fraction(3 * c + 2, 4))
     return report
 

@@ -43,6 +43,9 @@ class RegistryParams:
             raise ValueError("fee must satisfy 0 <= f < 1")
         if self.sigma_std < 1:
             raise ValueError("sigma_std must be >= 1")
+        for name in ("v_max", "i_w", "poc_validity", "pob_period", "liq_margin"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def capacity_threshold(self, rate: Fraction) -> Fraction:
         """Free collateral required to accept new issues at the given rate:

@@ -1,5 +1,6 @@
 import itertools
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -280,8 +281,18 @@ class TestIssueChallenge:
         assert conformance_errors(engine) == []
 
     def test_wrong_note_ciphertext_challenged(self):
+        # the ciphertext encrypts a note other than the lock the mint proves
         engine = make_engine()
-        request = run_issue(engine, confirm=False, ct_kwargs={"wrong_note": True})
+        request = engine.request_lock("A1", "V1")
+        engine.do_lock("A1", request.request_id, LOCK)
+        for _ in range(engine.config.relay_k + 1):
+            engine.tick()
+        transfer = engine.build_mint(request.request_id)
+        lock_note = transfer.witness.lock_note
+        wrong = replace(lock_note, value=lock_note.value + 1)
+        ct = engine.build_note_ciphertext(wrong, "V1")
+        assert not isinstance(engine.do_mint("A1", request.request_id, transfer, ct),
+                              Rejection)
         assert engine.challenge_issue("V1", request.request_id) == OK
         assert request.state == ISSUE_CHALLENGED
 

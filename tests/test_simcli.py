@@ -4,26 +4,34 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import shieldbridge
 from shieldbridge import simcli
-from shieldbridge.protocol import Engine, ProtocolError
+from shieldbridge.protocol import Engine, ProtocolConfig, ProtocolError
 from shieldbridge.simcli import (
+    ActorSpec,
     ConfigError,
+    IssueBot,
+    RedeemBot,
+    VaultBot,
     bundled_scenario_names,
     collect_metrics,
     load_bundled_scenario,
     load_scenario,
     main,
+    metrics_to_csv,
     parse_config,
     run_privacy_analysis,
     run_relay_safety,
     run_scenario,
+    trace_to_csv,
 )
 from shieldbridge.splitting import SplitConfig, posterior_ratio, prior_pmf
+from shieldbridge.vault_registry import RegistryParams
 from shieldbridge.zcash_chain import Rejection
 
 
@@ -81,9 +89,23 @@ class TestConfigParser:
         ("params.sigma_std = 3/2", "params.sigma_std = 1/2", "sigma_std must be >= 1"),
         ("oracle.rate.0 = 2/1", "oracle.rate.0 = 0",
          "oracle.rate.0: rate must be positive, got 0"),
+        ("relay.k = 6", "relay.k = 6\nzcash.tree_depth = 0", "tree_depth must be >= 1"),
+        ("relay.k = 6", "relay.k = 6\nzcash.fee = -1", "zc_fee must be >= 0"),
+        ("params.i_w = 5", "params.i_w = -1", "i_w must be >= 0"),
+        ("params.i_w = 5", "params.i_w = 5\nparams.liq_margin = -1/10",
+         "liq_margin must be >= 0"),
+        ("actor.A1.zec = 10000000000", "actor.A1.zec = -1",
+         "actor.A1.zec must be >= 0"),
+        ("actor.A1.i = 100", "actor.A1.i = -1", "actor.A1.i must be >= 0"),
+        ("oracle.rate.0 = 2/1", "oracle.rate.5 = 2/1", "missing oracle.rate.0"),
+        ("relay.k = 6", "relay.k = -1", "relay_k must be >= 1"),
+        ("relay.k = 6", "relay.k = 6\nprotocol.delta_mint = 0", "delta_mint must be >= 1"),
     ], ids=["unknown-role", "unknown-vault-strategy", "redeem-strategy-for-issuer",
             "unknown-vault", "block-interval-key", "fee-out-of-range",
-            "sigma-below-one", "oracle-rate-nonpositive"])
+            "sigma-below-one", "oracle-rate-nonpositive", "tree-depth-zero",
+            "zcash-fee-negative", "warranty-negative", "liq-margin-negative",
+            "actor-zec-negative", "actor-i-negative", "oracle-no-tick-0-rate",
+            "relay-k-negative", "delta-mint-zero"])
     def test_inconsistent_actor_or_key_rejected(self, old, new, message):
         text = load_bundled_scenario("issue_happy")
         assert old in text
@@ -231,6 +253,58 @@ class TestBundledScenarios:
         assert a.trace_csv == b.trace_csv  # same schedule, same ops
 
 
+def strategy_run(vault: str, issuer: str, redeemer: str) -> str:
+    """One short run in the shape of criterion 6's episodes: a vault bot, and
+    an IssueBot and a RedeemBot on one actor; the redeemer's second round, if
+    its strategy has one, uses at2/amount2. Returns the SHA-256 of
+    trace.csv + metrics.csv."""
+    params = RegistryParams(v_max=100, f=Fraction(2, 100), sigma_std=Fraction(3, 2),
+                            i_w=5, poc_validity=100, pob_period=100)
+    engine = Engine(ProtocolConfig(params, relay_k=2, delta_mint=8, delta_confirm_issue=2,
+                                   delta_confirm_redeem=8, zc_fee=1, tree_depth=6), 7)
+    engine.oracle.set_rate(0, Fraction(2, 1))
+    engine.add_actor("V1", zec_notes=(500,), i_balance=344)
+    engine.add_actor("A1", zec_notes=(400,), i_balance=50)
+    bots = [VaultBot(ActorSpec("V1", "vault", vault)),
+            IssueBot(ActorSpec("A1", "issuer", issuer, vault="V1", amount=50, at=2)),
+            RedeemBot(ActorSpec("A1", "redeemer", redeemer, vault="V1", amount=20,
+                                at=14, amount2=10, at2=26))]
+    engine.start()
+    engine.register_vault("V1", 294)
+    engine.submit_poc("V1")
+
+    def phase(eng):
+        for bot in bots:
+            bot.step(eng)
+
+    engine.run_until(44, phase)
+    return hashlib.sha256((trace_to_csv(engine.trace_rows())
+                           + metrics_to_csv(engine)).encode()).hexdigest()
+
+
+class TestStrategyDigests:
+    # strategies no bundled scenario plays; the digests pin each bot's
+    # behaviour byte for byte
+    @pytest.mark.parametrize("vault, issuer, redeemer, digest", [
+        ("honest", "no_mint", "honest",
+         "cb8fd4f3412905500b1b606c79fb96d23baf11cb32b3d93610ff4a1b545cec14"),
+        ("honest", "random_rcm", "honest",
+         "e456b22c8ef7632bbb030acd34c9e58a6578b42159c1e3c5597bdb03694fa714"),
+        ("honest", "wrong_relation", "honest",
+         "8885e41911398242d63f13d417a9db0bfdc1f4a0e05b5dd66316f73265d467af"),
+        ("spurious_challenge", "honest", "honest",
+         "7bbede2f408b507c64768176b149c511874810983e558e1d92626db56c3f5e6a"),
+        ("honest", "honest", "double_redeem",
+         "9512b1bb049b5adaeb95f361099f9fa85b6e543e1a6c514c0a177ec6d33a2257"),
+        ("honest", "honest", "reuse_release",
+         "f3a6b5128304f52a7e3345a7b0bf9c7797fecfc93e4bc1754bec1c001c1b0b2c"),
+    ], ids=["issuer-no_mint", "issuer-random_rcm", "issuer-wrong_relation",
+            "vault-spurious_challenge", "redeemer-double_redeem",
+            "redeemer-reuse_release"])
+    def test_run_digest_matches_recorded(self, vault, issuer, redeemer, digest):
+        assert strategy_run(vault, issuer, redeemer) == digest
+
+
 class TestObserverHygiene:
     # witness-side values used by the bundled scenarios: lock amounts,
     # minted/released amounts, obligations
@@ -376,6 +450,15 @@ class TestCli:
         f.write_text(text)
         assert main(["run", "--scenario", str(f)]) == 2
         assert capsys.readouterr().err == "config error: fee must satisfy 0 <= f < 1\n"
+
+    def test_out_of_range_protocol_value_exits_2(self, tmp_path, capsys):
+        # a tree too shallow for any note failed inside the run with a
+        # traceback and exit 1; the config rejects it first
+        text = load_bundled_scenario("issue_happy") + "zcash.tree_depth = 0\n"
+        f = tmp_path / "bad.cfg"
+        f.write_text(text)
+        assert main(["run", "--scenario", str(f)]) == 2
+        assert capsys.readouterr().err == "config error: tree_depth must be >= 1\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["check-bounds", "--h", "8", "--k", "3"], "k must be a power of two >= 2"),

@@ -311,10 +311,8 @@ class TestCheckBounds:
 
 
 class FractionReport(BoundsReport):
-    def add(self, claim, param_j, param_t, lhs, rhs, passed=None):
-        if passed is None:
-            passed = lhs <= rhs
-        self.rows.append(ClaimRow(claim, param_j, param_t, lhs, rhs, passed))
+    def add(self, claim, param_j, param_t, lhs, rhs):
+        self.rows.append(ClaimRow(claim, param_j, param_t, lhs, rhs, lhs <= rhs))
 
 
 def fraction_marginal_expectation(cfg: SplitConfig) -> PieceDistribution:
