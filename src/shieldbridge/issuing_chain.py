@@ -36,18 +36,19 @@ def post_fee_amount(amount: int, fee: Fraction) -> int:
 
 # --- transparent i ledger -------------------------------------------------------
 
+LIQUIDATION_POOL = "liquidation.pool"  # no scenario actor: actor names have no dot
+
 
 class TransparentLedger:
     """All accounting of the native currency i in one place: free balances,
-    locked vault collateral, per-request warranty locks, and the pool that
-    absorbs liquidated collateral. The total is invariant across every
-    operation except initial deposits."""
+    locked vault collateral and per-request warranty locks. Liquidated
+    collateral goes to the `LIQUIDATION_POOL` account. The total is
+    invariant across every operation except initial deposits."""
 
     def __init__(self):
         self.balances: dict[str, int] = {}
         self.collateral: dict[str, int] = {}
         self.warranties: dict[str, tuple[str, int]] = {}
-        self.liquidation_pool: int = 0
 
     def deposit(self, account: str, amount: int) -> None:
         if amount < 0:
@@ -59,7 +60,7 @@ class TransparentLedger:
 
     def total(self) -> int:
         return (sum(self.balances.values()) + sum(self.collateral.values())
-                + sum(a for _, a in self.warranties.values()) + self.liquidation_pool)
+                + sum(a for _, a in self.warranties.values()))
 
     def _debit(self, account: str, amount: int) -> Optional[Rejection]:
         if self.balances.get(account, 0) < amount:
@@ -103,18 +104,12 @@ class TransparentLedger:
 
     def slash_collateral(self, vault: str, amount: int, recipient: str) -> int:
         """Deduct up to `amount` from the vault's collateral in favour of a
-        counterparty (protocol-timeout compensation)."""
+        counterparty (protocol-timeout compensation) or of the liquidation
+        pool."""
         held = self.collateral.get(vault, 0)
         taken = min(held, amount)
         self.collateral[vault] = held - taken
         self.deposit(recipient, taken)
-        return taken
-
-    def seize_collateral(self, vault: str, amount: int) -> int:
-        held = self.collateral.get(vault, 0)
-        taken = min(held, amount)
-        self.collateral[vault] = held - taken
-        self.liquidation_pool += taken
         return taken
 
 
@@ -228,7 +223,6 @@ class IssuingChain:
         self.minted_total = 0
         self.burned_total = 0
         self.public_log: list[dict] = []
-        self._tx_counter = 0
         self._live_notes: dict[bytes, Note] = {}  # witness store: unspent wZEC
 
     # -- supply --
@@ -286,8 +280,7 @@ class IssuingChain:
 
         self.used_lock_cms.add(st.lock_cm.digest)
         self.used_permit_nonces.add(permit_nonce)
-        self._tx_counter += 1
-        txid = f"I-mint-{self._tx_counter}"
+        txid = f"I-mint-{len(self.pending) + 1}"
         tx = PendingTx(txid, "mint", PENDING, transfer)
         self.pending[txid] = tx
         self.public_log.append({"txid": txid, **st.public_view(), "status": PENDING})
@@ -310,8 +303,7 @@ class IssuingChain:
             return Rejection(f"insufficient-wzec:{rej.reason}")
         self._apply_pool_tx(wit.spend_tx)
 
-        self._tx_counter += 1
-        txid = f"I-burn-{self._tx_counter}"
+        txid = f"I-burn-{len(self.pending) + 1}"
         tx = PendingTx(txid, "burn", PENDING, transfer, escrow=wit.burn_amount)
         self.pending[txid] = tx
         self.public_log.append({"txid": txid, **st.public_view(wit.spend_tx),

@@ -8,7 +8,7 @@ operation,
     tick, actor, op, request_id, state_before, state_after, outcome
 
 which is the conformance contract for trace-grammar tests, and
-`EngineMetrics.events`, one tuple per slash, upheld challenge, relay
+`Engine.events`, one tuple per slash, upheld challenge, relay
 violation and liquidation. The counts in `metrics.csv` and the events
 `tick()` returns are read off these two. Deadline
 enforcement happens once per tick, after actors had their chance to move:
@@ -209,17 +209,6 @@ class ActorAccount:
     wzec: Wallet
 
 
-@dataclass
-class EngineMetrics:
-    events: list = field(default_factory=list)  # (tick, kind, *details)
-    supply_series: list = field(default_factory=list)
-    zec_locked_total: int = 0
-    zec_released_total: int = 0
-
-    def record(self, tick: int, kind: str, *details) -> None:
-        self.events.append((tick, kind) + tuple(details))
-
-
 class Engine:
     def __init__(self, config: ProtocolConfig, seed: int):
         self.config = config
@@ -236,7 +225,10 @@ class Engine:
         self.actors: dict[str, ActorAccount] = {}
         self.requests: dict[str, RequestRecord] = {}
         self.trace: list[tuple] = []
-        self.metrics = EngineMetrics()
+        self.events: list[tuple] = []  # (tick, kind, *details)
+        self.supply_series: list[tuple[int, int]] = []
+        self.zec_locked_total = 0
+        self.zec_released_total = 0
         self._counter = {"request": 0, "permit": 0}
         self._genesis_values: list[tuple[str, int]] = []
         self._started = False
@@ -305,9 +297,9 @@ class Engine:
         for vault_id in self.registry.vaults:
             event = self.registry.check_liquidation(vault_id, self.now)
             if event is not None:
-                self.metrics.record(self.now, "liquidation", vault_id, event.seized)
+                self._event("liquidation", vault_id, event.seized)
                 self._trace(vault_id, "liquidation", "", "", "", OK)
-        self.metrics.supply_series.append((self.now, self.issuing.supply))
+        self.supply_series.append((self.now, self.issuing.supply))
         return [(tick, _event_name(op), request_id or actor)
                 for tick, actor, op, request_id, *_ in self.trace[start:]]
 
@@ -323,6 +315,9 @@ class Engine:
 
     def trace_rows(self) -> list[tuple]:
         return list(self.trace)
+
+    def _event(self, kind: str, *details) -> None:
+        self.events.append((self.now, kind) + details)
 
     def _reject(self, actor, op, request_id, state, reason) -> Rejection:
         self._trace(actor, op, request_id, state, state, f"rejected:{reason}")
@@ -396,7 +391,7 @@ class Engine:
             self._slash(request.vault_id, request.requester, taken, reason)
 
     def _slash(self, payer: str, payee: str, amount: int, reason: str) -> None:
-        self.metrics.record(self.now, "slash", payer, payee, amount, reason)
+        self._event("slash", payer, payee, amount, reason)
 
     def _reserve(self, op: str, requester: str, vault_id: str):
         """A fresh request id with the requester's warranty locked, if the
@@ -583,11 +578,8 @@ class Engine:
             if "replayed" in reason:
                 reason = f"replay:{reason}"
             return self._reject(issuer, "mint", request_id, request.state, reason)
-        # ground truth check: a relay fooled by withheld headers is a
-        # detected safety violation, not a silent success
-        if not self._on_true_chain(transfer.statement.lock_cm.digest,
-                                   transfer.statement.inclusion_block):
-            self.metrics.record(self.now, "relay-violation", request_id)
+        self._check_true_chain(transfer.statement.lock_cm.digest,
+                               transfer.statement.inclusion_block, request_id)
         request.deadline_confirm = self.now + self.config.delta_confirm_issue
         request.pending_txid = result.txid
         request.ciphertext = ciphertext
@@ -595,8 +587,13 @@ class Engine:
         self._advance(request, "mint", issuer)
         return result
 
-    def _on_true_chain(self, cm_digest: bytes, block_hash: bytes) -> bool:
-        return self.zcash.block_on_main(block_hash) and cm_digest in self.zcash.pool.leaf_index
+    def _check_true_chain(self, cm_digest: bytes, block_hash: bytes, detail: str) -> None:
+        """Ground truth behind a proof the relay accepted: one the true chain
+        contradicts (a relay fooled by withheld headers) is a detected
+        safety violation, not a silent success."""
+        if not (self.zcash.block_on_main(block_hash)
+                and cm_digest in self.zcash.pool.leaf_index):
+            self._event("relay-violation", detail)
 
     def confirm_issue(self, vault_id: str, request_id: str):
         request = self._guard("confirmIssue", vault_id, request_id)
@@ -628,7 +625,7 @@ class Engine:
             return self._reject(vault_id, op, request_id, request.state,
                                 "challenge-not-upheld")
         self._advance(request, op, vault_id)
-        self.metrics.record(self.now, "challenge", request_id, "upheld")
+        self._event("challenge", request_id, "upheld")
         return OK
 
     # -- redeem --------------------------------------------------------------------
@@ -722,6 +719,7 @@ class Engine:
         if isinstance(verdict, Rejection):
             return self._reject(vault_id, "confirmRedeem", request_id, request.state,
                                 verdict.reason)
+        self._check_true_chain(request.release_cm, block_hash, request_id)
         self._advance(request, "confirmRedeem", vault_id)
         return OK
 
@@ -750,10 +748,9 @@ class Engine:
                 for account in self.actors.values():
                     account.zcash.observe_commitment(out.cm)
                 if out.cm.digest in self._watched_locks:
-                    self.metrics.zec_locked_total += self._watched_locks.pop(out.cm.digest)
+                    self.zec_locked_total += self._watched_locks.pop(out.cm.digest)
                 if out.cm.digest in self._watched_releases:
-                    self.metrics.zec_released_total += self._watched_releases.pop(
-                        out.cm.digest)
+                    self.zec_released_total += self._watched_releases.pop(out.cm.digest)
 
     def check_inclusion_claim(self, cm, path, block_hash: bytes) -> str:
         """Adversary-facing surface: present an inclusion proof to the
@@ -761,8 +758,7 @@ class Engine:
         flagged as a safety violation."""
         verdict = self.relay.verify_note_inclusion(cm, path, block_hash)
         if not isinstance(verdict, Rejection):
-            if not self._on_true_chain(cm.digest, block_hash):
-                self.metrics.record(self.now, "relay-violation", "inclusion-forgery")
+            self._check_true_chain(cm.digest, block_hash, "inclusion-forgery")
             return "verified"
         return f"rejected:{verdict.reason}"
 

@@ -28,7 +28,6 @@ VERIFIED = "verified"
 
 @dataclass
 class RelayMetrics:
-    headers_accepted: int = 0
     tip_switches: int = 0
     finality_flips: int = 0
 
@@ -61,7 +60,6 @@ class Relay:
             return Rejection("invalid-header")
         self.headers[header.hash] = header
         self.cum_work[header.hash] = self.cum_work[header.parent] + header.work
-        self.metrics.headers_accepted += 1
         if self.cum_work[header.hash] > self.cum_work[self.best_tip]:
             if header.parent != self.best_tip:
                 self.metrics.tip_switches += 1

@@ -32,10 +32,10 @@ from pathlib import Path
 from random import Random
 from typing import Optional, get_type_hints
 
+from .issuing_chain import LIQUIDATION_POOL
 from .notes import Note, NoteCommitment, commit_note, rng_bytes
 from .protocol import (
     AWAIT_ISSUE_CONFIRM,
-    AWAIT_REDEEM_CONFIRM,
     OK,
     Engine,
     ProtocolConfig,
@@ -112,6 +112,11 @@ class ScenarioConfig:
     actors: list[ActorSpec]
     expects: dict[str, str]
     mute_relayer_at: int = 0  # tick the eclipse attack starts; 0: never
+
+    def __post_init__(self):
+        for key, value in (("ticks", self.ticks), ("relay.mute_honest_at", self.mute_relayer_at)):
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0")
 
 
 # Scenario key -> (config dataclass, field); the field's type picks the
@@ -205,6 +210,9 @@ def load_scenario(text: str) -> ScenarioConfig:
                               f"{spec.strategy!r}; strategies: {', '.join(sorted(strategies))}")
         if spec.role != "vault" and spec.vault not in vaults:
             raise ConfigError(f"{prefix}vault: {spec.vault!r} names no vault actor")
+        if spec.role == "vault" and spec.collateral > spec.i:
+            raise ConfigError(f"{prefix}collateral: {spec.collateral} exceeds "
+                              f"{prefix}i = {spec.i}")
     return _build(ScenarioConfig, {
         **values[ScenarioConfig], "protocol": protocol,
         "oracle_script": sorted(oracle_script), "actors": specs, "expects": expects})
@@ -336,6 +344,8 @@ class VaultBot:
         record = engine.registry.vaults.get(name)
         if record is None:
             return
+        # a slot holds an open request (a close frees it first), and an open
+        # redeem is always in AwaitRedeemConfirm
         if record.active_issue:
             self._step_issue(engine, engine.requests[record.active_issue])
         if record.active_redeem:
@@ -343,7 +353,7 @@ class VaultBot:
 
     def _step_issue(self, engine: Engine, request) -> None:
         name = self.spec.name
-        if request.terminal or request.state != AWAIT_ISSUE_CONFIRM:
+        if request.state != AWAIT_ISSUE_CONFIRM:
             return
         if self.strategy == "spurious_challenge":
             engine.challenge_issue(name, request.request_id)
@@ -355,8 +365,6 @@ class VaultBot:
 
     def _step_redeem(self, engine: Engine, request) -> None:
         name = self.spec.name
-        if request.terminal or request.state != AWAIT_REDEEM_CONFIRM:
-            return
         if self.strategy == "proof_replayer":
             # confirm against an already-mined identical commitment, skipping
             # the release entirely (works only when the redeemer reused values)
@@ -481,8 +489,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> ScenarioRes
 
 def collect_metrics(engine: Engine) -> dict:
     """The run's final figures; the counts are read off the events and the trace."""
-    m = engine.metrics
-    kinds = Counter(event[1] for event in m.events)
+    kinds = Counter(event[1] for event in engine.events)
     rejected = [row[6] for row in engine.trace if row[6].startswith("rejected:")]
     out = {
         "final_supply": engine.issuing.supply,
@@ -493,14 +500,14 @@ def collect_metrics(engine: Engine) -> dict:
         "replay_rejections": sum("replay" in outcome for outcome in rejected),
         "relay_violations": kinds["relay-violation"],
         "liquidation_count": kinds["liquidation"],
-        "zec_locked_total": m.zec_locked_total,
-        "zec_released_total": m.zec_released_total,
+        "zec_locked_total": engine.zec_locked_total,
+        "zec_released_total": engine.zec_released_total,
         "finality_flips": engine.relay.metrics.finality_flips,
-        "relay_headers_accepted": engine.relay.metrics.headers_accepted,
-        "liquidation_pool": engine.issuing.i_ledger.liquidation_pool,
+        "relay_headers_accepted": len(engine.relay.headers) - 1,  # all but the checkpoint
+        "liquidation_pool": engine.issuing.i_ledger.balance(LIQUIDATION_POOL),
         "total_i": engine.total_i(),
         "backing_deficit": max(0, engine.issuing.supply
-                               - (m.zec_locked_total - m.zec_released_total)),
+                               - (engine.zec_locked_total - engine.zec_released_total)),
     }
     for vault_id in sorted(engine.registry.vaults):
         out[f"collateral.{vault_id}"] = engine.issuing.i_ledger.collateral_of(vault_id)
@@ -541,10 +548,10 @@ def metrics_to_csv(engine: Engine) -> str:
 
 def _metrics_csv(engine: Engine, metrics: dict) -> str:
     lines = ["tick,name,value"]
-    for event in engine.metrics.events:
+    for event in engine.events:
         tick, kind, *details = event
         lines.append(f"{tick},{kind},{';'.join(str(d) for d in details)}")
-    for tick, supply in engine.metrics.supply_series:
+    for tick, supply in engine.supply_series:
         lines.append(f"{tick},supply,{supply}")
     for key, value in sorted(metrics.items()):
         lines.append(f"final,{key},{value}")
@@ -694,7 +701,7 @@ def run_relay_safety(n_blocks: int, alpha: float, k: int, seed: int,
             header = chain.mine_block(parent_hash=parent, txs=[])
             adv_tip = header.hash
             adv_blocks += 1
-            if chain.blocks[adv_tip].cum_work > chain.main_work():
+            if chain.blocks[adv_tip].header.height > chain.height:
                 # publish: submit the branch headers, then reorg the chain
                 fork_height, side = chain.side_branch(adv_tip)
                 deepest = max(deepest, chain.height - fork_height)
@@ -706,8 +713,8 @@ def run_relay_safety(n_blocks: int, alpha: float, k: int, seed: int,
         else:
             header = chain.mine_block()
             relay.submit_header(header)
-            if adv_tip is not None and (chain.main_work()
-                                        - chain.blocks[adv_tip].cum_work) > restart_behind:
+            if adv_tip is not None and (chain.height
+                                        - chain.blocks[adv_tip].header.height) > restart_behind:
                 adv_tip = None  # give up, restart against the new tip
     return {
         "blocks": n_blocks,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .issuing_chain import TransparentLedger
+from .issuing_chain import LIQUIDATION_POOL, TransparentLedger
 from .notes import Address
 from .oracle import RateFeed
 from .zcash_chain import Rejection
@@ -62,7 +62,6 @@ class VaultRecord:
     issue_state: str = VAULT_REGISTERED
     redeem_exempt: bool = False
     poc_expiry: int = -1
-    xr_cap: Optional[Fraction] = None
     last_statement_tick: int = 0
     last_statement_rate: Optional[Fraction] = None
     active_issue: Optional[str] = None
@@ -157,7 +156,6 @@ class VaultRegistry:
             return Rejection("capacity-shortfall")
         record.issue_state = ISSUE_START
         record.poc_expiry = now + self.params.poc_validity
-        record.xr_cap = rate
         record.last_statement_tick = now
         record.last_statement_rate = rate
         self.accepted_poc_log.append({
@@ -247,7 +245,7 @@ class VaultRegistry:
         else:
             seize_target = -((-deficit) // (params.sigma_std - 1))  # exact ceil
             seize_target = int(seize_target)
-        seized = self.ledger.seize_collateral(vault_id, seize_target)
+        seized = self.ledger.slash_collateral(vault_id, seize_target, LIQUIDATION_POOL)
         cut = -((-Fraction(seized)) // rate)
         self._obligations[vault_id] = max(0, obligations - int(cut))
         self._history[vault_id].append(("liquidation", int(cut)))

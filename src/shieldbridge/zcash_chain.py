@@ -14,7 +14,7 @@ contains only nullifiers, commitments, ciphertexts and the fee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional
 
@@ -229,9 +229,8 @@ class ShieldedPool:
             self.leaf_index[out.cm.digest] = index
 
     def unapply_leaves(self, size: int, removed_nullifiers: set[bytes]) -> None:
-        for cm, idx in list(self.leaf_index.items()):
-            if idx >= size:
-                del self.leaf_index[cm]
+        for cm in self.tree.leaves[size:]:
+            self.leaf_index.pop(cm, None)
         self.tree.truncate(size)
         self.nullifiers -= removed_nullifiers
 
@@ -258,8 +257,14 @@ class Block:
     header: BlockHeader
     txs: list[ShieldedTx]
     leaf_count: int  # tree size after this block, on its own branch
-    new_nullifiers: set[bytes] = field(default_factory=set)
-    cum_work: int = 0
+
+    @property
+    def new_nullifiers(self) -> set[bytes]:
+        return {s.nullifier.digest for tx in self.txs for s in tx.spends}
+
+    @property
+    def cum_work(self) -> int:  # work 1 per block; read by perfbench's chain_reorg
+        return self.header.height + 1
 
 
 @dataclass(frozen=True)
@@ -287,9 +292,8 @@ class ChainState:
         self.mempool: list[ShieldedTx] = []
         self._mempool_nullifiers: set[bytes] = set()
         self._listeners: list[Callable[[Block], None]] = []
-        self._mine_counter = 0
         genesis_header = BlockHeader(0, ZERO32, self.pool.tree.root(), 1)
-        genesis = Block(genesis_header, [], 0, set(), cum_work=1)
+        genesis = Block(genesis_header, [], 0)
         self.blocks[genesis_header.hash] = genesis
         self.main.append(genesis_header.hash)
 
@@ -306,7 +310,7 @@ class ChainState:
     def on_block(self, callback: Callable[[Block], None]) -> None:
         self._listeners.append(callback)
 
-    def main_work(self) -> int:
+    def main_work(self) -> int:  # read by perfbench's chain_reorg
         return self.tip.cum_work
 
     def block_on_main(self, block_hash: bytes) -> bool:
@@ -359,33 +363,26 @@ class ChainState:
         txs = txs or []
 
         if on_main_tip:
-            new_nullifiers = set()
             for tx in txs:
                 self.pool.apply_tx(tx)
-                new_nullifiers |= {s.nullifier.digest for s in tx.spends}
             leaf_count = len(self.pool.tree)
             root = self.pool.tree.root_at(leaf_count)
         elif not txs:
             # empty side block: tree state is exactly the parent's
-            new_nullifiers = set()
             leaf_count = parent.leaf_count
             root = parent.header.tree_root
         else:
             # side branch with a body: materialize the branch's leaves
             branch_leaves = self._branch_leaves(parent_hash)
-            new_nullifiers = set()
             for tx in txs:
-                for out in tx.outputs:
-                    branch_leaves.append(out.cm.digest)
-                new_nullifiers |= {s.nullifier.digest for s in tx.spends}
+                branch_leaves.extend(out.cm.digest for out in tx.outputs)
             leaf_count = len(branch_leaves)
             root = self._root_of(branch_leaves)
 
-        self._mine_counter += 1
+        # one block per mine_block, so the block count numbers the mines
         header = BlockHeader(parent.header.height + 1, parent_hash, root, 1,
-                             nonce=self._mine_counter)
-        block = Block(header, list(txs), leaf_count, new_nullifiers,
-                      cum_work=parent.cum_work + 1)
+                             nonce=len(self.blocks))
+        block = Block(header, list(txs), leaf_count)
         self.blocks[header.hash] = block
         if on_main_tip:
             self.main.append(header.hash)
@@ -415,7 +412,7 @@ class ChainState:
         if branch_tip not in self.blocks:
             return Rejection("unknown-branch")
         branch = self.blocks[branch_tip]
-        if branch.cum_work <= self.main_work():
+        if branch.header.height <= self.height:
             return Rejection("insufficient-work")
         fork_height, side = self.side_branch(branch_tip)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from shieldbridge.notes import SharedSecret
+from shieldbridge.notes import NoteCommitment, SharedSecret
 from shieldbridge.protocol import (
     AWAIT_ISSUE_CONFIRM,
     AWAIT_REDEEM_CONFIRM,
@@ -25,7 +25,7 @@ from shieldbridge.protocol import (
 )
 from shieldbridge.simcli import collect_metrics
 from shieldbridge.vault_registry import RegistryParams
-from shieldbridge.zcash_chain import Rejection
+from shieldbridge.zcash_chain import BlockHeader, CommitmentTree, Rejection
 
 LOCK = 5_000_000_000          # 50 ZEC
 MINTED = 4_900_000_000        # floor(lock * 0.98)
@@ -244,7 +244,7 @@ class TestIssueTimeouts:
         events = []
         for _ in range(engine.config.params.pob_period + 2):  # the statement goes stale
             events += engine.tick()
-        (tick, kind, vault_id, _seized), = engine.metrics.events
+        (tick, kind, vault_id, _seized), = engine.events
         assert (kind, vault_id) == ("liquidation", "V1")
         assert events == [(tick, "liquidation", "V1")]
 
@@ -359,7 +359,7 @@ class TestRedeemHappyPath:
         assert engine.registry.witness_obligations("V1") == LOCK - MINTED
         assert engine.actors["A1"].zcash.balance() == redeemer_zec_before + RELEASED
         assert engine.total_i() == total_before
-        assert engine.metrics.zec_released_total == RELEASED
+        assert engine.zec_released_total == RELEASED
         assert conformance_errors(engine) == []
 
     def test_burn_at_poi_exempt_vault_rejected(self):
@@ -456,7 +456,6 @@ class TestReplayProtection:
         first = run_redeem(engine, amount=2_000_000_000)
         old_cm_digest = first.release_cm
         old_block = engine.block_of(old_cm_digest)
-        from shieldbridge.notes import NoteCommitment
         old_path = engine.zcash.merkle_path(NoteCommitment(old_cm_digest), old_block)
 
         transfer, _ = engine.build_burn("A1", "V1", 1_000_000_000)
@@ -479,11 +478,39 @@ class TestReplayProtection:
 
         transfer2, _ = engine.build_burn("A1", "V1", amount, reuse_note=release_note)
         second = engine.do_burn("A1", "V1", transfer2)
-        released_before = engine.metrics.zec_released_total
+        released_before = engine.zec_released_total
         # vault confirms without releasing again: same cm, old proof suffices
         assert engine.confirm_redeem("V1", second.request_id) == OK
-        assert engine.metrics.zec_released_total == released_before
+        assert engine.zec_released_total == released_before
         assert second.state == REDEEM_SUCCESS
+
+
+class TestEclipsedConfirm:
+    def test_forged_release_proof_flagged(self):
+        # an eclipsed relay finalizes a forged branch whose root commits the
+        # burn's release note: the relay accepts the proof, but the true
+        # chain never mined the release, so the confirm is a relay violation
+        engine = engine_with_supply()
+        transfer, _ = engine.build_burn("A1", "V1", MINTED)
+        request = engine.do_burn("A1", "V1", transfer)
+        engine.relayer_muted = True
+        tree = CommitmentTree(depth=engine.zcash.pool.tree.depth)
+        tree.append(NoteCommitment(request.release_cm))
+        parent = engine.relay.headers[engine.relay.best_tip]
+        forged = tip = BlockHeader(parent.height + 1, parent.hash, tree.root(), 1,
+                                   nonce=10**6)
+        engine.relay.submit_header(forged)
+        for _ in range(engine.config.relay_k):
+            tip = BlockHeader(tip.height + 1, tip.hash, tip.tree_root, 1,
+                              nonce=10**6 + tip.height)
+            engine.relay.submit_header(tip)
+        assert engine.relay.is_final(forged.hash)
+        assert engine.confirm_redeem("V1", request.request_id,
+                                     proof=(tree.path_at(0, 1), forged.hash)) == OK
+        assert request.state == REDEEM_SUCCESS
+        assert engine.zec_released_total == 0
+        assert collect_metrics(engine)["relay_violations"] == 1
+        assert engine.events[-1] == (engine.now, "relay-violation", request.request_id)
 
 
 # The hand-written trace grammars the lifecycle table replaced, kept as the

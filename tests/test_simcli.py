@@ -100,12 +100,18 @@ class TestConfigParser:
         ("oracle.rate.0 = 2/1", "oracle.rate.5 = 2/1", "missing oracle.rate.0"),
         ("relay.k = 6", "relay.k = -1", "relay_k must be >= 1"),
         ("relay.k = 6", "relay.k = 6\nprotocol.delta_mint = 0", "delta_mint must be >= 1"),
+        ("ticks = 30", "ticks = -1", "ticks must be >= 0"),
+        ("relay.k = 6", "relay.k = 6\nrelay.mute_honest_at = -1",
+         "relay.mute_honest_at must be >= 0"),
+        ("actor.V1.collateral = 29400000000", "actor.V1.collateral = 99400000000",
+         "actor.V1.collateral: 99400000000 exceeds actor.V1.i = 29400000100"),
     ], ids=["unknown-role", "unknown-vault-strategy", "redeem-strategy-for-issuer",
             "unknown-vault", "block-interval-key", "fee-out-of-range",
             "sigma-below-one", "oracle-rate-nonpositive", "tree-depth-zero",
             "zcash-fee-negative", "warranty-negative", "liq-margin-negative",
             "actor-zec-negative", "actor-i-negative", "oracle-no-tick-0-rate",
-            "relay-k-negative", "delta-mint-zero"])
+            "relay-k-negative", "delta-mint-zero", "ticks-negative",
+            "mute-honest-at-negative", "vault-collateral-above-i"])
     def test_inconsistent_actor_or_key_rejected(self, old, new, message):
         text = load_bundled_scenario("issue_happy")
         assert old in text

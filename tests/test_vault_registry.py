@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from shieldbridge.issuing_chain import TransparentLedger
+from shieldbridge.issuing_chain import LIQUIDATION_POOL, TransparentLedger
 from shieldbridge.notes import random_address
 from shieldbridge.oracle import RateFeed
 from shieldbridge.vault_registry import (
@@ -63,7 +63,7 @@ class TestProofOfCapacity:
         assert registry.submit_poc(vault, now=0) == "accepted"
         rec = registry.record(vault)
         assert rec.issue_state == ISSUE_START
-        assert rec.xr_cap == Fraction(2)
+        assert rec.last_statement_rate == Fraction(2)
         assert registry.issue_available(vault, now=0)
 
     def test_one_below_boundary_rejected(self, setup):
@@ -177,7 +177,7 @@ class TestLiquidation:
         rate = oracle.get_rate(PARAMS.pob_period + 1)
         backed = registry.witness_obligations(vault) * PARAMS.sigma_std * rate
         assert ledger.collateral_of(vault) >= backed  # ratio restored
-        assert ledger.liquidation_pool == event.seized
+        assert ledger.balance(LIQUIDATION_POOL) == event.seized
         assert ledger.total() == 150  # i conserved
 
     def test_small_rate_move_below_margin_no_liquidation(self, setup):

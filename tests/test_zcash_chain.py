@@ -283,9 +283,10 @@ class TestRandomizedChurn:
     def test_replay_invariant_over_random_fork_walks(self, directory):
         # random interleaving of spends, side-branch mining (some side
         # blocks with a body) and reorg attempts: every side header's root
-        # matches a from-genesis walk, the incrementally maintained state
-        # always equals a from-genesis replay, and accepted reorgs never
-        # duplicate nullifiers
+        # matches a from-genesis walk, the commitment index always matches
+        # the tree's leaves, the incrementally maintained state always
+        # equals a from-genesis replay, and accepted reorgs never duplicate
+        # nullifiers
         for seed in range(20):
             rng = random.Random(seed)
             chain, wallet = seed_chain(rng, directory, values=(50_000,))
@@ -317,6 +318,9 @@ class TestRandomizedChurn:
                     side_tips.append(header.hash)
                 elif move == 3 and side_tips:
                     chain.reorg_to(side_tips[rng.randrange(len(side_tips))])
+                # rebuilt in leaf order, so a repeated commitment keeps its last position
+                rebuilt = {cm: i for i, cm in enumerate(chain.pool.tree.leaves)}
+                assert chain.pool.leaf_index == rebuilt, seed
             root, size, nfs = chain.replay_from_genesis()
             assert root == chain.pool.tree.root() == chain.tip.header.tree_root, seed
             assert size == len(chain.pool.tree), seed
