@@ -242,8 +242,7 @@ class IssuingChain:
 
     def _credit_note(self, note: Note) -> None:
         cm = commit_note(note)
-        index = self.pool.tree.append(cm)
-        self.pool.leaf_index[cm.digest] = index
+        self.pool.append(cm)
         self._live_notes[cm.digest] = note
 
     def _apply_pool_tx(self, tx: ShieldedTx) -> None:

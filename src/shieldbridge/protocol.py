@@ -183,7 +183,6 @@ class RequestRecord:
     permit_id: Optional[str] = None  # issue: the lock permit and its nonce,
     nonce: Optional[bytes] = None    # from which the lock trapdoor derives
     lock_note: Optional[Note] = None  # the note this request's lock paid the vault
-    lock_cm: Optional[bytes] = None
     release_cm: Optional[bytes] = None
     ciphertext: Optional[NoteCiphertext] = None
     transfer: Optional[Union[MintTransfer, BurnTransfer]] = None  # the mint or the burn
@@ -204,7 +203,6 @@ class RequestRecord:
 
 @dataclass
 class ActorAccount:
-    name: str
     zcash: Wallet
     wzec: Wallet
 
@@ -244,7 +242,6 @@ class Engine:
         if self._started:
             raise ProtocolError("actors must be added before start()")
         account = ActorAccount(
-            name,
             zcash=Wallet(name, random_address(self.rng), rng_bytes(self.rng, 32)),
             wzec=Wallet(name, random_address(self.rng), rng_bytes(self.rng, 32)),
         )
@@ -357,7 +354,7 @@ class Engine:
         """The one close of a request, whichever row ends it: free the vault
         slot, settle the pending mint or burn, apply a confirm's effects,
         and make the party at fault pay."""
-        setattr(self.registry.record(request.vault_id), f"active_{request.kind}", None)
+        setattr(self.registry.vaults[request.vault_id], f"active_{request.kind}", None)
         confirmed = step.closes == "confirmed"
         vault = self.actors.get(request.vault_id)
         if request.pending_txid is not None:
@@ -382,22 +379,19 @@ class Engine:
                   else f"{request.kind}-challenge")
         if step.fault == "requester":
             forfeited = ledger.forfeit_warranty(request.request_id, request.vault_id)
-            self._slash(request.requester, request.vault_id, forfeited, reason)
+            self._event("slash", request.requester, request.vault_id, forfeited, reason)
         else:
             ledger.return_warranty(request.request_id)
         if step.fault == "vault":
             taken = ledger.slash_collateral(request.vault_id, self.config.params.i_w,
                                             request.requester)
-            self._slash(request.vault_id, request.requester, taken, reason)
-
-    def _slash(self, payer: str, payee: str, amount: int, reason: str) -> None:
-        self._event("slash", payer, payee, amount, reason)
+            self._event("slash", request.vault_id, request.requester, taken, reason)
 
     def _reserve(self, op: str, requester: str, vault_id: str):
         """A fresh request id with the requester's warranty locked, if the
         vault's slot for `op`'s kind is free; else the traced rejection."""
         step = LIFECYCLE[op]
-        if getattr(self.registry.record(vault_id), f"active_{step.kind}") is not None:
+        if getattr(self.registry.vaults[vault_id], f"active_{step.kind}") is not None:
             return self._reject(requester, op, "", step.before, "vault-busy")
         request_id = self._next_id("request", "R")
         rej = self.issuing.i_ledger.lock_warranty(request_id, requester,
@@ -409,7 +403,7 @@ class Engine:
     def _open(self, op: str, request: RequestRecord) -> RequestRecord:
         """Record a reserved request in its vault's slot and take `op`."""
         self.requests[request.request_id] = request
-        setattr(self.registry.record(request.vault_id), f"active_{request.kind}",
+        setattr(self.registry.vaults[request.vault_id], f"active_{request.kind}",
                 request.request_id)
         self._advance(request, op, request.requester)
         return request
@@ -440,7 +434,7 @@ class Engine:
     def vault_note(self, request: RequestRecord) -> Optional[Note]:
         """The note the request's vault decrypts from the request's
         ciphertext, or None unless it opens the claimed commitment."""
-        vault_addr = self.registry.record(request.vault_id).zcash_address
+        vault_addr = self.registry.vaults[request.vault_id].zcash_address
         secret = self.directory.secret_for(request.ciphertext.ephemeral_public,
                                            vault_addr)
         note = decrypt_note(request.ciphertext, secret)
@@ -519,13 +513,12 @@ class Engine:
         if isinstance(request, Rejection):
             return request
         rcm = rng_bytes(self.rng, 32) if tamper_random_rcm else derive_rcm(request.nonce)
-        vault_addr = self.registry.record(request.vault_id).zcash_address
+        vault_addr = self.registry.vaults[request.vault_id].zcash_address
         result = self._pay(issuer, "lock", request, (vault_addr, amount, rcm))
         if isinstance(result, Rejection):
             return result
         request.lock_note = Note(vault_addr, amount, rcm)
-        request.lock_cm = commit_note(request.lock_note).digest
-        self._watched_locks[request.lock_cm] = amount
+        self._watched_locks[commit_note(request.lock_note).digest] = amount
         self._advance(request, "lock", issuer)
         return result
 
@@ -557,7 +550,7 @@ class Engine:
                               corrupt: bool = False) -> NoteCiphertext:
         """C^V construction; the byzantine variant flips a byte after
         encryption."""
-        vault_addr = self.registry.record(vault_id).zcash_address
+        vault_addr = self.registry.vaults[vault_id].zcash_address
         epk = self.directory.new_ephemeral(self.rng)
         secret = self.directory.secret_for(epk, vault_addr)
         ct = encrypt_note(note, vault_addr, secret, epk)
@@ -614,7 +607,7 @@ class Engine:
         request = self._guard(op, vault_id, request_id)
         if isinstance(request, Rejection):
             return request
-        vault_addr = self.registry.record(vault_id).zcash_address
+        vault_addr = self.registry.vaults[vault_id].zcash_address
         if revealed is None:
             revealed = self.directory.secret_for(request.ciphertext.ephemeral_public,
                                                  vault_addr)

@@ -94,14 +94,11 @@ class Relay:
 
     # -- finality queries --
 
-    def _tip_header(self) -> BlockHeader:
-        return self.headers[self.best_tip]
-
     def depth_of(self, block_hash: bytes) -> int:
         header = self.headers.get(block_hash)
         if header is None:
             return -1
-        return self._tip_header().height - header.height
+        return self.headers[self.best_tip].height - header.height
 
     def is_final(self, block_hash: bytes) -> bool:
         """True iff the block is an ancestor of the best tip at depth >= k.
@@ -111,7 +108,7 @@ class Relay:
         header = self.headers.get(block_hash)
         if header is None:
             return False
-        if self._tip_header().height - header.height < self.k:
+        if self.headers[self.best_tip].height - header.height < self.k:
             return False
         return self.finalized.get(header.height) == block_hash
 

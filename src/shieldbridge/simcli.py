@@ -333,7 +333,6 @@ class VaultBot:
     def __init__(self, spec: ActorSpec):
         self.spec = spec
         self.strategy = spec.strategy
-        self._released_wrong: set[str] = set()
         self._stale_proof: Optional[tuple] = None
         self._stale_attempted: set[str] = set()
 
@@ -383,14 +382,10 @@ class VaultBot:
         if note is None:
             engine.challenge_redeem(name, request.request_id)
             return
-        if self.strategy == "wrong_note":
-            if request.request_id not in self._released_wrong:
-                wrong = Note(note.address, max(0, note.value - 1), note.rcm)
-                engine.do_release(name, request.request_id, note_override=wrong)
-                self._released_wrong.add(request.request_id)
-            return
-        if not request.released:
-            engine.do_release(name, request.request_id)
+        if not request.released:  # a wrong_note vault pays one unit short
+            short = (Note(note.address, max(0, note.value - 1), note.rcm)
+                     if self.strategy == "wrong_note" else None)
+            engine.do_release(name, request.request_id, note_override=short)
         else:
             block = engine.block_of(request.release_cm)
             if block is not None and engine.relay.is_final(block):

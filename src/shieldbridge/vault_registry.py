@@ -2,10 +2,10 @@
 capacity/balance/insolvency statements, liquidation and warranty slashing.
 
 A vault's collateral in i is public; the ZEC it owes (its obligations) is
-witness-side only and lives in a private store that no public-trace
-serialization can reach. The registry itself plays the role of the
-statement verifier: honest vaults submit their true obligations and the
-registry checks them against its authoritative mirror, the way a
+witness-side only: it is the replay of the vault's private request history,
+which no public-trace serialization can reach. The registry itself plays
+the role of the statement verifier: honest vaults submit their true
+obligations and the registry checks them against that history, the way a
 zero-knowledge proof over the full request history would.
 
 Collateral comparisons are exact: rates are rationals and every inequality
@@ -83,6 +83,11 @@ class LiquidationEvent:
     deficit: Fraction
 
 
+def _replay(history: list[tuple[str, int]]) -> int:
+    """Obligations a request history implies: issues minus everything else."""
+    return sum(amount if op == "issue" else -amount for op, amount in history)
+
+
 class VaultRegistry:
     def __init__(self, params: RegistryParams, ledger: TransparentLedger,
                  oracle: RateFeed):
@@ -90,7 +95,6 @@ class VaultRegistry:
         self.ledger = ledger
         self.oracle = oracle
         self.vaults: dict[str, VaultRecord] = {}
-        self._obligations: dict[str, int] = {}   # private witness store
         self._history: dict[str, list[tuple[str, int]]] = {}
         self.accepted_poc_log: list[dict] = []   # simulator-side audit trail
 
@@ -105,26 +109,20 @@ class VaultRegistry:
         if rej is not None:
             return rej
         self.vaults[vault_id] = VaultRecord(vault_id, address)
-        self._obligations[vault_id] = 0
         self._history[vault_id] = []
         return vault_id
-
-    def record(self, vault_id: str) -> VaultRecord:
-        return self.vaults[vault_id]
 
     # -- witness-side bookkeeping (driven by the protocol layer) --
 
     def witness_obligations(self, vault_id: str) -> int:
-        return self._obligations[vault_id]
+        return _replay(self._history[vault_id])
 
     def note_issue_completed(self, vault_id: str, zec_locked: int) -> None:
-        self._obligations[vault_id] += zec_locked
         self._history[vault_id].append(("issue", zec_locked))
         # completing an issue invalidates any standing insolvency statement
         self.vaults[vault_id].redeem_exempt = False
 
     def note_redeem_completed(self, vault_id: str, wzec_burned: int) -> None:
-        self._obligations[vault_id] -= wzec_burned
         self._history[vault_id].append(("redeem", wzec_burned))
 
     def history_witness(self, vault_id: str) -> list[tuple[str, int]]:
@@ -143,7 +141,7 @@ class VaultRegistry:
         if vault_id not in self.vaults:
             return Rejection("unknown-vault")
         record = self.vaults[vault_id]
-        true_obligations = self._obligations[vault_id]
+        true_obligations = _replay(self._history[vault_id])
         if claimed_obligations is None:
             claimed_obligations = true_obligations
         if claimed_obligations != true_obligations:
@@ -172,15 +170,11 @@ class VaultRegistry:
         if vault_id not in self.vaults:
             return Rejection("unknown-vault")
         record = self.vaults[vault_id]
-        if witness_history is None:
-            witness_history = self._history[vault_id]
-        replayed = 0
-        for op, amount in witness_history:
-            replayed += amount if op == "issue" else -amount
-        if replayed != self._obligations[vault_id]:
+        obligations = _replay(self._history[vault_id])
+        if witness_history is not None and _replay(witness_history) != obligations:
             return Rejection("inconsistent-witness")
         rate = self.oracle.get_rate(now)
-        backed = self._obligations[vault_id] * self.params.sigma_std * rate
+        backed = obligations * self.params.sigma_std * rate
         if self.ledger.collateral_of(vault_id) < backed:
             return Rejection("undercollateralized")
         record.issue_state = NOT_ISSUING
@@ -193,7 +187,7 @@ class VaultRegistry:
         cap exempt the vault from redeem selection."""
         if vault_id not in self.vaults:
             return Rejection("unknown-vault")
-        if self._obligations[vault_id] >= self.params.v_max:
+        if _replay(self._history[vault_id]) >= self.params.v_max:
             return Rejection("not-insolvent")
         self.vaults[vault_id].redeem_exempt = True
         return "accepted"
@@ -235,7 +229,7 @@ class VaultRegistry:
         move = abs(rate - last_rate) / last_rate
         if move < params.liq_margin:
             return None
-        obligations = self._obligations[vault_id]
+        obligations = _replay(self._history[vault_id])
         collateral = self.ledger.collateral_of(vault_id)
         deficit = obligations * params.sigma_std * rate - collateral
         if deficit <= 0:
@@ -246,9 +240,8 @@ class VaultRegistry:
             seize_target = -((-deficit) // (params.sigma_std - 1))  # exact ceil
             seize_target = int(seize_target)
         seized = self.ledger.slash_collateral(vault_id, seize_target, LIQUIDATION_POOL)
-        cut = -((-Fraction(seized)) // rate)
-        self._obligations[vault_id] = max(0, obligations - int(cut))
-        self._history[vault_id].append(("liquidation", int(cut)))
+        cut = min(obligations, -((-Fraction(seized)) // rate))  # never below zero
+        self._history[vault_id].append(("liquidation", cut))
         record.last_statement_tick = now
         record.last_statement_rate = rate
         return LiquidationEvent(vault_id, seized, Fraction(deficit))

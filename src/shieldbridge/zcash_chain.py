@@ -188,12 +188,20 @@ class ShieldedTx:
 
 class ShieldedPool:
     """Validation state shared by any shielded value pool: the commitment
-    tree plus the nullifier set, with per-application deltas for rollback."""
+    tree plus the nullifier set, with per-application deltas for rollback.
+
+    `leaf_index` maps each commitment to its first position in the tree.
+    Any occurrence inside a cited prefix gives a valid path, and with the
+    first one kept a truncation can only drop entries, never uncover an
+    older one."""
 
     def __init__(self, depth: int = DEFAULT_TREE_DEPTH):
         self.tree = CommitmentTree(depth)
         self.leaf_index: dict[bytes, int] = {}
         self.nullifiers: set[bytes] = set()
+
+    def append(self, cm: NoteCommitment) -> None:
+        self.leaf_index.setdefault(cm.digest, self.tree.append(cm))
 
     def knows_commitment(self, cm: NoteCommitment) -> bool:
         return cm.digest in self.leaf_index
@@ -225,12 +233,12 @@ class ShieldedPool:
         for spend in tx.spends:
             self.nullifiers.add(spend.nullifier.digest)
         for out in tx.outputs:
-            index = self.tree.append(out.cm)
-            self.leaf_index[out.cm.digest] = index
+            self.append(out.cm)
 
     def unapply_leaves(self, size: int, removed_nullifiers: set[bytes]) -> None:
         for cm in self.tree.leaves[size:]:
-            self.leaf_index.pop(cm, None)
+            if self.leaf_index.get(cm, -1) >= size:
+                del self.leaf_index[cm]
         self.tree.truncate(size)
         self.nullifiers -= removed_nullifiers
 
@@ -269,7 +277,6 @@ class Block:
 
 @dataclass(frozen=True)
 class ReorgReport:
-    old_tip: bytes
     new_tip: bytes
     fork_height: int
     orphaned_txids: tuple[str, ...]
@@ -290,7 +297,6 @@ class ChainState:
         self.blocks: dict[bytes, Block] = {}
         self.main: list[bytes] = []
         self.mempool: list[ShieldedTx] = []
-        self._mempool_nullifiers: set[bytes] = set()
         self._listeners: list[Callable[[Block], None]] = []
         genesis_header = BlockHeader(0, ZERO32, self.pool.tree.root(), 1)
         genesis = Block(genesis_header, [], 0)
@@ -336,12 +342,11 @@ class ChainState:
     def submit_shielded_tx(self, tx: ShieldedTx, allow_unbacked: bool = False):
         """Queue a transaction for the next honest block; nullifiers are
         reserved immediately so a conflicting spend cannot enter the pool."""
-        rej = self.pool.validate_tx(tx, self._mempool_nullifiers, allow_unbacked)
+        queued = {s.nullifier.digest for q in self.mempool for s in q.spends}
+        rej = self.pool.validate_tx(tx, queued, allow_unbacked)
         if rej is not None:
             return rej
         self.mempool.append(tx)
-        for s in tx.spends:
-            self._mempool_nullifiers.add(s.nullifier.digest)
         return tx.txid()
 
     # -- mining --
@@ -359,7 +364,6 @@ class ChainState:
         if on_main_tip and txs is None:
             txs = self.mempool
             self.mempool = []
-            self._mempool_nullifiers = set()
         txs = txs or []
 
         if on_main_tip:
@@ -425,7 +429,6 @@ class ChainState:
         fork_block = self.blocks[self.main[fork_height]]
         self.pool.unapply_leaves(fork_block.leaf_count, removed_nfs)
 
-        old_tip = self.main[-1]
         del self.main[fork_height + 1:]
         for bh in side:
             block = self.blocks[bh]
@@ -442,11 +445,7 @@ class ChainState:
             if self.pool.validate_tx(tx, set()) is None:
                 requeued.append(tx)
         self.mempool = requeued + self.mempool
-        self._mempool_nullifiers = {
-            s.nullifier.digest for tx in self.mempool for s in tx.spends
-        }
-        return ReorgReport(old_tip, branch_tip, fork_height,
-                           tuple(tx.txid() for tx in orphaned))
+        return ReorgReport(branch_tip, fork_height, tuple(tx.txid() for tx in orphaned))
 
     # -- inclusion proofs --
 

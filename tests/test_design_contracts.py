@@ -1,6 +1,6 @@
 """Design contracts that hold for the whole source tree: `src/` imports only
-the standard library, and actors (the CLI bots and the demos) drive the
-engine through its public API."""
+the standard library and uses every name it imports, and actors (the CLI
+bots and the demos) drive the engine through its public API."""
 
 import ast
 import sys
@@ -41,3 +41,18 @@ def test_actors_use_public_engine_api(path):
                if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                and isinstance(node.value, ast.Name) and node.value.id in ENGINE_NAMES]
     assert private == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_src_imports_are_used(path):
+    tree = _tree(path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name.split(".")[0]): node.lineno for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {(a.asname or a.name): node.lineno for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used] == []

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,58 @@ class TestWzecTransfer:
         assert h.chain.wzec_transfer(tx) == tx.txid()
         rej = h.chain.wzec_transfer(tx)
         assert isinstance(rej, Rejection) and rej.reason == "double-spend"
+
+
+def replace_witness(transfer, **fields):
+    return replace(transfer, witness=replace(transfer.witness, **fields))
+
+
+def stray_note(h, value=100):
+    return Note(random_address(h.rng), value, rng_bytes(h.rng, 32))
+
+
+# (harness, one field of an honest transfer broken and submitted, reason)
+BROKEN_TRANSFERS = [
+    pytest.param(minted_harness, lambda h: h.chain.submit_mint_tx(
+        h.mint_transfer(lock_note=Note(h.vault_addr, 100, derive_rcm(h.permit_nonce))),
+        h.permit_nonce), "permit-nonce-replayed", id="mint-permit-replayed"),
+    pytest.param(Harness, lambda h: h.chain.submit_mint_tx(
+        replace_witness(h.mint_transfer(), permit_nonce=rng_bytes(h.rng, 32)),
+        h.permit_nonce), "statement-failed:nonce-mismatch", id="mint-nonce"),
+    pytest.param(Harness, lambda h: h.chain.submit_mint_tx(
+        replace_witness(h.mint_transfer(), lock_note=stray_note(h)), h.permit_nonce),
+        "statement-failed:lock-note", id="mint-lock-note"),
+    pytest.param(Harness, lambda h: h.chain.submit_mint_tx(
+        replace_witness(h.mint_transfer(), wzec_note=stray_note(h)), h.permit_nonce),
+        "statement-failed:wzec-note", id="mint-wzec-note"),
+    pytest.param(minted_harness, lambda h: h.chain.submit_burn_tx(
+        replace_witness(make_burn(h, 4_900_000_000), burn_amount=V_MAX + 1)),
+        "statement-failed:v-max", id="burn-v-max"),
+    pytest.param(minted_harness, lambda h: h.chain.submit_burn_tx(
+        replace_witness(make_burn(h, 4_900_000_000),
+                        release_note=stray_note(h, 4_802_000_000))),
+        "statement-failed:release-note", id="burn-release-note"),
+    pytest.param(minted_harness, lambda h: h.chain.submit_burn_tx(
+        make_burn(h, 4_900_000_000, spend_fee=4_800_000_000)),
+        "statement-failed:escrow-balance", id="burn-escrow"),
+    pytest.param(minted_harness, lambda h: h.chain.wzec_transfer(build_transfer(
+        h.wzec_wallet, [(h.wzec_wallet.address, 100, rng_bytes(h.rng, 32))], 1,
+        h.directory, h.rng)[0]), "nonzero-fee", id="transfer-fee"),
+]
+
+
+@pytest.mark.parametrize("make_harness, submit, reason", BROKEN_TRANSFERS)
+def test_broken_statement_rejected_without_effect(make_harness, submit, reason):
+    h = make_harness()
+
+    def state():
+        return (h.chain.supply, h.chain.pool_value(),
+                {txid: p.status for txid, p in h.chain.pending.items()})
+
+    before = state()
+    rej = submit(h)
+    assert isinstance(rej, Rejection) and rej.reason == reason
+    assert state() == before
 
 
 class TestObserverView:

@@ -567,6 +567,16 @@ class TestGrammarChecker:
         errors = conformance_errors(engine)
         assert errors and "not terminal" in errors[0]
 
+    def test_flags_a_second_close(self):
+        engine = make_engine()
+        request = run_issue(engine)
+        assert conformance_errors(engine) == []
+        engine.trace.append((engine.now, "V1", "confirmIssue", request.request_id,
+                             AWAIT_ISSUE_CONFIRM, ISSUE_SUCCESS, OK))
+        errors = conformance_errors(engine)
+        assert len(errors) == 1 and "violates the grammar" in errors[0]
+        assert errors[0].startswith(f"{request.request_id}: ")
+
     def test_flags_forever_pending_tx(self):
         engine = make_engine()
         request = run_issue(engine, confirm=False)
@@ -587,7 +597,7 @@ class TestStateMachineModelCheck:
             dict(ledger.collateral),
             dict(ledger.warranties),
             {r: (q.state, q.terminal) for r, q in engine.requests.items()},
-            dict(engine.registry._obligations),
+            {v: engine.registry.history_witness(v) for v in engine.registry.vaults},
         )
 
     def try_all_ops(self, engine, request_id, allowed):

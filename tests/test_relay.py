@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -59,6 +60,21 @@ class TestHeaderAcceptance:
         relay.submit_header(good)
         skipper = BlockHeader(good.height + 2, good.hash, good.tree_root, 1, nonce=9)
         assert isinstance(relay.submit_header(skipper), Rejection)
+
+    def test_resubmission_accepted_without_state_change(self):
+        chain, relay = relayed_chain(k=2)
+        feed_main(chain, relay, 4)
+        side = chain.mine_block(parent_hash=chain.main[2], txs=[])
+        assert relay.submit_header(side) == ACCEPTED
+
+        def state():
+            return (dict(relay.headers), dict(relay.cum_work), relay.best_tip,
+                    dict(relay.finalized), replace(relay.metrics))
+
+        before = state()
+        for bh in (chain.main[1], chain.main[-1], side.hash):
+            assert relay.submit_header(chain.blocks[bh].header) == ACCEPTED
+        assert state() == before
 
     def test_competing_branch_overtakes(self):
         chain, relay = relayed_chain()

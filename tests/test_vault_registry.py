@@ -41,7 +41,7 @@ class TestRegistration:
     def test_positive_collateral_accepted(self, setup):
         ledger, _, registry, addr = setup
         vault = register(ledger, registry, addr)
-        assert registry.record(vault).issue_state == VAULT_REGISTERED
+        assert registry.vaults[vault].issue_state == VAULT_REGISTERED
         assert ledger.collateral_of(vault) == 294
         assert ledger.balance(vault) == 0
 
@@ -61,7 +61,7 @@ class TestProofOfCapacity:
         ledger, _, registry, addr = setup
         vault = register(ledger, registry, addr, collateral=294)
         assert registry.submit_poc(vault, now=0) == "accepted"
-        rec = registry.record(vault)
+        rec = registry.vaults[vault]
         assert rec.issue_state == ISSUE_START
         assert rec.last_statement_rate == Fraction(2)
         assert registry.issue_available(vault, now=0)
@@ -71,7 +71,7 @@ class TestProofOfCapacity:
         vault = register(ledger, registry, addr, collateral=293)
         rej = registry.submit_poc(vault, now=0)
         assert isinstance(rej, Rejection) and rej.reason == "capacity-shortfall"
-        assert registry.record(vault).issue_state == VAULT_REGISTERED
+        assert registry.vaults[vault].issue_state == VAULT_REGISTERED
 
     def test_existing_obligations_consume_capacity(self, setup):
         # obligations 50 at sigma*xr = 3 leave free 294 - 150 = 144 < 294
@@ -103,7 +103,7 @@ class TestProofOfBalance:
         vault = register(ledger, registry, addr, collateral=147)
         registry.note_issue_completed(vault, 49)
         assert registry.submit_pob(vault, now=1) == "accepted"
-        assert registry.record(vault).issue_state == NOT_ISSUING
+        assert registry.vaults[vault].issue_state == NOT_ISSUING
 
     def test_one_below_boundary_rejected(self, setup):
         ledger, _, registry, addr = setup
@@ -179,6 +179,24 @@ class TestLiquidation:
         assert ledger.collateral_of(vault) >= backed  # ratio restored
         assert ledger.balance(LIQUIDATION_POOL) == event.seized
         assert ledger.total() == 150  # i conserved
+
+    def test_clamped_cut_keeps_history_consistent(self, setup):
+        # obligations 2 at rate 1 need exactly 3; at 7/5 the vault is short
+        # 6/5, so 3 is seized, worth ceil(3 / (7/5)) = 3 > 2 obligations
+        ledger, oracle, _, addr = setup
+        params = RegistryParams(v_max=100, f=Fraction(2, 100), sigma_std=Fraction(3, 2),
+                                i_w=5, pob_period=10)
+        oracle.set_rate(0, Fraction(1))
+        oracle.set_rate(20, Fraction(7, 5))
+        registry = VaultRegistry(params, ledger, oracle)
+        vault = register(ledger, registry, addr, collateral=3)
+        registry.note_issue_completed(vault, 2)
+        assert registry.submit_pob(vault, now=0) == "accepted"
+        event = registry.check_liquidation(vault, now=20)
+        assert event is not None and event.seized == 3
+        assert registry.submit_pob(vault, now=21) == "accepted"
+        assert registry.witness_obligations(vault) == 0
+        assert registry.history_witness(vault)[-1] == ("liquidation", 2)
 
     def test_small_rate_move_below_margin_no_liquidation(self, setup):
         ledger, oracle, registry, vault = self.arm(setup)

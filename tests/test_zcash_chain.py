@@ -232,6 +232,31 @@ class TestReorg:
         assert nfs == chain.pool.nullifiers
         assert root == chain.tip.header.tree_root
 
+    def test_listeners_see_applied_side_blocks_in_order(self, rng, directory):
+        chain, tip, _ = self.build_fork(rng, directory, side_len=3)
+        seen = []
+        chain.on_block(lambda block: seen.append(block.header.hash))
+        report = chain.reorg_to(tip)
+        assert seen == chain.main[report.fork_height + 1:]
+        assert len(seen) == 3 and seen[-1] == tip
+
+    def test_orphaning_later_copy_keeps_earlier_position(self, rng, directory):
+        # one note N mined in B1, an empty B2, N again in B3; a reorg that
+        # orphans only B3 must leave N indexed at its B1 position
+        chain = ChainState(depth=8, fee=10)
+        tx = output_only_tx(rng, directory)
+        cm = tx.outputs[0].cm
+        b1 = chain.mine_block(txs=[tx])
+        b2 = chain.mine_block()
+        chain.mine_block(txs=[tx])
+        side = chain.mine_block(parent_hash=b2.hash, txs=[])
+        side = chain.mine_block(parent_hash=side.hash, txs=[])
+        assert chain.reorg_to(side.hash).fork_height == b2.height
+        path = chain.merkle_path(cm, b1.hash)
+        assert isinstance(path, MerklePath) and path.position == 0
+        assert fold_path(cm.digest, path) == b1.tree_root
+        assert chain.pool.leaf_index == {cm.digest: 0}
+
     def test_every_header_root_matches_replay(self, rng, directory):
         # block-by-block independent replay: each accepted header commits to
         # exactly the tree state after its own transactions
@@ -279,8 +304,25 @@ def output_only_tx(rng, directory):
     return ShieldedTx((), (OutputDescription(commit_note(note), ct, note),), 0)
 
 
+def repeated_output_tx(chain, rng):
+    """A side body repeating one output of an earlier main-chain block, or
+    None while the main chain has no outputs."""
+    outputs = [out for bh in chain.main for tx in chain.blocks[bh].txs for out in tx.outputs]
+    if not outputs:
+        return None
+    return ShieldedTx((), (outputs[rng.randrange(len(outputs))],), 0)
+
+
 class TestRandomizedChurn:
     def test_replay_invariant_over_random_fork_walks(self, directory):
+        self.walk(directory, repeat_outputs=False)
+
+    def test_replay_invariant_with_repeated_commitments(self, directory):
+        # side bodies sometimes repeat a main-chain output, so a reorg can
+        # put a second copy of a commitment into the tree or orphan one
+        self.walk(directory, repeat_outputs=True)
+
+    def walk(self, directory, repeat_outputs):
         # random interleaving of spends, side-branch mining (some side
         # blocks with a body) and reorg attempts: every side header's root
         # matches a from-genesis walk, the commitment index always matches
@@ -312,14 +354,18 @@ class TestRandomizedChurn:
                     parent = side_tips[-1] if side_tips and rng.random() < 0.5 \
                         else chain.main[-1 - fork_depth]
                     txs = [output_only_tx(rng, directory)] if rng.random() < 0.5 else []
+                    if repeat_outputs and txs and rng.random() < 0.5:
+                        txs = [repeated_output_tx(chain, rng) or txs[0]]
                     header = chain.mine_block(parent_hash=parent, txs=txs)
                     assert header.tree_root == branch_root_from_genesis(
                         chain, header.hash), seed
                     side_tips.append(header.hash)
                 elif move == 3 and side_tips:
                     chain.reorg_to(side_tips[rng.randrange(len(side_tips))])
-                # rebuilt in leaf order, so a repeated commitment keeps its last position
-                rebuilt = {cm: i for i, cm in enumerate(chain.pool.tree.leaves)}
+                # first position wins for a repeated commitment
+                rebuilt = {}
+                for i, cm in enumerate(chain.pool.tree.leaves):
+                    rebuilt.setdefault(cm, i)
                 assert chain.pool.leaf_index == rebuilt, seed
             root, size, nfs = chain.replay_from_genesis()
             assert root == chain.pool.tree.root() == chain.tip.header.tree_root, seed
