@@ -14,9 +14,9 @@ bit-reproducible across runs.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import Optional
 
 DIGEST_SIZE = 32
@@ -32,8 +32,8 @@ class NoteError(ValueError):
 
 
 def encode_int(value: int) -> bytes:
-    if value < 0:
-        raise NoteError(f"amounts are non-negative integers, got {value}")
+    if not 0 <= value < 1 << 8 * VALUE_WIDTH:
+        raise NoteError(f"amounts are integers in [0, 2**{8 * VALUE_WIDTH}), got {value}")
     return value.to_bytes(VALUE_WIDTH, "big")
 
 
@@ -42,12 +42,17 @@ def encode_bytes(data: bytes) -> bytes:
     return len(data).to_bytes(4, "big") + data
 
 
+_LENGTHS = [n.to_bytes(4, "big") for n in range(256)]  # encode_bytes's prefix of short parts
+
+
 def digest(tag: bytes, *parts: bytes) -> bytes:
-    """Domain-separated SHA-256 over canonically framed parts."""
-    h = hashlib.sha256()
-    h.update(encode_bytes(tag))
+    """Domain-separated SHA-256 over the tag and parts, each framed as
+    `encode_bytes` frames it. A part shorter than 256 bytes, which is nearly
+    every part, takes its length prefix from `_LENGTHS`."""
+    h = sha256(_LENGTHS[len(tag)] + tag)
     for part in parts:
-        h.update(encode_bytes(part))
+        n = len(part)
+        h.update((_LENGTHS[n] if n < 256 else n.to_bytes(4, "big")) + part)
     return h.digest()
 
 
@@ -182,17 +187,22 @@ def _keystream(secret: SharedSecret, ephemeral_public: bytes, length: int) -> by
     return bytes(out[:length])
 
 
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """`data` XOR an equally long keystream, as one integer operation."""
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(
+        len(data), "big")
+
+
 def _auth_tag(secret: SharedSecret, ephemeral_public: bytes, body: bytes) -> bytes:
     return hmac.new(secret.secret, encode_bytes(ephemeral_public) + encode_bytes(body),
-                    hashlib.sha256).digest()
+                    sha256).digest()
 
 
 def encrypt_note(note: Note, recipient: Address, secret: SharedSecret,
                  ephemeral_public: bytes) -> NoteCiphertext:
     """Symmetric authenticated encryption of a note to a recipient address."""
     plaintext = note.encode()
-    body = bytes(a ^ b for a, b in zip(plaintext, _keystream(secret, ephemeral_public,
-                                                             len(plaintext))))
+    body = _xor(plaintext, _keystream(secret, ephemeral_public, len(plaintext)))
     tag = _auth_tag(secret, ephemeral_public, body)
     return NoteCiphertext(payload=body + tag, ephemeral_public=ephemeral_public)
 
@@ -208,8 +218,7 @@ def decrypt_note(ct: NoteCiphertext, secret: SharedSecret) -> Optional[Note]:
     body, tag = ct.payload[:-DIGEST_SIZE], ct.payload[-DIGEST_SIZE:]
     if not hmac.compare_digest(tag, _auth_tag(secret, ct.ephemeral_public, body)):
         return None
-    plaintext = bytes(a ^ b for a, b in zip(body, _keystream(secret, ct.ephemeral_public,
-                                                             len(body))))
+    plaintext = _xor(body, _keystream(secret, ct.ephemeral_public, len(body)))
     return _decode_note(plaintext)
 
 

@@ -724,13 +724,17 @@ class Engine:
 
     def _enforce_deadlines(self) -> None:
         """Fire the timeout row of every open request past its deadline, in
-        request-creation order."""
-        for request in self.requests.values():
+        request-creation order. The open requests are exactly the ones in
+        the vault slots; creation order is the `R<n>` counter, not string
+        order ("R10" < "R9")."""
+        open_ids = [request_id for vault in self.registry.vaults.values()
+                    for request_id in (vault.active_issue, vault.active_redeem)
+                    if request_id is not None]
+        for request_id in sorted(open_ids, key=lambda request_id: int(request_id[1:])):
+            request = self.requests[request_id]
             step = TIMEOUTS.get((request.kind, request.state))
-            if (step is None or request.terminal
-                    or self.now <= getattr(request, step.deadline)):
-                continue
-            self._advance(request, step.op, SYSTEM)
+            if step is not None and self.now > getattr(request, step.deadline):
+                self._advance(request, step.op, SYSTEM)
 
     # -- scanning and metrics ----------------------------------------------------------
 

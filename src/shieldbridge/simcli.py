@@ -33,7 +33,7 @@ from random import Random
 from typing import Optional, get_type_hints
 
 from .issuing_chain import LIQUIDATION_POOL
-from .notes import Note, NoteCommitment, commit_note, rng_bytes
+from .notes import VALUE_WIDTH, Note, NoteCommitment, commit_note, rng_bytes
 from .protocol import (
     AWAIT_ISSUE_CONFIRM,
     OK,
@@ -101,6 +101,8 @@ class ActorSpec:
         for name in ("zec", "i", "collateral", "amount", "at", "amount2", "at2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"actor.{self.name}.{name} must be >= 0")
+        if self.zec >= 1 << 8 * VALUE_WIDTH:  # one genesis note of 64-bit value
+            raise ValueError(f"actor.{self.name}.zec must be < 2**{8 * VALUE_WIDTH}")
 
 
 @dataclass

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from typing import Callable, Optional
 
 from .notes import (
@@ -109,15 +110,22 @@ class CommitmentTree:
 
     def _node(self, level: int, start: int, size: int) -> bytes:
         """Root of the subtree of height `level` starting at leaf `start`,
-        considering only the first `size` leaves."""
-        if start >= size:
+        considering only the first `size` leaves.
+
+        Hashed bottom-up, one row per level: a row of odd length is padded
+        with the empty subtree of its level before pairing, so level `lv`
+        hashes ceil(n / 2**lv) nodes for the subtree's n present leaves, and
+        a subtree with no present leaf is the empty one of its height.
+        `digest` is read off the module for every row, so a counter bound
+        in its place sees each node."""
+        row = self.leaves[start:min(size, start + (1 << level))]
+        if not row:
             return self._empties[level]
-        if level == 0:
-            return self.leaves[start]
-        half = 1 << (level - 1)
-        return digest(b"tree-node",
-                      self._node(level - 1, start, size),
-                      self._node(level - 1, start + half, size))
+        for lv in range(level):
+            if len(row) & 1:
+                row.append(self._empties[lv])
+            row = list(map(digest, repeat(b"tree-node"), row[::2], row[1::2]))
+        return row[0]
 
     def root_at(self, size: int) -> bytes:
         if size > len(self.leaves):
@@ -131,6 +139,8 @@ class CommitmentTree:
 
     def path_at(self, position: int, size: int) -> MerklePath:
         """Sibling path for a leaf within the tree state after `size` leaves."""
+        if size > len(self.leaves):
+            raise ChainError("prefix larger than tree")
         if position >= size:
             raise ChainError("leaf not present in the cited tree state")
         siblings = []

@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shieldbridge.notes import (
     CHALLENGE_REJECTED,
@@ -8,18 +11,22 @@ from shieldbridge.notes import (
     Address,
     Note,
     NoteCiphertext,
+    NoteError,
     SharedSecret,
     SharedSecretDirectory,
     commit_note,
     decrypt_note,
     derive_nullifier,
     derive_rcm,
+    digest,
+    encode_bytes,
+    encode_int,
     encrypt_note,
     random_address,
     rng_bytes,
     verify_challenge,
 )
-from shieldbridge.notes import _decode_note
+from shieldbridge.notes import _auth_tag, _decode_note, _keystream, _xor
 
 
 @pytest.fixture
@@ -216,3 +223,65 @@ class TestChallenge:
             vault_would_accept = note is not None and commit_note(note) == self.cm
             verdict = self.verdict(ct, self.secret)
             assert verdict == (CHALLENGE_REJECTED if vault_would_accept else CHALLENGE_UPHELD)
+
+
+# --- oracles: the per-part framing and the per-byte XOR the fast paths replaced
+
+
+def framed_digest(tag, *parts):
+    h = hashlib.sha256()
+    h.update(encode_bytes(tag))
+    for part in parts:
+        h.update(encode_bytes(part))
+    return h.digest()
+
+
+def generator_xor(data, stream):
+    return bytes(a ^ b for a, b in zip(data, stream))
+
+
+def generator_encrypt(note, secret, epk):
+    plaintext = note.encode()
+    body = generator_xor(plaintext, _keystream(secret, epk, len(plaintext)))
+    return NoteCiphertext(body + _auth_tag(secret, epk, body), epk)
+
+
+class TestFastPathsAgainstOracles:
+    @pytest.mark.parametrize("lengths", [(), (0,), (32,), (255,), (256,), (300,),
+                                         (0, 32, 255, 256, 300), (32, 32)])
+    def test_digest_frames_like_encode_bytes(self, lengths):
+        parts = [bytes([n % 251]) * n for n in lengths]
+        assert digest(b"tag", *parts) == framed_digest(b"tag", *parts)
+        assert digest(b"", *parts) == framed_digest(b"", *parts)
+
+    def test_framing_keeps_part_boundaries(self):
+        assert digest(b"t", b"ab", b"c") != digest(b"t", b"a", b"bc")
+        assert digest(b"t", b"") != digest(b"t")
+
+    @given(st.integers(0, 300).flatmap(lambda n: st.tuples(
+        st.binary(min_size=n, max_size=n), st.binary(min_size=n, max_size=n))))
+    def test_xor_matches_generator(self, pair):
+        data, stream = pair
+        assert _xor(data, stream) == generator_xor(data, stream)
+
+    def test_xor_keeps_leading_zero_bytes(self):
+        assert _xor(b"\x00\x05ab", b"\x00\x05cd") == b"\x00\x00\x02\x06"
+        assert _xor(b"", b"") == b""
+
+    @pytest.mark.parametrize("value", [0, 1, 10**8, 2**64 - 1])
+    def test_ciphertext_bytes_match_oracle_and_round_trip(self, rng, addr, value):
+        directory = SharedSecretDirectory(rng_bytes(rng, 32))
+        note = Note(addr, value, rng_bytes(rng, 32))
+        epk = directory.new_ephemeral(rng)
+        secret = directory.secret_for(epk, addr)
+        ct = encrypt_note(note, addr, secret, epk)
+        assert ct == generator_encrypt(note, secret, epk)
+        assert decrypt_note(ct, secret) == note
+        body = ct.payload[:-32]
+        assert _decode_note(generator_xor(body, _keystream(secret, epk, len(body)))) == note
+
+    def test_encode_int_is_64_bit(self):
+        assert encode_int(2**64 - 1) == b"\xff" * 8
+        for value in (2**64, -1):
+            with pytest.raises(NoteError):
+                encode_int(value)

@@ -16,6 +16,8 @@ from shieldbridge.protocol import (
     REDEEM_CHALLENGED,
     REDEEM_SUCCESS,
     LIFECYCLE,
+    SYSTEM,
+    TIMEOUTS,
     Engine,
     ProtocolConfig,
     ProtocolError,
@@ -33,7 +35,8 @@ RELEASED = 4_802_000_000      # floor(minted * 0.98)
 COLLATERAL = 29_400_000_000   # capacity boundary at v_max=100 ZEC, xr=2
 
 
-def make_engine(k=3, seed=7, **overrides):
+def make_engine(k=3, seed=7, pairs=1, **overrides):
+    """An engine with vaults V1.. and users A1.., one pair per index."""
     params = RegistryParams(v_max=10_000_000_000, f=Fraction(2, 100),
                             sigma_std=Fraction(3, 2), i_w=5)
     config = ProtocolConfig(params, relay_k=k, delta_mint=24,
@@ -41,11 +44,13 @@ def make_engine(k=3, seed=7, **overrides):
                             tree_depth=8, **overrides)
     engine = Engine(config, seed)
     engine.oracle.set_rate(0, Fraction(2, 1))
-    engine.add_actor("V1", zec_notes=(20_000_000_000,), i_balance=COLLATERAL + 100)
-    engine.add_actor("A1", zec_notes=(10_000_000_000,), i_balance=100)
+    for i in range(1, pairs + 1):
+        engine.add_actor(f"V{i}", zec_notes=(20_000_000_000,), i_balance=COLLATERAL + 100)
+        engine.add_actor(f"A{i}", zec_notes=(10_000_000_000,), i_balance=100)
     engine.start()
-    assert engine.register_vault("V1", COLLATERAL) == "V1"
-    assert engine.submit_poc("V1") == "accepted"
+    for i in range(1, pairs + 1):
+        assert engine.register_vault(f"V{i}", COLLATERAL) == f"V{i}"
+        assert engine.submit_poc(f"V{i}") == "accepted"
     return engine
 
 
@@ -646,3 +651,60 @@ class TestStateMachineModelCheck:
         engine.submit_poc("V1")
         self.try_all_ops(engine, request.request_id,
                          allowed={"confirmRedeem", "challengeRedeem", "requestLock"})
+
+
+def full_scan_deadlines(engine):
+    """The full request scan `_enforce_deadlines` replaced: the oracle."""
+    for request in engine.requests.values():
+        step = TIMEOUTS.get((request.kind, request.state))
+        if (step is None or request.terminal
+                or engine.now <= getattr(request, step.deadline)):
+            continue
+        engine._advance(request, step.op, SYSTEM)
+
+
+def engine_with_due_requests(pairs=5):
+    """`pairs` vaults, each with an unminted issue and an unreleased redeem
+    open at once and due on the same tick (delta_mint = delta_confirm_redeem).
+    The issues are opened in reverse vault order and the redeems after them
+    in vault order, so creation order (R6..R15) is neither the vault slots'
+    order nor string order."""
+    engine = make_engine(pairs=pairs)
+    names = [(f"V{i}", f"A{i}") for i in range(1, pairs + 1)]
+    locks = [engine.request_lock(user, vault) for vault, user in names]
+    for (vault, user), request in zip(names, locks):
+        assert engine.do_lock(user, request.request_id, LOCK)
+    for _ in range(engine.config.relay_k + 1):
+        engine.tick()
+    for (vault, user), request in zip(names, locks):
+        transfer = engine.build_mint(request.request_id)
+        ct = engine.build_note_ciphertext(transfer.witness.lock_note, vault)
+        assert engine.do_mint(user, request.request_id, transfer, ct)
+        assert engine.confirm_issue(vault, request.request_id) == OK
+    due = [engine.request_lock(user, vault) for vault, user in reversed(names)]
+    for vault, user in names:
+        transfer, _ = engine.build_burn(user, vault, 1_000_000_000)
+        due.append(engine.do_burn(user, vault, transfer))
+    assert not any(isinstance(request, Rejection) for request in due)
+    return engine, due
+
+
+class TestDeadlineOrder:
+    def test_due_together_fire_in_creation_order(self):
+        engine, due = engine_with_due_requests()
+        oracle, _ = engine_with_due_requests()
+        oracle._enforce_deadlines = lambda: full_scan_deadlines(oracle)
+        ids = [request.request_id for request in due]
+        assert ids == [f"R{n}" for n in range(6, 16)]
+        assert len({request.deadline_mint or request.deadline_confirm
+                    for request in due}) == 1
+        fired = []
+        while not all(request.terminal for request in due):
+            rows = engine.tick()
+            assert rows == oracle.tick()
+            fired += rows
+        tick = engine.now
+        assert fired == [(tick, "mint-timeout" if request.kind == "issue"
+                          else "confirm-redeem-timeout", request.request_id)
+                         for request in due]
+        assert engine.trace == oracle.trace and engine.events == oracle.events

@@ -96,6 +96,8 @@ class TestConfigParser:
          "liq_margin must be >= 0"),
         ("actor.A1.zec = 10000000000", "actor.A1.zec = -1",
          "actor.A1.zec must be >= 0"),
+        ("actor.A1.zec = 10000000000", "actor.A1.zec = 18446744073709551616",
+         "actor.A1.zec must be < 2**64"),
         ("actor.A1.i = 100", "actor.A1.i = -1", "actor.A1.i must be >= 0"),
         ("oracle.rate.0 = 2/1", "oracle.rate.5 = 2/1", "missing oracle.rate.0"),
         ("relay.k = 6", "relay.k = -1", "relay_k must be >= 1"),
@@ -109,8 +111,8 @@ class TestConfigParser:
             "unknown-vault", "block-interval-key", "fee-out-of-range",
             "sigma-below-one", "oracle-rate-nonpositive", "tree-depth-zero",
             "zcash-fee-negative", "warranty-negative", "liq-margin-negative",
-            "actor-zec-negative", "actor-i-negative", "oracle-no-tick-0-rate",
-            "relay-k-negative", "delta-mint-zero", "ticks-negative",
+            "actor-zec-negative", "actor-zec-above-64-bits", "actor-i-negative",
+            "oracle-no-tick-0-rate", "relay-k-negative", "delta-mint-zero", "ticks-negative",
             "mute-honest-at-negative", "vault-collateral-above-i"])
     def test_inconsistent_actor_or_key_rejected(self, old, new, message):
         text = load_bundled_scenario("issue_happy")

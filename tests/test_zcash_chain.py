@@ -1,6 +1,12 @@
 import random
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shieldbridge import zcash_chain
 
 from shieldbridge.notes import (
     Note,
@@ -13,6 +19,7 @@ from shieldbridge.notes import (
     rng_bytes,
 )
 from shieldbridge.zcash_chain import (
+    ChainError,
     ChainState,
     CommitmentTree,
     MerklePath,
@@ -91,6 +98,94 @@ class TestCommitmentTree:
         r0 = tree.root()
         tree.append(NoteCommitment(rng_bytes(rng, 32)))
         assert tree.root() != r0
+
+
+class RecursiveTree(CommitmentTree):
+    """The tree with the recursive `_node` the level-by-level one replaced:
+    the oracle. It looks `digest` up on the module, as the tree must, so a
+    rebound counter sees its calls."""
+
+    def _node(self, level: int, start: int, size: int) -> bytes:
+        if start >= size:
+            return self._empties[level]
+        if level == 0:
+            return self.leaves[start]
+        half = 1 << (level - 1)
+        return zcash_chain.digest(b"tree-node",
+                                  self._node(level - 1, start, size),
+                                  self._node(level - 1, start + half, size))
+
+
+@contextmanager
+def counted_digests():
+    """Rebind `zcash_chain.digest` to a counter by domain tag, as the
+    benchmark's tracer does."""
+    tags = Counter()
+    original = zcash_chain.digest
+
+    def counted(tag, *parts):
+        tags[tag] += 1
+        return original(tag, *parts)
+
+    zcash_chain.digest = counted
+    try:
+        yield tags
+    finally:
+        zcash_chain.digest = original
+
+
+def call_counted(tags, method, *args):
+    """(result or raised ChainError message, tree-node digests the call made)"""
+    before = tags[b"tree-node"]
+    try:
+        result = method(*args)
+    except ChainError as exc:
+        result = str(exc)
+    return result, tags[b"tree-node"] - before
+
+
+TREE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.binary(min_size=32, max_size=32)),
+    st.tuples(st.sampled_from(["truncate", "root_at"]), st.integers(0, 70)),
+    st.tuples(st.just("path_at"), st.integers(0, 70), st.integers(0, 70)),
+), max_size=90)
+
+
+class TestTreeAgainstRecursiveOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(depth=st.integers(1, 6), ops=TREE_OPS)
+    def test_same_roots_paths_and_node_digests(self, depth, ops):
+        tree, oracle = CommitmentTree(depth), RecursiveTree(depth)
+        with counted_digests() as tags:
+            for op, *args in ops:
+                n = len(oracle)
+                if op == "append":
+                    args = [NoteCommitment(args[0])]
+                elif op in ("truncate", "root_at"):
+                    args = [args[0] % (n + 1)]
+                elif n:
+                    size = 1 + args[1] % n
+                    args = [args[0] % size, size]
+                got = call_counted(tags, getattr(tree, op), *args)
+                want = call_counted(tags, getattr(oracle, op), *args)
+                assert got == want, (op, args)
+                assert tree.leaves == oracle.leaves
+
+    def test_counts_on_a_known_tree(self):
+        # 5 leaves at depth 3: 3 + 2 + 1 node hashes for the root
+        tree = CommitmentTree(3)
+        for i in range(5):
+            tree.append(NoteCommitment(bytes([i]) * 32))
+        with counted_digests() as tags:
+            root = tree.root()
+        assert tags[b"tree-node"] == 6
+        assert root == RecursiveTree._node(tree, 3, 0, 5)
+
+    def test_path_beyond_the_tree_rejected(self):
+        tree = CommitmentTree(3)
+        tree.append(NoteCommitment(b"\x01" * 32))
+        with pytest.raises(ChainError, match="prefix larger than tree"):
+            tree.path_at(0, 2)
 
 
 class TestTransactions:
