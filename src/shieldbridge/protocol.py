@@ -241,6 +241,8 @@ class Engine:
                   i_balance: int = 0) -> ActorAccount:
         if self._started:
             raise ProtocolError("actors must be added before start()")
+        if name in self.actors:
+            raise ProtocolError(f"actor {name!r} added twice")
         account = ActorAccount(
             zcash=Wallet(name, random_address(self.rng), rng_bytes(self.rng, 32)),
             wzec=Wallet(name, random_address(self.rng), rng_bytes(self.rng, 32)),
@@ -546,19 +548,12 @@ class Engine:
                                   request.permit_id, block_hash, path)
         return MintTransfer(statement, MintWitness(lock_note, wzec_note, request.nonce))
 
-    def build_note_ciphertext(self, note: Note, vault_id: str,
-                              corrupt: bool = False) -> NoteCiphertext:
-        """C^V construction; the byzantine variant flips a byte after
-        encryption."""
+    def build_note_ciphertext(self, note: Note, vault_id: str) -> NoteCiphertext:
+        """C^V construction: `note` encrypted to the vault under a fresh
+        ephemeral key. A byzantine actor corrupts the result itself."""
         vault_addr = self.registry.vaults[vault_id].zcash_address
         epk = self.directory.new_ephemeral(self.rng)
-        secret = self.directory.secret_for(epk, vault_addr)
-        ct = encrypt_note(note, vault_addr, secret, epk)
-        if corrupt:
-            broken = bytearray(ct.payload)
-            broken[0] ^= 0xFF
-            ct = NoteCiphertext(bytes(broken), ct.ephemeral_public)
-        return ct
+        return encrypt_note(note, vault_addr, self.directory.secret_for(epk, vault_addr), epk)
 
     def do_mint(self, issuer: str, request_id: str, transfer: MintTransfer,
                 ciphertext: NoteCiphertext):
@@ -624,12 +619,10 @@ class Engine:
     # -- redeem --------------------------------------------------------------------
 
     def build_burn(self, redeemer: str, vault_id: str, amount: int,
-                   reuse_note: Optional[Note] = None,
-                   ct_corrupt: bool = False) -> tuple[BurnTransfer, Note]:
+                   reuse_note: Optional[Note] = None) -> tuple[BurnTransfer, Note]:
         """Honest burn transfer: fresh release note to the redeemer's own
-        backing-chain address. `reuse_note` deliberately reuses an earlier
-        release note's values (the documented replay carve-out); `ct_corrupt`
-        publishes a malformed ciphertext."""
+        backing-chain address, encrypted to the vault. `reuse_note` reuses an
+        earlier release note's values (the documented replay carve-out)."""
         account = self.actors[redeemer]
         if reuse_note is not None:
             release_note = reuse_note
@@ -639,7 +632,7 @@ class Engine:
                                 rng_bytes(self.rng, 32))
         spend_tx, notes = build_transfer(account.wzec, [], amount, self.directory,
                                          self.rng)
-        ct = self.build_note_ciphertext(release_note, vault_id, corrupt=ct_corrupt)
+        ct = self.build_note_ciphertext(release_note, vault_id)
         statement = BurnStatement(commit_note(release_note), ct)
         return BurnTransfer(statement, BurnWitness(release_note, amount, spend_tx)), release_note
 
@@ -670,12 +663,6 @@ class Engine:
     def do_release(self, vault_id: str, request_id: str,
                    note_override: Optional[Note] = None):
         """Vault creates the redeemer-specified note on the backing chain."""
-        request = self.requests.get(request_id)
-        if request is None or request.kind != "redeem":
-            raise ProtocolError(f"release without a pending burn: {request_id}")
-        if request.vault_id != vault_id:
-            return self._reject(vault_id, "release", request_id, request.state,
-                                "wrong-vault")
         request = self._guard("release", vault_id, request_id)
         if isinstance(request, Rejection):
             return request
@@ -749,15 +736,14 @@ class Engine:
                 if out.cm.digest in self._watched_releases:
                     self.zec_released_total += self._watched_releases.pop(out.cm.digest)
 
-    def check_inclusion_claim(self, cm, path, block_hash: bytes) -> str:
-        """Adversary-facing surface: present an inclusion proof to the
-        relay. A proof the relay accepts that the true chain contradicts is
-        flagged as a safety violation."""
+    def check_inclusion_claim(self, cm, path, block_hash: bytes):
+        """Adversary-facing surface: the relay's verdict on an inclusion
+        proof (`VERIFIED` or the `Rejection`). A proof the relay accepts
+        that the true chain contradicts is flagged as a safety violation."""
         verdict = self.relay.verify_note_inclusion(cm, path, block_hash)
         if not isinstance(verdict, Rejection):
             self._check_true_chain(cm.digest, block_hash, "inclusion-forgery")
-            return "verified"
-        return f"rejected:{verdict.reason}"
+        return verdict
 
     # -- helpers -------------------------------------------------------------------------
 

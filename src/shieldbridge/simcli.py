@@ -9,7 +9,8 @@ whose type and default apply), and `ROLES` gives each role the bots whose
 seed) produces byte-identical trace and metrics files. The issuer, redeemer
 and eclipse bots are per-tick scripts; after each step, a bot's `phase`
 ("stalled", "done" or None while running) and `request_id` are what the
-benchmark's workloads read.
+benchmark's workloads and the `privacy` run read. A byzantine bot applies
+its own misbehaviour (`corrupt_ciphertext`) to what the engine builds.
 
 Subcommands:
     run          execute a scenario file (or bundled name): trace.csv, metrics.csv
@@ -33,7 +34,7 @@ from random import Random
 from typing import Optional, get_type_hints
 
 from .issuing_chain import LIQUIDATION_POOL
-from .notes import VALUE_WIDTH, Note, NoteCommitment, commit_note, rng_bytes
+from .notes import VALUE_WIDTH, Note, NoteCiphertext, NoteCommitment, commit_note, rng_bytes
 from .protocol import (
     AWAIT_ISSUE_CONFIRM,
     OK,
@@ -180,7 +181,9 @@ def load_scenario(text: str) -> ScenarioConfig:
             values[cls][attr] = _parse(key, raw, get_type_hints(cls)[attr])
         elif section == "expect" and rest:
             expects[rest] = raw
-        elif section == "oracle" and name == "rate" and attr.isdigit():
+        elif section == "oracle" and name == "rate":
+            if not (attr.isascii() and attr.isdigit() and str(int(attr)) == attr):
+                raise ConfigError(f"{key}: the tick must be ASCII digits without leading zeros")
             rate = _parse(key, raw, Fraction)
             if rate <= 0:
                 raise ConfigError(f"{key}: rate must be positive, got {rate}")
@@ -221,6 +224,11 @@ def load_scenario(text: str) -> ScenarioConfig:
 
 
 # --- actor strategies ----------------------------------------------------------------
+
+
+def corrupt_ciphertext(ct: NoteCiphertext) -> NoteCiphertext:
+    """`ct` with its first byte flipped, so it fails authentication."""
+    return replace(ct, payload=bytes([ct.payload[0] ^ 0xFF]) + ct.payload[1:])
 
 
 class _ScriptBot:
@@ -275,8 +283,9 @@ class IssueBot(_ScriptBot):
             transfer = engine.build_mint(request.request_id,
                                          wrong_relation=strategy == "wrong_relation",
                                          lock_note_override=replayed)
-            ct = engine.build_note_ciphertext(transfer.witness.lock_note, spec.vault,
-                                              corrupt=strategy == "wrong_ciphertext")
+            ct = engine.build_note_ciphertext(transfer.witness.lock_note, spec.vault)
+            if strategy == "wrong_ciphertext":
+                ct = corrupt_ciphertext(ct)
             if isinstance(engine.do_mint(spec.name, request.request_id, transfer, ct),
                           Rejection):
                 yield "stalled"  # the deadline will close the request
@@ -312,9 +321,11 @@ class RedeemBot(_ScriptBot):
                 yield  # a round starts on the tick after the previous one closed
             while engine.now < start or engine.actors[spec.name].wzec.balance() < amount:
                 yield
-            transfer, release_note = engine.build_burn(
-                spec.name, spec.vault, amount, reuse_note=reuse,
-                ct_corrupt=strategy in ("wrong_ciphertext", "redeem_wrong_ciphertext"))
+            transfer, release_note = engine.build_burn(spec.name, spec.vault, amount,
+                                                       reuse_note=reuse)
+            if strategy in ("wrong_ciphertext", "redeem_wrong_ciphertext"):
+                ct = corrupt_ciphertext(transfer.statement.ciphertext)
+                transfer = replace(transfer, statement=replace(transfer.statement, ciphertext=ct))
             request = engine.do_burn(spec.name, spec.vault, transfer)
             if isinstance(request, Rejection):
                 return
@@ -334,13 +345,12 @@ class VaultBot:
 
     def __init__(self, spec: ActorSpec):
         self.spec = spec
-        self.strategy = spec.strategy
         self._stale_proof: Optional[tuple] = None
         self._stale_attempted: set[str] = set()
 
     def step(self, engine: Engine) -> None:
         name = self.spec.name
-        if self.strategy == "silent":
+        if self.spec.strategy == "silent":
             return
         record = engine.registry.vaults.get(name)
         if record is None:
@@ -356,7 +366,7 @@ class VaultBot:
         name = self.spec.name
         if request.state != AWAIT_ISSUE_CONFIRM:
             return
-        if self.strategy == "spurious_challenge":
+        if self.spec.strategy == "spurious_challenge":
             engine.challenge_issue(name, request.request_id)
             return
         if engine.vault_note(request) is not None:
@@ -366,13 +376,13 @@ class VaultBot:
 
     def _step_redeem(self, engine: Engine, request) -> None:
         name = self.spec.name
-        if self.strategy == "proof_replayer":
+        if self.spec.strategy == "proof_replayer":
             # confirm against an already-mined identical commitment, skipping
             # the release entirely (works only when the redeemer reused values)
             if engine.block_of(request.release_cm) is not None:
                 engine.confirm_redeem(name, request.request_id)
                 return
-        if self.strategy == "stale_proof" and self._stale_proof is not None:
+        if self.spec.strategy == "stale_proof" and self._stale_proof is not None:
             # replay an old release proof against a fresh burn; the relay
             # rejects it because the redeemer chose a fresh commitment
             if request.request_id not in self._stale_attempted:
@@ -386,13 +396,13 @@ class VaultBot:
             return
         if not request.released:  # a wrong_note vault pays one unit short
             short = (Note(note.address, max(0, note.value - 1), note.rcm)
-                     if self.strategy == "wrong_note" else None)
+                     if self.spec.strategy == "wrong_note" else None)
             engine.do_release(name, request.request_id, note_override=short)
         else:
             block = engine.block_of(request.release_cm)
             if block is not None and engine.relay.is_final(block):
                 result = engine.confirm_redeem(name, request.request_id)
-                if result == OK and self.strategy == "stale_proof":
+                if result == OK and self.spec.strategy == "stale_proof":
                     path = engine.zcash.merkle_path(NoteCommitment(request.release_cm),
                                                     block)
                     self._stale_proof = (path, block)
@@ -431,8 +441,8 @@ class EclipseBot(_ScriptBot):
             if engine.relay.is_final(forged.hash):
                 break
         verdict = engine.check_inclusion_claim(fake_cm, tree.path_at(0, 1), forged.hash)
-        if verdict != "verified":
-            raise ProtocolError(f"final forged branch, yet the claim was {verdict}")
+        if isinstance(verdict, Rejection):
+            raise ProtocolError(f"final forged branch, yet the claim was rejected:{verdict.reason}")
 
 
 # --- scenario execution ---------------------------------------------------------------
@@ -529,14 +539,13 @@ def check_expects(expects: dict[str, str], metrics: dict) -> list[str]:
 # --- output files ------------------------------------------------------------------
 
 
-TRACE_HEADER = "tick,actor,op,request_id,state_before,state_after,outcome"
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row of comma-joined fields."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
 def trace_to_csv(rows: list[tuple]) -> str:
-    lines = [TRACE_HEADER]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return _csv("tick,actor,op,request_id,state_before,state_after,outcome", rows)
 
 
 def metrics_to_csv(engine: Engine) -> str:
@@ -544,32 +553,23 @@ def metrics_to_csv(engine: Engine) -> str:
 
 
 def _metrics_csv(engine: Engine, metrics: dict) -> str:
-    lines = ["tick,name,value"]
-    for event in engine.events:
-        tick, kind, *details = event
-        lines.append(f"{tick},{kind},{';'.join(str(d) for d in details)}")
-    for tick, supply in engine.supply_series:
-        lines.append(f"{tick},supply,{supply}")
-    for key, value in sorted(metrics.items()):
-        lines.append(f"final,{key},{value}")
-    return "\n".join(lines) + "\n"
+    return _csv("tick,name,value", [
+        *((tick, kind, ";".join(map(str, details))) for tick, kind, *details in engine.events),
+        *((tick, "supply", supply) for tick, supply in engine.supply_series),
+        *(("final", key, value) for key, value in sorted(metrics.items()))])
 
 
 def bounds_report_csv(report: BoundsReport) -> str:
-    lines = ["claim,param_j,param_t,lhs,rhs,pass"]
-    for row in report.rows:
-        lines.append(f"{row.claim},{row.param_j},{row.param_t},"
-                     f"{row.lhs},{row.rhs},{str(row.passed).lower()}")
-    return "\n".join(lines) + "\n"
+    return _csv("claim,param_j,param_t,lhs,rhs,pass",
+                ((row.claim, row.param_j, row.param_t, row.lhs, row.rhs,
+                  str(row.passed).lower()) for row in report.rows))
 
 
 def distribution_csv(cfg: SplitConfig) -> str:
-    lines = ["t,j,expectation_num,expectation_den"]
-    for t in range(1, cfg.t_max + 1):
-        dist = exact_conditional_expectation(t, cfg)
-        for j, value in enumerate(dist.values):
-            lines.append(f"{t},{j},{value.numerator},{value.denominator}")
-    return "\n".join(lines) + "\n"
+    return _csv("t,j,expectation_num,expectation_den",
+                ((t, j, value.numerator, value.denominator)
+                 for t in range(1, cfg.t_max + 1)
+                 for j, value in enumerate(exact_conditional_expectation(t, cfg).values)))
 
 
 # --- privacy analysis -----------------------------------------------------------------
@@ -592,8 +592,9 @@ def _split_config(h: int, k: int, total: Optional[int] = None) -> SplitConfig:
 def run_privacy_analysis(h: int, k: int, seed: int = 1,
                          total: Optional[int] = None) -> dict:
     """Bound verification plus an end-to-end run: one user splits a total
-    across k vaults via k Issue procedures; each vault's observer view ends
-    up containing exactly one piece value and never the total."""
+    across k vaults, one `IssueBot` per piece against an honest `VaultBot`
+    per vault; each vault's observer view ends up containing exactly one
+    piece value and never the total. An unconfirmed issue is a bug."""
     cfg = _split_config(h, k, total)
     report = check_bounds(cfg)
     rng = Random(seed)
@@ -620,28 +621,26 @@ def run_privacy_analysis(h: int, k: int, seed: int = 1,
     for vault in vaults:
         engine.register_vault(vault, collateral)
         engine.submit_poc(vault)
+    issuers = [IssueBot(ActorSpec("user", "issuer", vault=vault, amount=piece))
+               for vault, piece in zip(vaults, pieces)]
+    bots = [*(VaultBot(ActorSpec(vault, "vault")) for vault in vaults), *issuers]
 
-    requests = {}
-    for vault, piece in zip(vaults, pieces):
-        request = engine.request_lock("user", vault)
-        engine.do_lock("user", request.request_id, piece)
-        requests[vault] = request.request_id
-    for _ in range(protocol.relay_k + 2):
-        engine.tick()
-    for vault in vaults:
-        request_id = requests[vault]
-        transfer = engine.build_mint(request_id)
-        ct = engine.build_note_ciphertext(transfer.witness.lock_note, vault)
-        res = engine.do_mint("user", request_id, transfer, ct)
-        if isinstance(res, Rejection):
-            raise ProtocolError(f"mint of {request_id} rejected: {res.reason}")
-        engine.confirm_issue(vault, request_id)
+    def actor_phase(eng: Engine) -> None:
+        for bot in bots:
+            bot.step(eng)
 
-    vault_views = {}
-    for vault in vaults:
-        account = engine.actors[vault]
-        received = [n.value for n in account.zcash.unspent.values()]
-        vault_views[vault] = received[0] if received else 0
+    for _ in range(protocol.delta_mint + protocol.delta_confirm_issue + 2):
+        if all(bot.phase in ("done", "stalled") for bot in issuers):
+            break
+        engine.tick(actor_phase)
+    unclosed = [f"{bot.request_id} ({bot.phase})" for bot in issuers
+                if engine.requests[bot.request_id].close_reason != "confirmed"]
+    if unclosed:
+        raise ProtocolError(f"privacy run: not confirmed: {', '.join(unclosed)}")
+
+    # a confirmed issue credits the vault its lock note, the piece it sees
+    vault_views = {vault: next(iter(engine.actors[vault].zcash.unspent.values())).value
+                   for vault in vaults}
 
     return {
         "cfg": cfg,
@@ -656,10 +655,7 @@ def run_privacy_analysis(h: int, k: int, seed: int = 1,
 
 
 def vault_views_csv(vault_views: dict[str, int]) -> str:
-    lines = ["vault,observed_piece"]
-    for vault in sorted(vault_views):
-        lines.append(f"{vault},{vault_views[vault]}")
-    return "\n".join(lines) + "\n"
+    return _csv("vault,observed_piece", sorted(vault_views.items()))
 
 
 # --- relay safety harness ---------------------------------------------------------------

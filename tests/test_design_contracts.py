@@ -1,9 +1,11 @@
 """Design contracts that hold for the whole source tree: `src/` imports only
-the standard library and uses every name it imports, and actors (the CLI
-bots and the demos) drive the engine through its public API."""
+the standard library and uses every name it imports, actors (the CLI bots
+and the demos) drive the engine through its public API, and README's
+scenario-key and role tables state what the schema and the bots do."""
 
 import ast
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,45 @@ def test_src_imports_are_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [f"{path.name}:{line} {name}" for name, line in imported.items()
             if name not in used] == []
+
+
+def _readme_table(first_header: str) -> list[list[str]]:
+    """The rows of the README table whose header row starts with
+    `first_header`, each a list of its cells."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"| {first_header} |"))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_key_table_matches_scenario_keys():
+    from shieldbridge.simcli import SCENARIO_KEYS
+
+    documented = {}
+    for key, target, default in _readme_table("key"):
+        if key.strip("`") in SCENARIO_KEYS:
+            documented[key.strip("`")] = (target, default)
+    assert sorted(documented) == sorted(SCENARIO_KEYS)
+    for key, (cls, name) in SCENARIO_KEYS.items():
+        target, default = documented[key]
+        field = next(f for f in fields(cls) if f.name == name)
+        assert target.split(" (")[0] == f"`{cls.__name__}.{name}`", key
+        assert default == ("required" if field.default is MISSING else str(field.default)), key
+
+
+def test_readme_role_table_matches_bot_strategies():
+    from shieldbridge.simcli import ROLES
+
+    rows = _readme_table("role")
+    assert [role.strip("`") for role, _, _ in rows] == list(ROLES)
+    single = [(role.strip("`"), bots, strategies) for role, bots, strategies in rows
+              if len(ROLES[role.strip("`")]) == 1]
+    assert len(single) == 3
+    for role, bots, strategies in single:
+        (bot,) = ROLES[role]
+        assert bots == f"`{bot.__name__}`", role
+        assert strategies.split(", ") == list(bot.STRATEGIES), role

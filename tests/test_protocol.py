@@ -1,3 +1,4 @@
+import copy
 import itertools
 import re
 from dataclasses import replace
@@ -25,7 +26,7 @@ from shieldbridge.protocol import (
     ops_by_request,
     sequence_ok,
 )
-from shieldbridge.simcli import collect_metrics
+from shieldbridge.simcli import collect_metrics, corrupt_ciphertext
 from shieldbridge.vault_registry import RegistryParams
 from shieldbridge.zcash_chain import BlockHeader, CommitmentTree, Rejection
 
@@ -55,15 +56,16 @@ def make_engine(k=3, seed=7, pairs=1, **overrides):
 
 
 def run_issue(engine, issuer="A1", vault="V1", amount=LOCK, confirm=True,
-              ct_kwargs=None, mint_kwargs=None):
+              ct_edit=None, mint_kwargs=None):
     request = engine.request_lock(issuer, vault)
     assert not isinstance(request, Rejection)
     assert engine.do_lock(issuer, request.request_id, amount)
     for _ in range(engine.config.relay_k + 1):
         engine.tick()
     transfer = engine.build_mint(request.request_id, **(mint_kwargs or {}))
-    ct = engine.build_note_ciphertext(transfer.witness.lock_note, vault,
-                                      **(ct_kwargs or {}))
+    ct = engine.build_note_ciphertext(transfer.witness.lock_note, vault)
+    if ct_edit is not None:
+        ct = ct_edit(ct)
     result = engine.do_mint(issuer, request.request_id, transfer, ct)
     if confirm and not isinstance(result, Rejection):
         assert engine.confirm_issue(vault, request.request_id) == OK
@@ -276,7 +278,7 @@ class TestIssueTimeouts:
 class TestIssueChallenge:
     def test_corrupted_ciphertext_challenged(self):
         engine = make_engine()
-        request = run_issue(engine, confirm=False, ct_kwargs={"corrupt": True})
+        request = run_issue(engine, confirm=False, ct_edit=corrupt_ciphertext)
         assert engine.challenge_issue("V1", request.request_id) == OK
         assert request.state == ISSUE_CHALLENGED
         assert engine.issuing.supply == 0  # mint voided
@@ -311,7 +313,7 @@ class TestIssueChallenge:
 
     def test_forged_secret_challenge_rejected(self):
         engine = make_engine()
-        request = run_issue(engine, confirm=False, ct_kwargs={"corrupt": True})
+        request = run_issue(engine, confirm=False, ct_edit=corrupt_ciphertext)
         rej = engine.challenge_issue("V1", request.request_id,
                                      revealed=SharedSecret(b"\x05" * 32))
         assert isinstance(rej, Rejection) and rej.reason == "challenge-not-upheld"
@@ -324,7 +326,7 @@ class TestIssueChallenge:
 
     def test_challenge_after_deadline_rejected(self):
         engine = make_engine()
-        request = run_issue(engine, confirm=False, ct_kwargs={"corrupt": True})
+        request = run_issue(engine, confirm=False, ct_edit=corrupt_ciphertext)
         engine.now = request.deadline_confirm + 1
         rej = engine.challenge_issue("V1", request.request_id)
         assert isinstance(rej, Rejection) and rej.reason == "deadline-passed"
@@ -413,7 +415,10 @@ class TestRedeemFailures:
 
     def test_corrupt_ciphertext_redeem_challenged(self):
         engine = engine_with_supply()
-        transfer, _ = engine.build_burn("A1", "V1", MINTED, ct_corrupt=True)
+        transfer, _ = engine.build_burn("A1", "V1", MINTED)
+        statement = transfer.statement
+        transfer = replace(transfer, statement=replace(
+            statement, ciphertext=corrupt_ciphertext(statement.ciphertext)))
         request = engine.do_burn("A1", "V1", transfer)
         assert engine.challenge_redeem("V1", request.request_id) == OK
         assert request.state == REDEEM_CHALLENGED
@@ -434,14 +439,17 @@ class TestRedeemFailures:
         transfer, _ = engine.build_burn("A1", "V1", MINTED)
         request = engine.do_burn("A1", "V1", transfer)
         rej = engine.do_release("A1", request.request_id)
-        assert isinstance(rej, Rejection) and rej.reason == "wrong-vault"
-        assert engine.trace_rows()[-1][4:] == (AWAIT_REDEEM_CONFIRM, AWAIT_REDEEM_CONFIRM,
-                                               "rejected:wrong-vault")
+        assert isinstance(rej, Rejection) and rej.reason == "no-such-request"
+        assert engine.trace_rows()[-1] == (engine.now, "A1", "release", request.request_id,
+                                           "", "", "rejected:no-such-request")
 
-    def test_release_without_burn_is_internal_error(self):
+    def test_release_without_burn_rejected(self):
         engine = engine_with_supply()
-        with pytest.raises(ProtocolError):
-            engine.do_release("V1", "R999")
+        rows = len(engine.trace_rows())
+        rej = engine.do_release("V1", "R999")
+        assert isinstance(rej, Rejection) and rej.reason == "no-such-request"
+        assert engine.trace_rows()[rows:] == [
+            (engine.now, "V1", "release", "R999", "", "", "rejected:no-such-request")]
 
     def test_confirm_below_finality_rejected(self):
         engine = engine_with_supply()
@@ -651,6 +659,58 @@ class TestStateMachineModelCheck:
         engine.submit_poc("V1")
         self.try_all_ops(engine, request.request_id,
                          allowed={"confirmRedeem", "challengeRedeem", "requestLock"})
+
+
+
+# (engine method, trace op, arguments after the actor and request id)
+GUARDED_OPS = [("do_lock", "lock", (LOCK,)), ("do_mint", "mint", (None, None)),
+               ("confirm_issue", "confirmIssue", ()),
+               ("challenge_issue", "challengeIssue", ()), ("do_release", "release", ()),
+               ("confirm_redeem", "confirmRedeem", ()),
+               ("challenge_redeem", "challengeRedeem", ())]
+
+
+class TestRequestGuard:
+    """Every op on an existing request passes the one guard: an unknown id,
+    the wrong party or a request of the other kind gets one traced
+    `no-such-request` row and changes no request."""
+
+    @pytest.mark.parametrize("case", ["unknown-id", "wrong-party", "wrong-kind"])
+    @pytest.mark.parametrize("method, op, args", GUARDED_OPS,
+                             ids=[method for method, _, _ in GUARDED_OPS])
+    def test_rejected_by_the_guard(self, method, op, args, case):
+        engine = engine_with_supply()
+        engine.submit_poc("V1")
+        issue = engine.request_lock("A1", "V1")
+        transfer, _ = engine.build_burn("A1", "V1", 1_000_000)
+        redeem = engine.do_burn("A1", "V1", transfer)
+        step = LIFECYCLE[op]
+        party, other = ("A1", "V1") if step.party == "requester" else ("V1", "A1")
+        own, foreign = (issue, redeem) if step.kind == "issue" else (redeem, issue)
+        actor, request_id = {"unknown-id": (party, "R999"),
+                             "wrong-party": (other, own.request_id),
+                             "wrong-kind": (party, foreign.request_id)}[case]
+        requests = copy.deepcopy(engine.requests)
+        rows = len(engine.trace_rows())
+        result = getattr(engine, method)(actor, request_id, *args)
+        assert result == Rejection("no-such-request")
+        assert engine.trace_rows()[rows:] == [
+            (engine.now, actor, op, request_id, "", "", "rejected:no-such-request")]
+        assert engine.requests == requests
+
+
+class TestSetup:
+    def test_actor_added_twice_is_internal_error(self):
+        params = RegistryParams(v_max=100, f=Fraction(2, 100), sigma_std=Fraction(3, 2),
+                                i_w=5)
+        engine = Engine(ProtocolConfig(params), 1)
+        account = engine.add_actor("A", zec_notes=(100,), i_balance=10)
+        with pytest.raises(ProtocolError, match="actor 'A' added twice"):
+            engine.add_actor("A", zec_notes=(100,), i_balance=10)
+        engine.start()
+        assert engine.actors["A"] is account
+        assert account.zcash.balance() == 100
+        assert engine.issuing.i_ledger.balance("A") == 10
 
 
 def full_scan_deadlines(engine):

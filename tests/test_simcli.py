@@ -11,7 +11,7 @@ import pytest
 
 import shieldbridge
 from shieldbridge import simcli
-from shieldbridge.protocol import Engine, ProtocolConfig, ProtocolError
+from shieldbridge.protocol import Engine, ProtocolConfig, ProtocolError, conformance_errors
 from shieldbridge.simcli import (
     ActorSpec,
     ConfigError,
@@ -100,6 +100,10 @@ class TestConfigParser:
          "actor.A1.zec must be < 2**64"),
         ("actor.A1.i = 100", "actor.A1.i = -1", "actor.A1.i must be >= 0"),
         ("oracle.rate.0 = 2/1", "oracle.rate.5 = 2/1", "missing oracle.rate.0"),
+        ("oracle.rate.0 = 2/1", "oracle.rate.0 = 2/1\noracle.rate.30 = 3/1\noracle.rate.030 = 7/1",
+         "oracle.rate.030: the tick must be ASCII digits without leading zeros"),
+        ("oracle.rate.0 = 2/1", "oracle.rate.0 = 2/1\noracle.rate.\u00b2 = 1/1",
+         "oracle.rate.\u00b2: the tick must be ASCII digits without leading zeros"),
         ("relay.k = 6", "relay.k = -1", "relay_k must be >= 1"),
         ("relay.k = 6", "relay.k = 6\nprotocol.delta_mint = 0", "delta_mint must be >= 1"),
         ("ticks = 30", "ticks = -1", "ticks must be >= 0"),
@@ -112,7 +116,8 @@ class TestConfigParser:
             "sigma-below-one", "oracle-rate-nonpositive", "tree-depth-zero",
             "zcash-fee-negative", "warranty-negative", "liq-margin-negative",
             "actor-zec-negative", "actor-zec-above-64-bits", "actor-i-negative",
-            "oracle-no-tick-0-rate", "relay-k-negative", "delta-mint-zero", "ticks-negative",
+            "oracle-no-tick-0-rate", "oracle-tick-leading-zero", "oracle-tick-not-ascii",
+            "relay-k-negative", "delta-mint-zero", "ticks-negative",
             "mute-honest-at-negative", "vault-collateral-above-i"])
     def test_inconsistent_actor_or_key_rejected(self, old, new, message):
         text = load_bundled_scenario("issue_happy")
@@ -235,7 +240,7 @@ class TestBundledScenarios:
 
     def test_eclipse_claim_not_verified_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(Engine, "check_inclusion_claim",
-                            lambda self, cm, path, block_hash: "rejected:bad-path")
+                            lambda self, cm, path, block_hash: Rejection("bad-path"))
         cfg = load_scenario(load_bundled_scenario("relay_eclipse"))
         with pytest.raises(ProtocolError, match="rejected:bad-path"):
             run_scenario(cfg)
@@ -372,8 +377,16 @@ class TestPrivacyAnalysis:
     def test_rejected_mint_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(Engine, "do_mint",
                             lambda self, *args: Rejection("statement-failed"))
-        with pytest.raises(ProtocolError, match="rejected: statement-failed"):
+        with pytest.raises(ProtocolError, match=r"not confirmed: R1 \(stalled\)"):
             run_privacy_analysis(7, 4, seed=9, total=5)
+
+    def test_run_walks_the_grammar(self):
+        analysis = run_privacy_analysis(10, 8, seed=3, total=600)
+        engine = analysis["engine"]
+        assert conformance_errors(engine) == []
+        assert len(engine.requests) == 8
+        assert all(request.close_reason == "confirmed"
+                   for request in engine.requests.values())
 
     def test_desk_scale_refusal(self):
         with pytest.raises(ConfigError, match="desk-scale"):
