@@ -9,7 +9,7 @@ from shieldbridge.simcli import run_relay_safety
 
 print("== depth-k finality on a live fork ==")
 chain = ChainState(depth=6, fee=0)
-relay = Relay(chain.tip.header, finality_depth=4)
+relay = Relay(chain.tip.header, finality_depth=4, tree_depth=6)
 first = chain.mine_block()
 relay.submit_header(first)
 for _ in range(3):

@@ -213,7 +213,8 @@ class Engine:
         self.rng = Random(seed)
         self.directory = SharedSecretDirectory(rng_bytes(self.rng, 32))
         self.zcash = ChainState(depth=config.tree_depth, fee=config.zc_fee)
-        self.relay = Relay(self.zcash.tip.header, finality_depth=config.relay_k)
+        self.relay = Relay(self.zcash.tip.header, finality_depth=config.relay_k,
+                           tree_depth=config.tree_depth)
         self.oracle = RateFeed()
         self.issuing = IssuingChain(self.relay, config.params.f, config.params.v_max,
                                     tree_depth=config.tree_depth)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .notes import NoteCommitment
-from .zcash_chain import BlockHeader, MerklePath, Rejection, fold_path
+from .zcash_chain import DEFAULT_TREE_DEPTH, BlockHeader, MerklePath, Rejection, fold_path
 
 DEFAULT_FINALITY_DEPTH = 24
 
@@ -36,11 +36,16 @@ class Relay:
     """Header store with depth-k finality signalling.
 
     Initialized from a trusted checkpoint header (normally the simulated
-    chain's genesis), like a light client.
+    chain's genesis), like a light client. It knows the depth of the
+    chain's commitment tree, so an inclusion path must carry exactly
+    `tree_depth` siblings: a shorter one would fold an internal node of
+    the tree up to the root and pass it off as a leaf.
     """
 
-    def __init__(self, checkpoint: BlockHeader, finality_depth: int = DEFAULT_FINALITY_DEPTH):
+    def __init__(self, checkpoint: BlockHeader, finality_depth: int = DEFAULT_FINALITY_DEPTH,
+                 tree_depth: int = DEFAULT_TREE_DEPTH):
         self.k = finality_depth
+        self.tree_depth = tree_depth
         self.headers: dict[bytes, BlockHeader] = {checkpoint.hash: checkpoint}
         self.cum_work: dict[bytes, int] = {checkpoint.hash: checkpoint.work}
         self.best_tip: bytes = checkpoint.hash
@@ -118,6 +123,7 @@ class Relay:
                               block_hash: bytes):
         if not self.is_final(block_hash):
             return Rejection("not-final")
-        if fold_path(cm.digest, path) != self.headers[block_hash].tree_root:
+        if (len(path.siblings) != self.tree_depth
+                or fold_path(cm.digest, path) != self.headers[block_hash].tree_root):
             return Rejection("bad-path")
         return VERIFIED

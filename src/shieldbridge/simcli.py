@@ -38,6 +38,7 @@ from .notes import VALUE_WIDTH, Note, NoteCiphertext, NoteCommitment, commit_not
 from .protocol import (
     AWAIT_ISSUE_CONFIRM,
     OK,
+    SYSTEM,
     Engine,
     ProtocolConfig,
     ProtocolError,
@@ -197,6 +198,9 @@ def load_scenario(text: str) -> ScenarioConfig:
     if 0 not in dict(oracle_script):
         raise ConfigError("missing oracle.rate.0: the oracle script must start at tick 0")
     for name, given in actors.items():
+        if name == SYSTEM:
+            raise ConfigError(f"actor.{name}.role: {SYSTEM!r} is the actor name of the "
+                              f"engine's timeout rows; choose another actor name")
         if "role" not in given:
             raise ConfigError(f"actor.{name}.{next(iter(given))}: "
                               f"actor {name!r} has no actor.{name}.role")
@@ -676,7 +680,7 @@ def run_relay_safety(n_blocks: int, alpha: float, k: int, seed: int,
     """
     rng = Random(seed)
     chain = ChainState(depth=4, fee=0)
-    relay = Relay(chain.tip.header, finality_depth=k)
+    relay = Relay(chain.tip.header, finality_depth=k, tree_depth=4)
     adv_tip: Optional[bytes] = None
     adv_blocks = 0
     reorgs = 0

@@ -14,7 +14,7 @@ contains only nullifiers, commitments, ciphertexts and the fee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import repeat
 from typing import Callable, Optional
@@ -256,21 +256,36 @@ class ShieldedPool:
 # --- blocks and chain ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHeader:
+    """A Zcash block header as the relay stores it.
+
+    The digest's input (height, work and nonce through `encode_int`, with
+    the parent and tree root) is built once, at construction, into
+    `_parts`, so relaying a header never re-encodes it; an out-of-range
+    field raises `NoteError` at construction. `hash` still digests `_parts`
+    on every access: perfbench pins those calls as
+    `header_hashes_per_block`, so caching the hash itself waits for a
+    re-record of that count."""
+
     height: int
     parent: bytes
     tree_root: bytes
     work: int
     nonce: int = 0  # miner entropy; keeps equal-content blocks distinct
+    _parts: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_parts", (
+            encode_int(self.height), self.parent, self.tree_root,
+            encode_int(self.work), encode_int(self.nonce)))
 
     @property
     def hash(self) -> bytes:
-        return digest(b"block-header", encode_int(self.height), self.parent,
-                      self.tree_root, encode_int(self.work), encode_int(self.nonce))
+        return digest(b"block-header", *self._parts)
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     header: BlockHeader
     txs: list[ShieldedTx]

@@ -56,7 +56,7 @@ class Harness:
         self.rng = random.Random(17)
         self.directory = SharedSecretDirectory(rng_bytes(self.rng, 32))
         self.zcash = ChainState(depth=8, fee=1000)
-        self.relay = Relay(self.zcash.tip.header, finality_depth=k)
+        self.relay = Relay(self.zcash.tip.header, finality_depth=k, tree_depth=8)
         self.vault_addr = random_address(self.rng)
         self.permit_nonce = rng_bytes(self.rng, 32)
         self.lock_note = Note(self.vault_addr, lock_value, derive_rcm(self.permit_nonce))
@@ -134,7 +134,8 @@ class TestMint:
     def test_unfinal_inclusion_rejected(self):
         # same setup, but the relay requires more confirmations than it saw
         h = Harness(k=3)
-        starved_relay = Relay(h.zcash.blocks[h.zcash.main[0]].header, finality_depth=8)
+        starved_relay = Relay(h.zcash.blocks[h.zcash.main[0]].header, finality_depth=8,
+                              tree_depth=8)
         for bh in h.zcash.main[1:]:
             starved_relay.submit_header(h.zcash.blocks[bh].header)
         issuing = IssuingChain(starved_relay, FEE, V_MAX, tree_depth=8)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from shieldbridge.notes import NoteCommitment, SharedSecret
+from shieldbridge.notes import NoteCommitment, SharedSecret, digest
 from shieldbridge.protocol import (
     AWAIT_ISSUE_CONFIRM,
     AWAIT_REDEEM_CONFIRM,
@@ -28,7 +28,7 @@ from shieldbridge.protocol import (
 )
 from shieldbridge.simcli import collect_metrics, corrupt_ciphertext
 from shieldbridge.vault_registry import RegistryParams
-from shieldbridge.zcash_chain import BlockHeader, CommitmentTree, Rejection
+from shieldbridge.zcash_chain import BlockHeader, CommitmentTree, MerklePath, Rejection
 
 LOCK = 5_000_000_000          # 50 ZEC
 MINTED = 4_900_000_000        # floor(lock * 0.98)
@@ -36,13 +36,13 @@ RELEASED = 4_802_000_000      # floor(minted * 0.98)
 COLLATERAL = 29_400_000_000   # capacity boundary at v_max=100 ZEC, xr=2
 
 
-def make_engine(k=3, seed=7, pairs=1, **overrides):
+def make_engine(k=3, seed=7, pairs=1, tree_depth=8, **overrides):
     """An engine with vaults V1.. and users A1.., one pair per index."""
     params = RegistryParams(v_max=10_000_000_000, f=Fraction(2, 100),
                             sigma_std=Fraction(3, 2), i_w=5)
     config = ProtocolConfig(params, relay_k=k, delta_mint=24,
                             delta_confirm_issue=6, delta_confirm_redeem=24,
-                            tree_depth=8, **overrides)
+                            tree_depth=tree_depth, **overrides)
     engine = Engine(config, seed)
     engine.oracle.set_rate(0, Fraction(2, 1))
     for i in range(1, pairs + 1):
@@ -539,6 +539,24 @@ REDEEM_SEQUENCE = re.compile(
 
 def accepts(kind, ops):
     return sequence_ok(kind, ops.split(","))
+
+
+class TestInclusionClaim:
+    def test_internal_node_rejected_without_violation(self):
+        # the funding block of a depth-4 chain holds leaves 0 and 1; a path
+        # one sibling short proves their parent node, which is no note, so
+        # an honest relay rejects it and no relay violation is recorded
+        engine = make_engine(tree_depth=4)
+        funding = engine.zcash.main[1]
+        for _ in range(engine.config.relay_k):
+            engine.tick()
+        assert engine.relay.is_final(funding)
+        leaf0, leaf1 = engine.zcash.pool.tree.leaves
+        node = NoteCommitment(digest(b"tree-node", leaf0, leaf1))
+        short = MerklePath(0, engine.zcash.pool.tree.path_at(0, 2).siblings[1:])
+        verdict = engine.check_inclusion_claim(node, short, funding)
+        assert isinstance(verdict, Rejection) and verdict.reason == "bad-path"
+        assert all(event[1] != "relay-violation" for event in engine.events)
 
 
 class TestGrammarChecker:

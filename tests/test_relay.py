@@ -8,6 +8,7 @@ from shieldbridge.notes import (
     NoteCommitment,
     SharedSecretDirectory,
     commit_note,
+    digest,
     encrypt_note,
     random_address,
     rng_bytes,
@@ -17,9 +18,11 @@ from shieldbridge.zcash_chain import (
     BlockHeader,
     ChainState,
     CommitmentTree,
+    MerklePath,
     OutputDescription,
     Rejection,
     ShieldedTx,
+    fold_path,
 )
 
 
@@ -30,7 +33,7 @@ def rng():
 
 def relayed_chain(k=4, depth=8):
     chain = ChainState(depth=depth, fee=0)
-    relay = Relay(chain.tip.header, finality_depth=k)
+    relay = Relay(chain.tip.header, finality_depth=k, tree_depth=depth)
     return chain, relay
 
 
@@ -200,6 +203,31 @@ class TestNoteInclusion:
         other = NoteCommitment(rng_bytes(rng, 32))
         rej = relay.verify_note_inclusion(other, path, inclusion.hash)
         assert isinstance(rej, Rejection) and rej.reason == "bad-path"
+
+    def test_rejected_for_internal_node(self, rng):
+        # a path one sibling short folds the parent of leaves 0 and 1 up to
+        # the block's root; that node is no leaf, so the proof is bad
+        chain, relay = relayed_chain(k=2, depth=4)
+        directory = SharedSecretDirectory(rng_bytes(rng, 32))
+        addr = random_address(rng)
+        outputs = []
+        for value in (1, 2):
+            note = Note(addr, value, rng_bytes(rng, 32))
+            epk = directory.new_ephemeral(rng)
+            ct = encrypt_note(note, addr, directory.secret_for(epk, addr), epk)
+            outputs.append(OutputDescription(commit_note(note), ct, note))
+        chain.submit_shielded_tx(ShieldedTx((), tuple(outputs), 0), allow_unbacked=True)
+        block = chain.mine_block()
+        relay.submit_header(block)
+        feed_main(chain, relay, 2)
+        leaf0, leaf1 = chain.pool.tree.leaves
+        node = NoteCommitment(digest(b"tree-node", leaf0, leaf1))
+        full = chain.pool.tree.path_at(0, 2)
+        short = MerklePath(0, full.siblings[1:])
+        assert fold_path(node.digest, short) == block.tree_root
+        rej = relay.verify_note_inclusion(node, short, block.hash)
+        assert isinstance(rej, Rejection) and rej.reason == "bad-path"
+        assert relay.verify_note_inclusion(NoteCommitment(leaf0), full, block.hash) == VERIFIED
 
 
 class TestDeepReorgAgainstHonestRelay:

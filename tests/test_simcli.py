@@ -463,6 +463,17 @@ class TestCli:
                               "has no strategy 'silnt'")
         assert err.count("\n") == 1
 
+    def test_actor_named_system_exits_2(self, tmp_path, capsys):
+        # `system` is the actor of the engine's timeout rows, so an actor of
+        # that name would make trace.csv ambiguous
+        text = load_bundled_scenario("issue_happy").replace("A1", "system")
+        with pytest.raises(ConfigError, match=r"^actor\.system\.role: 'system' is the actor"):
+            load_scenario(text)
+        f = tmp_path / "bad.cfg"
+        f.write_text(text)
+        assert main(["run", "--scenario", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("config error: actor.system.role: ")
+
     def test_out_of_range_param_exits_2(self, tmp_path, capsys):
         # a value the parameter dataclass rejects is a config error too
         text = load_bundled_scenario("issue_happy").replace("params.f = 2/100",

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +12,18 @@ from shieldbridge import zcash_chain
 from shieldbridge.notes import (
     Note,
     NoteCommitment,
+    NoteError,
     SharedSecretDirectory,
     commit_note,
     derive_nullifier,
+    digest,
+    encode_int,
     encrypt_note,
     random_address,
     rng_bytes,
 )
 from shieldbridge.zcash_chain import (
+    BlockHeader,
     ChainError,
     ChainState,
     CommitmentTree,
@@ -288,6 +293,60 @@ class TestMining:
             heights.append(chain.blocks[tip].header.height)
         assert heights == [chain.blocks[fork_from].header.height + i for i in range(1, 5)]
         assert chain.main[-1] != tip  # main unchanged until a reorg
+
+
+def header_hash_oracle(header):
+    """The per-access encoding the cached `_parts` replaced: the oracle."""
+    return digest(b"block-header", encode_int(header.height), header.parent,
+                  header.tree_root, encode_int(header.work), encode_int(header.nonce))
+
+
+U64 = st.integers(0, 2**64 - 1)
+HEADERS = st.builds(BlockHeader, U64, st.binary(max_size=40), st.binary(max_size=40),
+                    U64, U64)
+
+
+class TestHeaderEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(header=HEADERS)
+    def test_hash_matches_per_access_encoding(self, header):
+        assert header.hash == header_hash_oracle(header)
+
+    @settings(max_examples=100, deadline=None)
+    @given(header=HEADERS, other=HEADERS)
+    def test_replacing_any_field_changes_the_hash(self, header, other):
+        for f in fields(BlockHeader):
+            if not f.init:
+                continue
+            value = getattr(other, f.name)
+            changed = replace(header, **{f.name: value})
+            assert changed.hash == header_hash_oracle(changed)
+            assert (changed.hash == header.hash) == (value == getattr(header, f.name))
+
+    def test_equal_headers_compare_equal(self):
+        a = BlockHeader(3, b"p" * 32, b"r" * 32, 1, nonce=7)
+        b = BlockHeader(3, b"p" * 32, b"r" * 32, 1, nonce=7)
+        assert a == b and hash(a) == hash(b) and a.hash == b.hash
+        assert a != replace(a, nonce=8)
+
+    def test_parts_stay_out_of_repr(self):
+        header = BlockHeader(3, b"p", b"r", 1)
+        assert repr(header) == "BlockHeader(height=3, parent=b'p', tree_root=b'r', work=1, nonce=0)"
+
+    @pytest.mark.parametrize("field_name", ["height", "work", "nonce"])
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    def test_out_of_range_field_raises_at_construction(self, field_name, value):
+        good = {"height": 1, "parent": b"p", "tree_root": b"r", "work": 1, "nonce": 0}
+        with pytest.raises(NoteError, match="amounts are integers"):
+            BlockHeader(**{**good, field_name: value})
+
+    def test_every_access_digests(self):
+        # the pinned header_hashes_per_block counts each access, so `hash`
+        # digests the cached parts anew every time
+        header = BlockHeader(3, b"p" * 32, b"r" * 32, 1)
+        with counted_digests() as tags:
+            assert header.hash == header.hash
+        assert tags[b"block-header"] == 2
 
 
 class TestReorg:
