@@ -10,6 +10,12 @@ The canonical byte encodings defined here (fixed-width big-endian integers,
 length-prefixed byte strings) are the single source of truth for every
 digest input in the package, so commitments and transaction ids are
 bit-reproducible across runs.
+
+Every hash in the package goes through `digest`, which keeps one SHA-256
+state per domain tag (the state after hashing the framed tag) and copies it
+on each call, so a domain costs nothing per call; parts of 256 bytes or
+more fall back to full `encode_bytes` framing. This module is the only one
+that imports `hashlib` or `hmac`.
 """
 
 from __future__ import annotations
@@ -43,16 +49,32 @@ def encode_bytes(data: bytes) -> bytes:
 
 
 _LENGTHS = [n.to_bytes(4, "big") for n in range(256)]  # encode_bytes's prefix of short parts
+_TAG_STATES: dict = {}  # tag -> SHA-256 state after encode_bytes(tag), filled on first use
 
 
 def digest(tag: bytes, *parts: bytes) -> bytes:
     """Domain-separated SHA-256 over the tag and parts, each framed as
-    `encode_bytes` frames it. A part shorter than 256 bytes, which is nearly
-    every part, takes its length prefix from `_LENGTHS`."""
-    h = sha256(_LENGTHS[len(tag)] + tag)
-    for part in parts:
-        n = len(part)
-        h.update((_LENGTHS[n] if n < 256 else n.to_bytes(4, "big")) + part)
+    `encode_bytes` frames it.
+
+    As Sapling's personalised hashes fix their domain in the initial state,
+    the state after the framed tag is computed once per tag and kept in
+    `_TAG_STATES`; a call copies it and feeds each part's length prefix from
+    `_LENGTHS`, then the part. A part of 256 bytes or more has no entry
+    there, so the call starts again from the tag's state and frames every
+    part with `encode_bytes`. The hashed bytes are the same either way.
+    Callers pass bytes literals as tags, which bounds the map."""
+    try:
+        h = _TAG_STATES[tag].copy()
+    except KeyError:
+        h = _TAG_STATES.setdefault(tag, sha256(encode_bytes(tag))).copy()
+    try:
+        for part in parts:
+            h.update(_LENGTHS[len(part)])
+            h.update(part)
+    except IndexError:
+        h = _TAG_STATES[tag].copy()
+        for part in parts:
+            h.update(encode_bytes(part))
     return h.digest()
 
 

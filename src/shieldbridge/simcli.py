@@ -580,10 +580,12 @@ def distribution_csv(cfg: SplitConfig) -> str:
 
 
 def _split_config(h: int, k: int, total: Optional[int] = None) -> SplitConfig:
-    """The SplitConfig of an exhaustive check; bad parameters or total are config errors."""
-    if 2**h > DESK_SCALE_LIMIT:
-        raise ConfigError(f"2^h = {2**h} exceeds the desk-scale limit {DESK_SCALE_LIMIT}; "
-                          f"use h <= 16")
+    """The SplitConfig of an exhaustive check; bad parameters or total are config errors.
+    `h` is compared with the limit's exponent, so a huge `h` never builds `2**h`."""
+    h_max = DESK_SCALE_LIMIT.bit_length() - 1
+    if h > h_max:
+        raise ConfigError(f"h = {h} exceeds the desk-scale limit 2^{h_max} = "
+                          f"{DESK_SCALE_LIMIT}; use h <= {h_max}")
     try:
         cfg = SplitConfig(h, k)
         if total is not None:

@@ -226,8 +226,13 @@ class VaultRegistry:
         last_rate = record.last_statement_rate
         if last_rate is None:
             return None
-        move = abs(rate - last_rate) / last_rate
-        if move < params.liq_margin:
+        # the move |rate - last_rate| / last_rate < liq_margin, decided by
+        # integer cross-multiplication: with rate = a/b, last_rate = c/d and
+        # liq_margin = p/q it is |a·d - c·b|·q < p·b·c (rates are positive)
+        a, b = rate.numerator, rate.denominator
+        c, d = last_rate.numerator, last_rate.denominator
+        margin = params.liq_margin
+        if abs(a * d - c * b) * margin.denominator < margin.numerator * b * c:
             return None
         obligations = _replay(self._history[vault_id])
         collateral = self.ledger.collateral_of(vault_id)

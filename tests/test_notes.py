@@ -2,9 +2,10 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shieldbridge import notes
 from shieldbridge.notes import (
     CHALLENGE_REJECTED,
     CHALLENGE_UPHELD,
@@ -253,6 +254,28 @@ class TestFastPathsAgainstOracles:
         parts = [bytes([n % 251]) * n for n in lengths]
         assert digest(b"tag", *parts) == framed_digest(b"tag", *parts)
         assert digest(b"", *parts) == framed_digest(b"", *parts)
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.just(b""), st.binary(min_size=1, max_size=32),
+                     st.binary(min_size=256, max_size=300)),
+           st.lists(st.one_of(st.integers(0, 300), st.sampled_from([255, 256])).flatmap(
+               lambda n: st.binary(min_size=n, max_size=n)), max_size=6))
+    def test_digest_matches_framed_oracle(self, tag, parts):
+        assert digest(tag, *parts) == framed_digest(tag, *parts)
+
+    def test_tag_states_stay_at_the_framed_tag(self):
+        # each call copies its tag's stored state; no call, the long-part
+        # fallback included, may advance the stored one
+        rng = random.Random(7)
+        tags = [b"", b"t", b"tree-node", b"x" * 255, b"y" * 256, b"z" * 300]
+        for _ in range(600):
+            tag = rng.choice(tags)
+            parts = [rng_bytes(rng, rng.choice([0, 1, 32, 255, 256, 300]))
+                     for _ in range(rng.randrange(5))]
+            assert digest(tag, *parts) == framed_digest(tag, *parts)
+        assert set(tags) <= set(notes._TAG_STATES)
+        for tag, state in notes._TAG_STATES.items():
+            assert state.digest() == hashlib.sha256(encode_bytes(tag)).digest()
 
     def test_framing_keeps_part_boundaries(self):
         assert digest(b"t", b"ab", b"c") != digest(b"t", b"a", b"bc")

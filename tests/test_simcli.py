@@ -495,12 +495,17 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["check-bounds", "--h", "8", "--k", "3"], "k must be a power of two >= 2"),
         (["check-bounds", "--h", "17", "--k", "4"],
-         "2^h = 131072 exceeds the desk-scale limit 65536"),
+         "h = 17 exceeds the desk-scale limit 2^16 = 65536; use h <= 16"),
+        # 2**20000 has too many digits to format, so this raised ValueError
+        (["check-bounds", "--h", "20000", "--k", "2"],
+         "h = 20000 exceeds the desk-scale limit 2^16 = 65536; use h <= 16"),
         (["privacy", "--h", "8", "--k", "3"], "k must be a power of two >= 2"),
         (["privacy", "--h", "8", "--k", "4", "--t", "300"], "total 300 outside [1, 255]"),
         (["privacy", "--h", "8", "--k", "4", "--t", "0"], "total 0 outside [1, 255]"),
-    ], ids=["check-bounds-k3", "check-bounds-h17", "privacy-k3", "privacy-t300",
-            "privacy-t0"])
+        (["privacy", "--h", "20000", "--k", "2"],
+         "h = 20000 exceeds the desk-scale limit 2^16 = 65536; use h <= 16"),
+    ], ids=["check-bounds-k3", "check-bounds-h17", "check-bounds-h20000", "privacy-k3",
+            "privacy-t300", "privacy-t0", "privacy-h20000"])
     def test_bad_split_params_exit_2(self, argv, message, capsys):
         # bad splitting parameters are a config error, not a failed bound
         # check (exit 1)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shieldbridge.issuing_chain import LIQUIDATION_POOL, TransparentLedger
 from shieldbridge.notes import random_address
@@ -202,6 +204,37 @@ class TestLiquidation:
         ledger, oracle, registry, vault = self.arm(setup)
         oracle.set_rate(50, Fraction(2, 1) * (1 + Fraction(5, 100)))  # +5% < margin
         assert registry.check_liquidation(vault, now=PARAMS.pob_period + 1) is None
+
+
+def fraction_moved_past(rate, last_rate, margin):
+    """Oracle: the rate move as `check_liquidation` computed it with Fractions."""
+    return abs(rate - last_rate) / last_rate >= margin
+
+
+RATES = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+MARGINS = st.builds(Fraction, st.integers(0, 300), st.integers(1, 100))
+
+
+class TestLiquidationArmingAgainstFractionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(last_rate=RATES, rate=RATES, margin=MARGINS, boundary=st.sampled_from([0, 1, -1]))
+    def test_arms_exactly_when_the_fraction_move_reaches_the_margin(
+            self, last_rate, rate, margin, boundary):
+        if boundary:  # a move of exactly the margin, up or down
+            rate = last_rate * (1 + boundary * margin)
+            if rate <= 0:
+                rate = last_rate * (1 + margin)
+        params = RegistryParams(v_max=100, f=Fraction(2, 100), sigma_std=Fraction(3, 2),
+                                i_w=5, liq_margin=margin)
+        ledger, oracle = TransparentLedger(), RateFeed()
+        oracle.set_rate(0, rate)
+        registry = VaultRegistry(params, ledger, oracle)
+        vault = register(ledger, registry, random_address(random.Random(1)), collateral=1)
+        # obligations so large that every armed check finds a deficit
+        registry.note_issue_completed(vault, 10**7)
+        registry.vaults[vault].last_statement_rate = last_rate
+        event = registry.check_liquidation(vault, now=params.pob_period + 1)
+        assert (event is not None) == fraction_moved_past(rate, last_rate, margin)
 
 
 class TestObserverHygiene:
