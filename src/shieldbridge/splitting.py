@@ -10,10 +10,12 @@ module implements:
   * exact conditional and marginal piece-size distributions over every
     total, the conditionals counted from the draw's bits (Lemma 1's bit
     counts) with rational arithmetic; the tests enumerate every draw as
-    the oracle,
+    the oracle; a conditional depends on the total only through its
+    branch, so it is computed once per branch,
   * posterior ratios Pr[T=t | piece=v] / Pr[T=t], and
   * exhaustive desk-scale verifiers for the distributional bounds the
-    strategy is designed to satisfy, reported claim by claim.
+    strategy is designed to satisfy, reported claim by claim and total by
+    total, each claim decided once per distinct conditional.
 
 All probabilities are exact fractions, and every verdict is an integer
 cross-multiplication of them; no bound check depends on rounding.
@@ -57,6 +59,8 @@ class SplitConfig:
     t_max: int = field(init=False, compare=False)
 
     def __post_init__(self):
+        if not all(type(x) is int for x in (self.h, self.k)):  # a bool is refused too
+            raise SplittingError(f"h and k must be integers, got {self.h!r} and {self.k!r}")
         if self.k < 2 or self.k & (self.k - 1):
             raise SplittingError("k must be a power of two >= 2")
         if self.h < 1:
@@ -201,11 +205,18 @@ class PieceDistribution:
 
 def exact_conditional_expectation(t: int, cfg: SplitConfig) -> PieceDistribution:
     """E[X_j | T=t] for every piece-size index j, exact over the n = i_max + 1
-    equiprobable draws i. Draw i gives d pieces of 2^m plus the set bits of
-    i*e and (i_max - i)*e; both i and i_max - i run over [0, i_max], so bit b
-    gives a piece 2^b * e in 2 * _ones_in_range(n, b) draws. The rest are 0."""
+    equiprobable draws i. It depends on t only through t's branch
+    (d, e, i_max), so every total of one branch gets the same object."""
     cfg.check_total(t)
     d, e, _, i_max = _branch(t, cfg)
+    return _branch_distribution(cfg, d, e, i_max)
+
+
+@functools.lru_cache(maxsize=DESK_SCALE_LIMIT)
+def _branch_distribution(cfg: SplitConfig, d: int, e: int, i_max: int) -> PieceDistribution:
+    """Draw i gives d pieces of 2^m plus the set bits of i*e and (i_max - i)*e;
+    both i and i_max - i run over [0, i_max], so bit b gives a piece 2^b * e
+    in 2 * _ones_in_range(n, b) draws. The rest are 0."""
     n = i_max + 1
     counts = [0] * (cfg.m + 2)
     counts[cfg.m + 1] = d * n
@@ -220,14 +231,18 @@ def marginal_expectation(cfg: SplitConfig) -> PieceDistribution:
     """E[X_j] under the prior: sum over totals of prior * conditional.
 
     Total t has prior 1/(h * 2^N), N = floor(log2 t), so conditional c/n adds
-    the integer c over n * 2^N: one Fraction per such denominator, then / h."""
-    sums = [{} for _ in range(cfg.m + 2)]  # per index: n * 2^N -> sum of c
+    the integer c over n * 2^N: one Fraction per such denominator, then / h.
+    Each (conditional, N) pair adds c once, times the totals that share it."""
+    shares = {}  # (id of the shared conditional, N) -> [conditional, totals]
     for t in range(1, cfg.t_max + 1):
-        scale = t.bit_length() - 1
-        for by_den, x in zip(sums, exact_conditional_expectation(t, cfg).values):
+        dist = exact_conditional_expectation(t, cfg)
+        shares.setdefault((id(dist), t.bit_length() - 1), [dist, 0])[1] += 1
+    sums = [{} for _ in range(cfg.m + 2)]  # per index: n * 2^N -> sum of c
+    for (_, scale), (dist, count) in shares.items():
+        for by_den, x in zip(sums, dist.values):
             if c := x.numerator:
                 den = x.denominator << scale
-                by_den[den] = by_den.get(den, 0) + c
+                by_den[den] = by_den.get(den, 0) + c * count
     return PieceDistribution(cfg, tuple(
         sum((Fraction(c, den) for den, c in by_den.items()), _ZERO) / cfg.h
         for by_den in sums))
@@ -325,8 +340,8 @@ def check_lemma1(c: int, a: int) -> BoundsReport:
     bit's probability drops below 1/4 (e.g. 1/5 at c=2, a=0), which is why
     the top bits get the one-sided clause (ii).
     """
-    if not 0 <= a < 2**c:
-        raise SplittingError("require 0 <= a < 2^c")
+    if c < 0 or not 0 <= a < 2**c:
+        raise SplittingError("require c >= 0 and 0 <= a < 2^c")
     n = 2**c + a + 1
     report = BoundsReport()
     for j in range(c):
@@ -350,25 +365,61 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
     clauses are reported under both readings: rows tagged [idx=m] and
     [literal] carry the alternate index conventions, rows tagged [info] sit
     outside the guarantee's range. Failures are reported, never raised.
+
+    A total's rows depend on t only through the conditional its branch
+    shares and t >> m (the lemma2_ii cap, and theorem_top once
+    t >= 2^(m+1)), so each claim is decided once per distinct pair.
     """
     if 2**cfg.h > DESK_SCALE_LIMIT:
         raise SplittingError(f"2^h > {DESK_SCALE_LIMIT}: refuse exhaustive check")
     report = BoundsReport()
     m, k, h, lg = cfg.m, cfg.k, cfg.h, cfg.log2k
 
-    conds = {t: exact_conditional_expectation(t, cfg) for t in range(1, cfg.t_max + 1)}
+    # (id of the shared conditional, t >> m) per total; each such group keeps
+    # its conditional and the magnitudes of its totals
+    keys, groups = [], {}
+    for t in range(1, cfg.t_max + 1):
+        dist = exact_conditional_expectation(t, cfg)
+        keys.append(key := (id(dist), t >> m))
+        groups.setdefault(key, (dist, set()))[1].add(t.bit_length() - 1)
     marg = marginal_expectation(cfg).values
     three_halves, k_bound, eight = Fraction(3, 2), Fraction(k), Fraction(8)
+    caps = [Fraction(top) for top in range((cfg.t_max >> m) + 1)]
+    case_one_rhs = [Fraction(3 * h) / min(Fraction(k, 2), Fraction(max(m + 1 - j, lg)))
+                    for j in range(m + 2)]
 
-    # conditional upper bounds
-    for t, dist in conds.items():
+    # per group: the conditional upper bounds, then the posterior-ratio ones
+    decided = {}
+    for (dist_id, top), (dist, _) in groups.items():
+        bounds, ratios = BoundsReport(), BoundsReport()
         for j in range(1, m - k // 2 + 1):
-            report.add("lemma2_i", j, t, dist.values[j], three_halves)
-        cap = Fraction(t // 2**m)
-        report.add("lemma2_ii[idx=m+1]", m + 1, t, dist.values[m + 1], cap)
-        report.add("lemma2_ii[idx=m]", m, t, dist.values[m], cap)
-        report.add("lemma2_iii", 0, t, dist.values[0], k_bound)
+            bounds.add("lemma2_i", j, None, dist.values[j], three_halves)
+        bounds.add("lemma2_ii[idx=m+1]", m + 1, None, dist.values[m + 1], caps[top])
+        bounds.add("lemma2_ii[idx=m]", m, None, dist.values[m], caps[top])
+        bounds.add("lemma2_iii", 0, None, dist.values[0], k_bound)
+        ratios.add("theorem_zero", 0, None, _ratio(dist.values[0], marg[0]), eight)
+        for p in range(0, m + 1):
+            idx = p + 1
+            if marg[idx].numerator == 0 or dist.values[idx].numerator == 0:
+                continue
+            ratio = _ratio(dist.values[idx], marg[idx])
+            if p == m and top >= 2:  # t >= 2^(m+1)
+                rhs = Fraction(4 * h * top, 3 * (k - 2 * lg))
+                ratios.add("theorem_top", p, None, ratio, rhs)
+                continue
+            # primary convention: the bound's j is the piece-size index
+            ratios.add("theorem_piece", p, None, ratio, case_one_rhs[idx])
+            # alternate: j read literally off "piece value = 2^(j+1)"
+            if p >= 1:
+                ratios.add("theorem_piece[literal]", p, None, ratio, case_one_rhs[p - 1])
+        decided[dist_id, top] = bounds.rows, ratios.rows
 
+    def per_total(part):  # each total gets its group's decided rows, in order
+        for t, key in enumerate(keys, 1):
+            report.rows.extend([ClaimRow(claim, j, t, lhs, rhs, passed)
+                                for claim, j, _, lhs, rhs, passed in decided[key][part]])
+
+    per_total(0)
     # marginal lower bounds (lhs is the bound, rhs the computed marginal)
     for j in range(1, m - k // 2 + 1):
         report.add("lemma3_i", j, "", Fraction(k, 4 * h), marg[j])
@@ -376,35 +427,13 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
         report.add("lemma3_ii", j, "", Fraction(max(m + 1 - j, lg), 2 * h), marg[j])
     report.add("lemma3_iii", m + 1, "", Fraction(3 * (k - 2 * lg), 4 * h), marg[m + 1])
     report.add("lemma3_iv", 0, "", Fraction(k, 8), marg[0])
-
-    # posterior-ratio upper bounds
-    case_one_rhs = [Fraction(3 * h) / min(Fraction(k, 2), Fraction(max(m + 1 - j, lg)))
-                    for j in range(m + 2)]
-    for t, dist in conds.items():
-        report.add("theorem_zero", 0, t, _ratio(dist.values[0], marg[0]), eight)
-        for p in range(0, m + 1):
-            idx = p + 1
-            if marg[idx].numerator == 0 or dist.values[idx].numerator == 0:
-                continue
-            ratio = _ratio(dist.values[idx], marg[idx])
-            if p == m and t >= 2 ** (m + 1):
-                rhs = Fraction(4 * h * (t // 2**m), 3 * (k - 2 * lg))
-                report.add("theorem_top", p, t, ratio, rhs)
-                continue
-            # primary convention: the bound's j is the piece-size index
-            report.add("theorem_piece", p, t, ratio, case_one_rhs[idx])
-            # alternate: j read literally off "piece value = 2^(j+1)"
-            if p >= 1:
-                report.add("theorem_piece[literal]", p, t, ratio, case_one_rhs[p - 1])
+    per_total(1)
 
     # anonymity floor: scales consistent with one observed piece
     for p in range(0, m + 1):
         idx = p + 1
-        scales = {
-            (t.bit_length() - 1)
-            for t, dist in conds.items()
-            if dist.values[idx].numerator > 0
-        }
+        scales = set().union(*(magnitudes for dist, magnitudes in groups.values()
+                               if dist.values[idx].numerator > 0))
         claim = "anonymity_floor" if p < m else "anonymity_floor[info]"
         report.add(claim, p, "", Fraction(lg), Fraction(len(scales)))
     return report

@@ -14,6 +14,8 @@ from shieldbridge.splitting import (
     SplitConfig,
     SplittingError,
     UndefinedRatioError,
+    _branch,
+    _ones_in_range,
     check_bounds,
     check_lemma1,
     draw_bound,
@@ -45,6 +47,13 @@ class TestConfig:
     def test_granularity_constraint(self):
         with pytest.raises(SplittingError):
             SplitConfig(2, 4)  # m = 1 < k/2
+
+    @pytest.mark.parametrize("h, k", [(3.0, 2), (3, 2.0), (True, 2), (3, True), ("3", 2)])
+    def test_h_and_k_must_be_integers(self, h, k):
+        # 3.0 would build m = 3.0 and t_max = 7.0 and compare (and hash) equal
+        # to SplitConfig(3, 2), which keys the conditional cache
+        with pytest.raises(SplittingError, match="integers"):
+            SplitConfig(h, k)
 
 
 class TestPrior:
@@ -241,18 +250,21 @@ class TestLemma1:
 
     def test_top_bit_below_quarter_at_a0(self):
         # the reason clause (i) stops at bit c-1: top-bit probability 1/5
-        from shieldbridge.splitting import _ones_in_range
         n = 2**2 + 0 + 1
         assert Fraction(_ones_in_range(n, 2), n) == Fraction(1, 5)
 
     def test_closed_form_matches_enumeration(self):
-        from shieldbridge.splitting import _ones_in_range
         for c in range(1, 7):
             for a in range(2**c):
                 n = 2**c + a + 1
                 for j in range(c + 2):
                     brute = sum(1 for i in range(n) if (i >> j) & 1)
                     assert brute == _ones_in_range(n, j)
+
+    @pytest.mark.parametrize("c, a", [(-1, 0), (-3, 0), (2, 4), (2, -1)])
+    def test_out_of_range_parameters(self, c, a):
+        with pytest.raises(SplittingError):
+            check_lemma1(c, a)
 
     def test_exhaustive_small(self):
         for c in range(1, 9):
@@ -304,10 +316,29 @@ class TestCheckBounds:
 
 # --- Fraction oracle ------------------------------------------------------------
 # check_bounds and marginal_expectation as they were before their verdicts
-# became integer cross-multiplications and the marginal an integer sum per
-# denominator: every sum, ratio and verdict here is Fraction arithmetic. The
-# bodies are kept as written then; only the names differ, the cache on the
-# marginal is dropped, and the report's add compares lhs <= rhs as Fractions.
+# became integer cross-multiplications, the marginal an integer sum per
+# denominator and both a pass over distinct conditionals: every sum, ratio and
+# verdict here is Fraction arithmetic, once per total. The bodies are kept as
+# written then; only the names differ, the cache on the marginal is dropped,
+# the report's add compares lhs <= rhs as Fractions, and the conditionals come
+# from per_total_conditional, so no cache is shared with the code under test.
+
+
+def per_total_conditional(t: int, cfg: SplitConfig) -> PieceDistribution:
+    """E[X_j | T=t] from the bit-count closed form, rebuilt for every total.
+
+    Draw i gives d pieces of 2^m plus the set bits of i*e and (i_max - i)*e;
+    both i and i_max - i run over [0, i_max], so bit b gives a piece 2^b * e
+    in 2 * _ones_in_range(n, b) draws. The rest are 0."""
+    cfg.check_total(t)
+    d, e, _, i_max = _branch(t, cfg)
+    n = i_max + 1
+    counts = [0] * (cfg.m + 2)
+    counts[cfg.m + 1] = d * n
+    for b in range(i_max.bit_length()):
+        counts[b + e.bit_length()] += 2 * _ones_in_range(n, b)
+    counts[0] = cfg.k * n - sum(counts)
+    return PieceDistribution(cfg, tuple(Fraction(c, n) for c in counts))
 
 
 class FractionReport(BoundsReport):
@@ -320,7 +351,7 @@ def fraction_marginal_expectation(cfg: SplitConfig) -> PieceDistribution:
     totals = [Fraction(0)] * (cfg.m + 2)
     for t in range(1, cfg.t_max + 1):
         p = prior_pmf(cfg.h, t)
-        cond = exact_conditional_expectation(t, cfg).values
+        cond = per_total_conditional(t, cfg).values
         for j in range(cfg.m + 2):
             totals[j] += p * cond[j]
     return PieceDistribution(cfg, tuple(totals))
@@ -332,7 +363,7 @@ def fraction_check_bounds(cfg: SplitConfig) -> BoundsReport:
     report = FractionReport()
     m, k, h, lg = cfg.m, cfg.k, cfg.h, cfg.log2k
 
-    conds = {t: exact_conditional_expectation(t, cfg) for t in range(1, cfg.t_max + 1)}
+    conds = {t: per_total_conditional(t, cfg) for t in range(1, cfg.t_max + 1)}
     marg = fraction_marginal_expectation(cfg).values
 
     # conditional upper bounds
@@ -406,7 +437,8 @@ SMALL_CONFIGS = [(h, k) for h in range(1, 10) for k in (2, 4, 8)
 
 
 class TestFractionOracle:
-    @pytest.mark.parametrize("cfg", [CFG74, CFG84, CFG108, SplitConfig(12, 16)],
+    @pytest.mark.parametrize("cfg", [CFG74, CFG84, CFG108, SplitConfig(12, 8),
+                                     SplitConfig(12, 16)],
                              ids=lambda cfg: f"h{cfg.h}-k{cfg.k}")
     def test_integer_verdicts_match_fraction_oracle(self, cfg):
         assert_matches_fraction_oracle(cfg)
@@ -416,3 +448,25 @@ class TestFractionOracle:
     @given(st.sampled_from(SMALL_CONFIGS))
     def test_every_small_config_matches_fraction_oracle(self, hk):
         assert_matches_fraction_oracle(SplitConfig(*hk))
+
+
+class TestConditionalPerBranch:
+    # exact_conditional_expectation is memoised per branch (d, e, i_max): it
+    # must equal the per-total closed form, and the closed form itself must
+    # give every total of one branch the same distribution
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SMALL_CONFIGS).flatmap(
+        lambda hk: st.tuples(st.just(SplitConfig(*hk)), st.integers(1, 2**hk[0] - 1))))
+    def test_memo_matches_per_total_oracle(self, cfg_t):
+        cfg, t = cfg_t
+        dist = exact_conditional_expectation(t, cfg)
+        assert dist == per_total_conditional(t, cfg)
+
+        def branch_of(u):
+            d, e, _, i_max = _branch(u, cfg)
+            return d, e, i_max
+
+        branch = [u for u in range(1, cfg.t_max + 1) if branch_of(u) == branch_of(t)]
+        for u in branch:
+            assert per_total_conditional(u, cfg) == dist
+            assert exact_conditional_expectation(u, cfg) is dist
