@@ -564,9 +564,19 @@ def _metrics_csv(engine: Engine, metrics: dict) -> str:
 
 
 def bounds_report_csv(report: BoundsReport) -> str:
-    return _csv("claim,param_j,param_t,lhs,rhs,pass",
-                ((row.claim, row.param_j, row.param_t, row.lhs, row.rhs,
-                  str(row.passed).lower()) for row in report.rows))
+    """One line per expanded row; each stored row's claim,param_j head and
+    lhs,rhs,pass tail are formatted once, however many totals repeat it."""
+    formatted = {}  # id of a stored tuple of rows -> its (head, param_t, tail)s
+
+    def lines():
+        for rows, t in report.blocks:
+            if (parts := formatted.get(id(rows))) is None:
+                parts = formatted[id(rows)] = [
+                    (f"{row.claim},{row.param_j}", row.param_t,
+                     f"{row.lhs},{row.rhs},{str(row.passed).lower()}") for row in rows]
+            yield from parts if t is None else ((head, t, tail) for head, _, tail in parts)
+
+    return _csv("claim,param_j,param_t,lhs,rhs,pass", lines())
 
 
 def distribution_csv(cfg: SplitConfig) -> str:
@@ -791,21 +801,16 @@ def cmd_privacy(args) -> int:
           f"(withheld {analysis['withheld']})")
     print(f"vault views: {analysis['vault_views']}")
     failures = report.unattributed_failures()
-    print(f"bound checks: {len(report.rows)} rows, "
-          f"{len(report.failures())} failures, "
+    failed = sum(count[1] for count in report.tally().values())
+    print(f"bound checks: {len(report.rows)} rows, {failed} failures, "
           f"{len(failures)} outside documented readings")
     return 0 if report.all_pass else 1
 
 
 def cmd_check_bounds(args) -> int:
     report = check_bounds(_split_config(args.h, args.k))
-    by_claim: dict[str, list] = {}
-    for row in report.rows:
-        by_claim.setdefault(row.claim, []).append(row)
-    for claim in sorted(by_claim):
-        rows = by_claim[claim]
-        failed = [r for r in rows if not r.passed]
-        status = "pass" if not failed else f"FAIL ({len(failed)}/{len(rows)})"
+    for claim, (rows, failed) in sorted(report.tally().items()):
+        status = "pass" if not failed else f"FAIL ({failed}/{rows})"
         print(f"{claim:32s} {status}")
     print(f"overall: {'pass' if report.all_pass else 'FAIL'} "
           f"(alternate-reading rows excluded)")

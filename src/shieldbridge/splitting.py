@@ -15,7 +15,9 @@ module implements:
   * posterior ratios Pr[T=t | piece=v] / Pr[T=t], and
   * exhaustive desk-scale verifiers for the distributional bounds the
     strategy is designed to satisfy, reported claim by claim and total by
-    total, each claim decided once per distinct conditional.
+    total, each claim decided once per distinct conditional; the report
+    stores each decided group's rows once, with the totals that repeat
+    them, and expands them into per-total rows on read.
 
 All probabilities are exact fractions, and every verdict is an integer
 cross-multiplication of them; no bound check depends on rounding.
@@ -24,6 +26,7 @@ cross-multiplication of them; no bound check depends on rounding.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -78,6 +81,13 @@ class SplitConfig:
             raise SplittingError(f"total {t} outside [1, {self.t_max}]")
 
 
+def _require_ints(**values) -> None:
+    """Refuse a non-int argument (a bool included) as the SplittingError it is."""
+    for name, x in values.items():
+        if type(x) is not int:
+            raise SplittingError(f"{name} must be an integer, got {x!r}")
+
+
 class SplitResult(NamedTuple):
     """The k piece values (zeros included) and the untransferred remainder."""
 
@@ -95,6 +105,7 @@ def prior_pmf(h: int, t: int) -> Fraction:
     on [0, 2^N - 1]: every order of magnitude carries the same mass, and
     within one order all values are equally likely.
     """
+    _require_ints(h=h, t=t)
     if not 1 <= t <= 2**h - 1:
         raise SplittingError(f"total {t} outside [1, {2**h - 1}]")
     n = t.bit_length() - 1
@@ -133,6 +144,7 @@ def _branch(t: int, cfg: SplitConfig) -> tuple[int, int, int, int]:
 
 def draw_bound(t: int, cfg: SplitConfig) -> int:
     """Largest value of the procedure's single uniform draw i for total t."""
+    _require_ints(t=t)
     cfg.check_total(t)
     return _branch(t, cfg)[3]
 
@@ -157,6 +169,7 @@ def _assemble(t: int, cfg: SplitConfig, d: int, e: int, q: int, i_max: int,
 
 def pieces_for_draw(t: int, cfg: SplitConfig, i: int) -> SplitResult:
     """Deterministic outcome of the procedure for a fixed draw i."""
+    _require_ints(t=t, i=i)
     cfg.check_total(t)
     d, e, q, i_max = _branch(t, cfg)
     return _assemble(t, cfg, d, e, q, i_max, i)
@@ -290,29 +303,92 @@ class ClaimRow(NamedTuple):
 ATTRIBUTED_TAGS = ("[idx=m]", "[literal]", "[info]")
 
 
-@dataclass
 class BoundsReport:
-    rows: list[ClaimRow] = field(default_factory=list)
+    """Verified claims, stored as blocks and expanded into rows on read.
+
+    A block is a tuple of decided rows plus the total it repeats for; a
+    total of None means the rows stand as written. check_bounds repeats one
+    group's decided rows for every total of the group, so the rows are kept
+    once per decided group, not once per total. rows is a read-only view of
+    the expanded rows; the failure queries decide once per distinct tuple of
+    decided rows and expand only the failing ones.
+    """
+
+    def __init__(self):
+        self.blocks: list[tuple[tuple[ClaimRow, ...], object]] = []
+        self._count = 0
 
     def add(self, claim, param_j, param_t, lhs, rhs):
         """Record the claim lhs <= rhs, decided by cross-multiplication."""
         passed = lhs.numerator * rhs.denominator <= rhs.numerator * lhs.denominator
-        self.rows.append(ClaimRow(claim, param_j, param_t, lhs, rhs, passed))
+        self.repeat((ClaimRow(claim, param_j, param_t, lhs, rhs, passed),), None)
+
+    def repeat(self, rows: tuple[ClaimRow, ...], t) -> None:
+        """Record decided rows for total t: each stands with param_t = t
+        (t None: as written). The tuple is stored, not copied."""
+        self.blocks.append((rows, t))
+        self._count += len(rows)
+
+    @property
+    def rows(self) -> "ReportRows":
+        return ReportRows(self)
+
+    def _expand(self, keep=None):
+        """The rows in order; keep, if given, filters each distinct tuple once."""
+        kept = {}  # id of a stored tuple -> its rows that keep holds for
+        for rows, t in self.blocks:
+            if keep is not None:
+                if (selected := kept.get(id(rows))) is None:
+                    selected = kept[id(rows)] = tuple(filter(keep, rows))
+                rows = selected
+            if t is None:
+                yield from rows
+            else:
+                for claim, j, _, lhs, rhs, passed in rows:
+                    yield ClaimRow(claim, j, t, lhs, rhs, passed)
 
     def failures(self) -> list[ClaimRow]:
-        return [r for r in self.rows if not r.passed]
+        return list(self._expand(lambda r: not r.passed))
 
     def unattributed_failures(self) -> list[ClaimRow]:
-        return [
-            r for r in self.failures()
-            if not any(tag in r.claim for tag in ATTRIBUTED_TAGS)
-        ]
+        return list(self._expand(
+            lambda r: not r.passed and not any(tag in r.claim for tag in ATTRIBUTED_TAGS)))
 
     @property
     def all_pass(self) -> bool:
         """True when every claim holds, ignoring only the documented
         alternate-reading and informational rows."""
         return not self.unattributed_failures()
+
+    def tally(self) -> dict[str, list[int]]:
+        """claim -> [rows, failures], counted once per distinct tuple."""
+        uses = {}  # id of a stored tuple -> [the tuple, blocks holding it]
+        for rows, _ in self.blocks:
+            uses.setdefault(id(rows), [rows, 0])[1] += 1
+        counts = {}
+        for rows, n in uses.values():
+            for row in rows:
+                count = counts.setdefault(row.claim, [0, 0])
+                count[0] += n
+                count[1] += 0 if row.passed else n
+        return counts
+
+
+class ReportRows(Sequence):
+    """Read-only view of a report's rows: the length is a running count, and
+    every read expands the rows from the blocks."""
+
+    def __init__(self, report: BoundsReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return self._report._count
+
+    def __iter__(self):
+        return self._report._expand()
+
+    def __getitem__(self, index):  # expands every row: iterate instead
+        return list(self)[index]
 
 
 def _ones_in_range(count: int, bit: int) -> int:
@@ -340,6 +416,7 @@ def check_lemma1(c: int, a: int) -> BoundsReport:
     bit's probability drops below 1/4 (e.g. 1/5 at c=2, a=0), which is why
     the top bits get the one-sided clause (ii).
     """
+    _require_ints(c=c, a=a)
     if c < 0 or not 0 <= a < 2**c:
         raise SplittingError("require c >= 0 and 0 <= a < 2^c")
     n = 2**c + a + 1
@@ -368,7 +445,10 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
 
     A total's rows depend on t only through the conditional its branch
     shares and t >> m (the lemma2_ii cap, and theorem_top once
-    t >= 2^(m+1)), so each claim is decided once per distinct pair.
+    t >= 2^(m+1)), so each claim is decided once per distinct pair, and
+    the report stores each pair's decided rows once and repeats them for
+    every total of the pair: at (14, 8), 32,766 blocks that share 222
+    tuples of decided rows stand for 327,650 rows.
     """
     if 2**cfg.h > DESK_SCALE_LIMIT:
         raise SplittingError(f"2^h > {DESK_SCALE_LIMIT}: refuse exhaustive check")
@@ -412,12 +492,11 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
             # alternate: j read literally off "piece value = 2^(j+1)"
             if p >= 1:
                 ratios.add("theorem_piece[literal]", p, None, ratio, case_one_rhs[p - 1])
-        decided[dist_id, top] = bounds.rows, ratios.rows
+        decided[dist_id, top] = tuple(bounds.rows), tuple(ratios.rows)
 
-    def per_total(part):  # each total gets its group's decided rows, in order
+    def per_total(part):  # each total repeats its group's decided rows, in order
         for t, key in enumerate(keys, 1):
-            report.rows.extend([ClaimRow(claim, j, t, lhs, rhs, passed)
-                                for claim, j, _, lhs, rhs, passed in decided[key][part]])
+            report.repeat(decided[key][part], t)
 
     per_total(0)
     # marginal lower bounds (lhs is the bound, rhs the computed marginal)

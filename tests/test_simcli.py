@@ -30,7 +30,13 @@ from shieldbridge.simcli import (
     run_scenario,
     trace_to_csv,
 )
-from shieldbridge.splitting import SplitConfig, posterior_ratio, prior_pmf
+from shieldbridge.splitting import (
+    ATTRIBUTED_TAGS,
+    SplitConfig,
+    check_bounds,
+    posterior_ratio,
+    prior_pmf,
+)
 from shieldbridge.vault_registry import RegistryParams
 from shieldbridge.zcash_chain import Rejection
 
@@ -433,6 +439,32 @@ class TestCli:
 
     def test_check_bounds_exit(self):
         assert main(["check-bounds", "--h", "7", "--k", "4"]) == 0
+
+    @pytest.mark.parametrize("h, k", [(9, 2), (10, 8)])
+    def test_check_bounds_summary_matches_expanded_rows(self, h, k, capsys):
+        # the summary as it was built from every expanded row, claim by claim
+        report = check_bounds(SplitConfig(h, k))
+        by_claim = {}
+        for row in report.rows:
+            by_claim.setdefault(row.claim, []).append(row)
+        lines = []
+        for claim in sorted(by_claim):
+            failed = [r for r in by_claim[claim] if not r.passed]
+            status = "pass" if not failed else f"FAIL ({len(failed)}/{len(by_claim[claim])})"
+            lines.append(f"{claim:32s} {status}")
+        lines.append("overall: pass (alternate-reading rows excluded)")
+        assert main(["check-bounds", "--h", str(h), "--k", str(k)]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+        assert any("FAIL" in line for line in lines)
+
+    def test_privacy_summary_matches_expanded_rows(self, capsys):
+        rows = list(check_bounds(SplitConfig(9, 2)).rows)
+        failed = [r for r in rows if not r.passed]
+        unattributed = [r for r in failed if not any(tag in r.claim for tag in ATTRIBUTED_TAGS)]
+        assert main(["privacy", "--h", "9", "--k", "2", "--t", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"bound checks: {len(rows)} rows, {len(failed)} failures, "
+            f"{len(unattributed)} outside documented readings")
 
     def test_privacy_outputs(self, tmp_path):
         assert main(["privacy", "--h", "7", "--k", "4", "--t", "5",

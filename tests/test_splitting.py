@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shieldbridge.splitting import (
+    ATTRIBUTED_TAGS,
     DESK_SCALE_LIMIT,
     BoundsReport,
     ClaimRow,
@@ -83,6 +85,12 @@ class TestPrior:
         with pytest.raises(SplittingError):
             prior_pmf(10, 2**10)
 
+    @pytest.mark.parametrize("h, t", [(True, 1), (2.0, 1), (4, 3.0), (4, True)])
+    def test_non_integer_arguments(self, h, t):
+        # True passed as h = 1; a float h or t raised TypeError or AttributeError
+        with pytest.raises(SplittingError, match="must be an integer"):
+            prior_pmf(h, t)
+
     def test_sampler_h1_always_one(self):
         rng = random.Random(5)
         assert all(sample_prior(1, rng) == 1 for _ in range(50))
@@ -158,6 +166,15 @@ class TestSplitProcedure:
             pieces_for_draw(0, CFG74, 0)
         with pytest.raises(SplittingError):
             pieces_for_draw(2**7, CFG74, 0)
+
+    @pytest.mark.parametrize("t, i", [(5, True), (5, 1.0), (True, 0), (5.0, 0)])
+    def test_non_integer_total_or_draw(self, t, i):
+        # a True draw returned a split; a float one raised AttributeError
+        with pytest.raises(SplittingError, match="must be an integer"):
+            pieces_for_draw(t, SplitConfig(4, 2), i)
+        if i == 0:
+            with pytest.raises(SplittingError, match="must be an integer"):
+                draw_bound(t, SplitConfig(4, 2))
 
 
 class TestExactDistributions:
@@ -261,6 +278,12 @@ class TestLemma1:
                     brute = sum(1 for i in range(n) if (i >> j) & 1)
                     assert brute == _ones_in_range(n, j)
 
+    @pytest.mark.parametrize("c, a", [(True, 0), (2.0, 0), (2, 1.0), (2, False)])
+    def test_non_integer_parameters(self, c, a):
+        # True gave rows whose param_j is True; 2.0 raised TypeError
+        with pytest.raises(SplittingError, match="must be an integer"):
+            check_lemma1(c, a)
+
     @pytest.mark.parametrize("c, a", [(-1, 0), (-3, 0), (2, 4), (2, -1)])
     def test_out_of_range_parameters(self, c, a):
         with pytest.raises(SplittingError):
@@ -302,7 +325,10 @@ class TestCheckBounds:
          "27953a7843896c34fc22a3ffc1ed685aecf760bdab9883722f60a3bb89aa0659"),
         (12, 16, "2908bdcea69b141ed10f8c05cd737de5598fae29be46ebd0b6efdd513191d6d6",
          "a95a35bd0b83875d325ced42b7fbfe830154d937d49ca7dbb3921bbbf05ada91"),
-    ], ids=["h8-k4", "h10-k8", "h12-k16"])
+        # recorded from the report that kept one ClaimRow per claim and total
+        (14, 8, "9560968b44bbd90ef6c3506bdc6c4b0a316af04711187a9ba494eac9e4308523",
+         "782653c6344b8461d541e898f0d29149cab374529a53831b73a94ef2b452c3fb"),
+    ], ids=["h8-k4", "h10-k8", "h12-k16", "h14-k8"])
     def test_report_bytes_match_recorded(self, h, k, report_sha, distribution_sha):
         # recorded from the enumeration-based distributions: every row, its
         # order and its text are pinned, not just the pass/fail verdicts
@@ -314,14 +340,56 @@ class TestCheckBounds:
         assert hashlib.sha256(distribution.encode()).hexdigest() == distribution_sha
 
 
+class TestBoundsReport:
+    @staticmethod
+    def small_report():
+        # a hand-made report: two added rows around one decided tuple that is
+        # stored for three totals, one failing row attributed, one not
+        report = BoundsReport()
+        report.add("a", 1, "", Fraction(1), Fraction(2))
+        decided = (ClaimRow("b", 0, None, Fraction(3), Fraction(2), False),
+                   ClaimRow("c[info]", 2, None, Fraction(5), Fraction(1), False),
+                   ClaimRow("d", 3, None, Fraction(0), Fraction(1), True))
+        for t in (4, 5, 6):
+            report.repeat(decided, t)
+        report.add("e", 0, None, Fraction(2), Fraction(2))
+        expected = [ClaimRow("a", 1, "", Fraction(1), Fraction(2), True),
+                    *(row._replace(param_t=t) for t in (4, 5, 6) for row in decided),
+                    ClaimRow("e", 0, None, Fraction(2), Fraction(2), True)]
+        return report, expected
+
+    def test_rows_view_expands_the_blocks(self):
+        report, expected = self.small_report()
+        rows = report.rows
+        assert isinstance(rows, Sequence) and not hasattr(rows, "append")
+        assert len(rows) == len(expected) == 11
+        assert list(rows) == list(rows) == expected
+        assert [rows[i] for i in range(-11, 11)] == expected + expected
+        assert rows[2:9:3] == expected[2:9:3]
+        for index in (11, -12):
+            with pytest.raises(IndexError):
+                rows[index]
+
+    def test_failure_queries_and_tally(self):
+        report, expected = self.small_report()
+        assert report.failures() == [r for r in expected if not r.passed]
+        assert report.unattributed_failures() == [r for r in expected if r.claim == "b"]
+        assert not report.all_pass
+        assert report.tally() == {"a": [1, 0], "b": [3, 3], "c[info]": [3, 3],
+                                  "d": [3, 0], "e": [1, 0]}
+        empty = BoundsReport()
+        assert empty.all_pass and len(empty.rows) == 0 and list(empty.rows) == []
+
+
 # --- Fraction oracle ------------------------------------------------------------
 # check_bounds and marginal_expectation as they were before their verdicts
 # became integer cross-multiplications, the marginal an integer sum per
 # denominator and both a pass over distinct conditionals: every sum, ratio and
 # verdict here is Fraction arithmetic, once per total. The bodies are kept as
 # written then; only the names differ, the cache on the marginal is dropped,
-# the report's add compares lhs <= rhs as Fractions, and the conditionals come
-# from per_total_conditional, so no cache is shared with the code under test.
+# the report is a list of one row per claim and total whose add compares
+# lhs <= rhs as Fractions, and the conditionals come from
+# per_total_conditional, so no cache is shared with the code under test.
 
 
 def per_total_conditional(t: int, cfg: SplitConfig) -> PieceDistribution:
@@ -341,9 +409,26 @@ def per_total_conditional(t: int, cfg: SplitConfig) -> PieceDistribution:
     return PieceDistribution(cfg, tuple(Fraction(c, n) for c in counts))
 
 
-class FractionReport(BoundsReport):
+class FractionReport:
+    """The report as a plain list of rows, one per claim and total, with the
+    failure queries as list scans and verdicts compared as Fractions."""
+
+    def __init__(self):
+        self.rows = []
+
     def add(self, claim, param_j, param_t, lhs, rhs):
         self.rows.append(ClaimRow(claim, param_j, param_t, lhs, rhs, lhs <= rhs))
+
+    def failures(self):
+        return [r for r in self.rows if not r.passed]
+
+    def unattributed_failures(self):
+        return [r for r in self.failures()
+                if not any(tag in r.claim for tag in ATTRIBUTED_TAGS)]
+
+    @property
+    def all_pass(self):
+        return not self.unattributed_failures()
 
 
 def fraction_marginal_expectation(cfg: SplitConfig) -> PieceDistribution:
@@ -357,7 +442,7 @@ def fraction_marginal_expectation(cfg: SplitConfig) -> PieceDistribution:
     return PieceDistribution(cfg, tuple(totals))
 
 
-def fraction_check_bounds(cfg: SplitConfig) -> BoundsReport:
+def fraction_check_bounds(cfg: SplitConfig) -> FractionReport:
     if 2**cfg.h > DESK_SCALE_LIMIT:
         raise SplittingError(f"2^h > {DESK_SCALE_LIMIT}: refuse exhaustive check")
     report = FractionReport()
@@ -421,14 +506,20 @@ def assert_matches_fraction_oracle(cfg: SplitConfig) -> None:
     marg = marginal_expectation(cfg).values
     assert marg == fraction_marginal_expectation(cfg).values
     assert all(type(x) is Fraction for x in marg)
-    rows = check_bounds(cfg).rows
-    expected = fraction_check_bounds(cfg).rows
-    assert len(rows) == len(expected)
-    for row, want in zip(rows, expected):
+    report = check_bounds(cfg)
+    oracle = fraction_check_bounds(cfg)
+    expected = oracle.rows
+    assert len(report.rows) == len(expected)
+    for row, want in zip(report.rows, expected, strict=True):
         # ClaimRow equality compares all six fields; Fraction == is by value
         assert row == want
         assert type(row.lhs) is Fraction and type(row.rhs) is Fraction
         assert type(row.passed) is bool
+    # the view expands the blocks again on every read
+    assert list(report.rows) == expected
+    assert report.failures() == oracle.failures()
+    assert report.unattributed_failures() == oracle.unattributed_failures()
+    assert report.all_pass is oracle.all_pass
 
 
 # every valid (h, k) with h <= 9: k = 16 needs h >= 11
