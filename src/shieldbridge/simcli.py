@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from importlib import resources
@@ -543,9 +544,16 @@ def check_expects(expects: dict[str, str], metrics: dict) -> list[str]:
 # --- output files ------------------------------------------------------------------
 
 
+def _csv_lines(header: str, rows) -> Iterator[str]:
+    """The header line, then one line per row of comma-joined fields, each
+    ending in a newline: written to a file line by line, or joined."""
+    yield header + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
+
+
 def _csv(header: str, rows) -> str:
-    """The header line, then one line per row of comma-joined fields."""
-    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+    return "".join(_csv_lines(header, rows))
 
 
 def trace_to_csv(rows: list[tuple]) -> str:
@@ -564,6 +572,10 @@ def _metrics_csv(engine: Engine, metrics: dict) -> str:
 
 
 def bounds_report_csv(report: BoundsReport) -> str:
+    return "".join(bounds_report_lines(report))
+
+
+def bounds_report_lines(report: BoundsReport) -> Iterator[str]:
     """One line per expanded row; each stored row's claim,param_j head and
     lhs,rhs,pass tail are formatted once, however many totals repeat it."""
     formatted = {}  # id of a stored tuple of rows -> its (head, param_t, tail)s
@@ -576,14 +588,18 @@ def bounds_report_csv(report: BoundsReport) -> str:
                      f"{row.lhs},{row.rhs},{str(row.passed).lower()}") for row in rows]
             yield from parts if t is None else ((head, t, tail) for head, _, tail in parts)
 
-    return _csv("claim,param_j,param_t,lhs,rhs,pass", lines())
+    return _csv_lines("claim,param_j,param_t,lhs,rhs,pass", lines())
 
 
 def distribution_csv(cfg: SplitConfig) -> str:
-    return _csv("t,j,expectation_num,expectation_den",
-                ((t, j, value.numerator, value.denominator)
-                 for t in range(1, cfg.t_max + 1)
-                 for j, value in enumerate(exact_conditional_expectation(t, cfg).values)))
+    return "".join(distribution_lines(cfg))
+
+
+def distribution_lines(cfg: SplitConfig) -> Iterator[str]:
+    return _csv_lines("t,j,expectation_num,expectation_den",
+                      ((t, j, value.numerator, value.denominator)
+                       for t in range(1, cfg.t_max + 1)
+                       for j, value in enumerate(exact_conditional_expectation(t, cfg).values)))
 
 
 # --- privacy analysis -----------------------------------------------------------------
@@ -764,9 +780,11 @@ def resolve_scenario_text(ref: str) -> str:
 # --- CLI -------------------------------------------------------------------------------
 
 
-def _write(out_dir: Path, name: str, content: str) -> None:
+def _write(out_dir: Path, name: str, lines: Iterable[str]) -> None:
+    """Write the lines as they come, so a large CSV is never held whole."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(content)
+    with open(out_dir / name, "w") as fh:
+        fh.writelines(lines)
 
 
 def cmd_run(args) -> int:
@@ -775,8 +793,8 @@ def cmd_run(args) -> int:
     result = run_scenario(cfg, seed=args.seed)
     if args.out:
         out = Path(args.out)
-        _write(out, "trace.csv", result.trace_csv)
-        _write(out, "metrics.csv", result.metrics_csv)
+        _write(out, "trace.csv", (result.trace_csv,))
+        _write(out, "metrics.csv", (result.metrics_csv,))
     for failure in result.failures:
         print(f"FAIL {failure}")
     status = "pass" if result.ok else "FAIL"
@@ -792,10 +810,10 @@ def cmd_privacy(args) -> int:
     report: BoundsReport = analysis["report"]
     if args.out:
         out = Path(args.out)
-        _write(out, "bounds_report.csv", bounds_report_csv(report))
-        _write(out, "distribution.csv", distribution_csv(analysis["cfg"]))
-        _write(out, "trace.csv", analysis["trace_csv"])
-        _write(out, "vault_views.csv", vault_views_csv(analysis["vault_views"]))
+        _write(out, "bounds_report.csv", bounds_report_lines(report))
+        _write(out, "distribution.csv", distribution_lines(analysis["cfg"]))
+        _write(out, "trace.csv", (analysis["trace_csv"],))
+        _write(out, "vault_views.csv", (vault_views_csv(analysis["vault_views"]),))
     pieces = analysis["pieces"]
     print(f"total={analysis['total']} split into {pieces} "
           f"(withheld {analysis['withheld']})")

@@ -11,7 +11,8 @@ module implements:
     total, the conditionals counted from the draw's bits (Lemma 1's bit
     counts) with rational arithmetic; the tests enumerate every draw as
     the oracle; a conditional depends on the total only through its
-    branch, so it is computed once per branch,
+    branch, so it is computed once per branch, and at desk scale each
+    total's conditional is read from a per-(h, k) table indexed by total,
   * posterior ratios Pr[T=t | piece=v] / Pr[T=t], and
   * exhaustive desk-scale verifiers for the distributional bounds the
     strategy is designed to satisfy, reported claim by claim and total by
@@ -202,6 +203,7 @@ class PieceDistribution:
 
     @staticmethod
     def index_of(value: int, cfg: SplitConfig) -> int:
+        _require_ints(value=value)
         if value == 0:
             return 0
         if value & (value - 1) or value > 2**cfg.m:
@@ -216,13 +218,42 @@ class PieceDistribution:
         return self.values[self.index_of(value, self.cfg)]
 
 
+# (h, k) -> each total's conditional, index 0 unused; keyed by the ints because
+# SplitConfig's generated __hash__ is a Python call on every lookup
+_CONDITIONALS: dict[tuple[int, int], list[PieceDistribution]] = {}
+
+
 def exact_conditional_expectation(t: int, cfg: SplitConfig) -> PieceDistribution:
     """E[X_j | T=t] for every piece-size index j, exact over the n = i_max + 1
     equiprobable draws i. It depends on t only through t's branch
-    (d, e, i_max), so every total of one branch gets the same object."""
+    (d, e, i_max), so every total of one branch gets the same object.
+
+    At desk scale (t_max < DESK_SCALE_LIMIT) it is read from a per-(h, k)
+    table indexed by total, built on first use; beyond it, where a table
+    would need 2^h entries, the branch is derived for each call."""
+    if type(t) is not int:  # inline, not _require_ints: check_bounds calls this per total
+        raise SplittingError(f"t must be an integer, got {t!r}")
     cfg.check_total(t)
-    d, e, _, i_max = _branch(t, cfg)
-    return _branch_distribution(cfg, d, e, i_max)
+    if cfg.t_max >= DESK_SCALE_LIMIT:
+        d, e, _, i_max = _branch(t, cfg)
+        return _branch_distribution(cfg, d, e, i_max)
+    table = _CONDITIONALS.get((cfg.h, cfg.k))
+    if table is None:
+        table = _CONDITIONALS[cfg.h, cfg.k] = _conditional_table(cfg)
+    return table[t]
+
+
+def _conditional_table(cfg: SplitConfig) -> list[PieceDistribution]:
+    """Each total's _branch_distribution, filled one branch at a time: a
+    branch's q = t // e, so it covers the e consecutive totals of one
+    e-aligned block, which lies inside one bit length below 2^m and inside
+    one t >> m block above it; e divides every bit length's and every such
+    block's first total, so each run starts a block."""
+    table = [None]
+    while len(table) <= cfg.t_max:
+        d, e, _, i_max = _branch(len(table), cfg)
+        table += [_branch_distribution(cfg, d, e, i_max)] * e
+    return table
 
 
 @functools.lru_cache(maxsize=DESK_SCALE_LIMIT)
@@ -267,6 +298,7 @@ def posterior_ratio(t: int, v: int, cfg: SplitConfig) -> Fraction:
     Equals E[X_j|T=t] / E[X_j] with j the index of v; zero when the piece
     never occurs together with total t.
     """
+    _require_ints(t=t, v=v)
     cfg.check_total(t)
     j = PieceDistribution.index_of(v, cfg)
     marg = marginal_expectation(cfg).values[j]
@@ -328,6 +360,12 @@ class BoundsReport:
         (t None: as written). The tuple is stored, not copied."""
         self.blocks.append((rows, t))
         self._count += len(rows)
+
+    def repeat_per_total(self, rows_by_total: list[tuple[ClaimRow, ...]]) -> None:
+        """Record rows_by_total[t - 1] for each total t = 1, 2, ..., as that
+        many repeat calls would, with one extend and one count update."""
+        self.blocks.extend(zip(rows_by_total, range(1, len(rows_by_total) + 1)))
+        self._count += sum(map(len, rows_by_total))
 
     @property
     def rows(self) -> "ReportRows":
@@ -495,8 +533,7 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
         decided[dist_id, top] = tuple(bounds.rows), tuple(ratios.rows)
 
     def per_total(part):  # each total repeats its group's decided rows, in order
-        for t, key in enumerate(keys, 1):
-            report.repeat(decided[key][part], t)
+        report.repeat_per_total([decided[key][part] for key in keys])
 
     per_total(0)
     # marginal lower bounds (lhs is the bound, rhs the computed marginal)

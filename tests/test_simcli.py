@@ -476,6 +476,28 @@ class TestCli:
         assert header == "claim,param_j,param_t,lhs,rhs,pass"
         dist_header = (tmp_path / "distribution.csv").read_text().splitlines()[0]
         assert dist_header == "t,j,expectation_num,expectation_den"
+        # the streamed files hold the same bytes as the text the *_csv functions join
+        analysis = run_privacy_analysis(7, 4, seed=9, total=5)
+        expected = {
+            "bounds_report.csv": simcli.bounds_report_csv(analysis["report"]),
+            "distribution.csv": simcli.distribution_csv(analysis["cfg"]),
+            "trace.csv": analysis["trace_csv"],
+            "vault_views.csv": simcli.vault_views_csv(analysis["vault_views"]),
+        }
+        for name, text in expected.items():
+            assert (tmp_path / name).read_bytes() == text.encode()
+
+    def test_csv_lines_are_streamed(self):
+        # the large CSVs come as lazy lines, each ending in a newline, that the
+        # *_csv text functions join: no caller has to hold the whole text
+        cfg = SplitConfig(7, 4)
+        for lines, text in ((simcli.bounds_report_lines(check_bounds(cfg)),
+                             simcli.bounds_report_csv(check_bounds(cfg))),
+                            (simcli.distribution_lines(cfg), simcli.distribution_csv(cfg))):
+            assert iter(lines) is lines
+            lines = list(lines)
+            assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+            assert "".join(lines) == text
 
     def test_unknown_bundled_scenario(self, capsys):
         assert main(["run", "--scenario", "does_not_exist"]) == 2

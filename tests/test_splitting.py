@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shieldbridge import splitting
 from shieldbridge.splitting import (
     ATTRIBUTED_TAGS,
     DESK_SCALE_LIMIT,
@@ -17,6 +18,7 @@ from shieldbridge.splitting import (
     SplittingError,
     UndefinedRatioError,
     _branch,
+    _branch_distribution,
     _ones_in_range,
     check_bounds,
     check_lemma1,
@@ -220,6 +222,21 @@ class TestExactDistributions:
         exact = exact_conditional_expectation(t, cfg).values
         for j in range(cfg.m + 2):
             assert abs(counts[j] / n - float(exact[j])) < 0.05
+
+
+@pytest.mark.parametrize("query, args", [
+    (exact_conditional_expectation, (True,)),  # returned t = 1's distribution
+    (exact_conditional_expectation, (2.0,)),  # raised AttributeError
+    (posterior_ratio, (True, 1)),  # returned 4
+    (posterior_ratio, (1, True)),  # returned 4
+    (posterior_ratio, (1, 1.0)),  # raised TypeError
+    (PieceDistribution.index_of, (2.0,)),  # raised TypeError
+    (PieceDistribution.index_of, (True,)),  # returned 1
+], ids=["conditional-bool", "conditional-float", "ratio-bool-total", "ratio-bool-piece",
+        "ratio-float-piece", "index-float", "index-bool"])
+def test_exact_queries_refuse_non_integers(query, args):
+    with pytest.raises(SplittingError, match="must be an integer"):
+        query(*args, SplitConfig(4, 2))
 
 
 class TestPosterior:
@@ -561,3 +578,52 @@ class TestConditionalPerBranch:
         for u in branch:
             assert per_total_conditional(u, cfg) == dist
             assert exact_conditional_expectation(u, cfg) is dist
+
+
+class TestConditionalTable:
+    # at desk scale exact_conditional_expectation reads a per-(h, k) table
+    # filled one branch at a time; each entry must be the per-branch memo
+    @pytest.mark.parametrize("hk", SMALL_CONFIGS + [(12, 8), (12, 16), (14, 8)],
+                             ids=lambda hk: f"h{hk[0]}-k{hk[1]}")
+    def test_every_entry_is_its_branch_memo(self, hk):
+        cfg = SplitConfig(*hk)
+        for t in range(1, cfg.t_max + 1):
+            d, e, _, i_max = _branch(t, cfg)
+            assert exact_conditional_expectation(t, cfg) is _branch_distribution(cfg, d, e, i_max)
+        table = splitting._CONDITIONALS[hk]
+        assert len(table) == cfg.t_max + 1
+
+    def test_a_second_config_reuses_the_table(self):
+        first = exact_conditional_expectation(5, SplitConfig(11, 4))
+        table = splitting._CONDITIONALS[11, 4]
+        assert exact_conditional_expectation(5, SplitConfig(11, 4)) is first
+        assert splitting._CONDITIONALS[11, 4] is table
+
+    @pytest.mark.parametrize("hk", [(17, 4), (40, 8)], ids=["h17-k4", "h40-k8"])
+    def test_beyond_desk_scale_builds_no_table(self, hk):
+        cfg = SplitConfig(*hk)
+        m = cfg.m
+        for t in (1, 2**m - 1, 2**m, 2**m + 12345, cfg.t_max):
+            assert exact_conditional_expectation(t, cfg) == per_total_conditional(t, cfg)
+        assert hk not in splitting._CONDITIONALS
+
+
+def test_check_bounds_calls_each_conditional_twice_per_total(monkeypatch):
+    # perfbench pins exact_conditional_expectation.calls (32,766 at (14, 8)),
+    # counted by rebinding the module function as its tracer does; the
+    # marginal's cache and the conditional tables start empty, as in the
+    # fresh interpreter perfbench runs
+    cfg = SplitConfig(10, 8)
+    calls = []
+    original = splitting.exact_conditional_expectation
+
+    def counted(t, cfg):
+        calls.append(t)
+        return original(t, cfg)
+
+    monkeypatch.setattr(splitting, "exact_conditional_expectation", counted)
+    monkeypatch.setattr(splitting, "_CONDITIONALS", {})
+    marginal_expectation.cache_clear()
+    report = check_bounds(cfg)
+    assert len(calls) == 2 * cfg.t_max
+    assert len(report.rows) == 16_350
