@@ -109,13 +109,11 @@ class Relay:
         """True iff the block is an ancestor of the best tip at depth >= k.
 
         The finalized log holds exactly the best tip's ancestors at depths
-        >= k, so the ancestry test is a single lookup."""
+        >= k, so the ancestry test is a single lookup. It needs no depth
+        test: the tip only moves to a header of more work, which is a
+        higher one, so no height once logged ever sits above tip - k."""
         header = self.headers.get(block_hash)
-        if header is None:
-            return False
-        if self.headers[self.best_tip].height - header.height < self.k:
-            return False
-        return self.finalized.get(header.height) == block_hash
+        return header is not None and self.finalized.get(header.height) == block_hash
 
     # -- note inclusion --
 

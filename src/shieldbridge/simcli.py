@@ -576,17 +576,16 @@ def bounds_report_csv(report: BoundsReport) -> str:
 
 
 def bounds_report_lines(report: BoundsReport) -> Iterator[str]:
-    """One line per expanded row; each stored row's claim,param_j head and
-    lhs,rhs,pass tail are formatted once, however many totals repeat it."""
-    formatted = {}  # id of a stored tuple of rows -> its (head, param_t, tail)s
+    """One line per expanded row; each block's rows have their claim,param_j
+    head and lhs,rhs,pass tail formatted once, however many totals it holds."""
 
     def lines():
-        for rows, t in report.blocks:
-            if (parts := formatted.get(id(rows))) is None:
-                parts = formatted[id(rows)] = [
-                    (f"{row.claim},{row.param_j}", row.param_t,
-                     f"{row.lhs},{row.rhs},{str(row.passed).lower()}") for row in rows]
-            yield from parts if t is None else ((head, t, tail) for head, _, tail in parts)
+        for rows, totals in report.blocks:
+            parts = [(f"{row.claim},{row.param_j}",
+                      f"{row.lhs},{row.rhs},{str(row.passed).lower()}") for row in rows]
+            for t in totals:
+                for head, tail in parts:
+                    yield head, t, tail
 
     return _csv_lines("claim,param_j,param_t,lhs,rhs,pass", lines())
 

@@ -16,9 +16,10 @@ module implements:
   * posterior ratios Pr[T=t | piece=v] / Pr[T=t], and
   * exhaustive desk-scale verifiers for the distributional bounds the
     strategy is designed to satisfy, reported claim by claim and total by
-    total, each claim decided once per distinct conditional; the report
-    stores each decided group's rows once, with the totals that repeat
-    them, and expands them into per-total rows on read.
+    total. The totals fall into groups, each a contiguous run sharing one
+    conditional and one t >> m; each claim is decided once per group, and
+    the report stores one block per group (its decided rows and the range of
+    totals they stand for), expanding them into per-total rows on read.
 
 All probabilities are exact fractions, and every verdict is an integer
 cross-multiplication of them; no bound check depends on rounding.
@@ -270,19 +271,34 @@ def _branch_distribution(cfg: SplitConfig, d: int, e: int, i_max: int) -> PieceD
     return PieceDistribution(cfg, tuple([Fraction(c, n) if c else _ZERO for c in counts]))
 
 
+def _groups(cfg: SplitConfig) -> dict[tuple[int, int], list]:
+    """(id of the shared conditional, t >> m) -> [conditional, first total,
+    count], in order of totals. A total's conditional depends on it only
+    through its branch, whose totals are one e-aligned run inside one bit
+    length and one t >> m block, so each group is one contiguous run of one
+    magnitude, and each group's totals are range(first, first + count).
+
+    It asks exact_conditional_expectation once per total and is not
+    memoised: perfbench pins that function's calls at two per total for a
+    cold check_bounds (this enumeration, then the marginal's), until a
+    re-recorded count lets it enumerate runs instead."""
+    groups = {}
+    for t in range(1, cfg.t_max + 1):
+        dist = exact_conditional_expectation(t, cfg)
+        groups.setdefault((id(dist), t >> cfg.m), [dist, t, 0])[2] += 1
+    return groups
+
+
 @functools.cache
 def marginal_expectation(cfg: SplitConfig) -> PieceDistribution:
     """E[X_j] under the prior: sum over totals of prior * conditional.
 
     Total t has prior 1/(h * 2^N), N = floor(log2 t), so conditional c/n adds
     the integer c over n * 2^N: one Fraction per such denominator, then / h.
-    Each (conditional, N) pair adds c once, times the totals that share it."""
-    shares = {}  # (id of the shared conditional, N) -> [conditional, totals]
-    for t in range(1, cfg.t_max + 1):
-        dist = exact_conditional_expectation(t, cfg)
-        shares.setdefault((id(dist), t.bit_length() - 1), [dist, 0])[1] += 1
+    Each group of totals (see _groups) adds c once, times its count."""
     sums = [{} for _ in range(cfg.m + 2)]  # per index: n * 2^N -> sum of c
-    for (_, scale), (dist, count) in shares.items():
+    for dist, first, count in _groups(cfg).values():
+        scale = first.bit_length() - 1
         for by_den, x in zip(sums, dist.values):
             if c := x.numerator:
                 den = x.denominator << scale
@@ -338,51 +354,37 @@ ATTRIBUTED_TAGS = ("[idx=m]", "[literal]", "[info]")
 class BoundsReport:
     """Verified claims, stored as blocks and expanded into rows on read.
 
-    A block is a tuple of decided rows plus the total it repeats for; a
-    total of None means the rows stand as written. check_bounds repeats one
-    group's decided rows for every total of the group, so the rows are kept
-    once per decided group, not once per total. rows is a read-only view of
-    the expanded rows; the failure queries decide once per distinct tuple of
-    decided rows and expand only the failing ones.
+    A block is a tuple of decided rows plus the param_t values they stand
+    for: check_bounds stores one block per group of totals, carrying the
+    group's range of totals, and add stores its one row with (param_t,).
+    Reading a block yields each of its rows once per value, in order, with
+    that value as param_t. rows is a read-only view of the expanded rows;
+    the failure queries filter each block's rows once and expand only the
+    failing ones.
     """
 
     def __init__(self):
-        self.blocks: list[tuple[tuple[ClaimRow, ...], object]] = []
-        self._count = 0
+        self.blocks: list[tuple[tuple[ClaimRow, ...], Sequence]] = []
 
     def add(self, claim, param_j, param_t, lhs, rhs):
         """Record the claim lhs <= rhs, decided by cross-multiplication."""
         passed = lhs.numerator * rhs.denominator <= rhs.numerator * lhs.denominator
-        self.repeat((ClaimRow(claim, param_j, param_t, lhs, rhs, passed),), None)
+        self.repeat((ClaimRow(claim, param_j, param_t, lhs, rhs, passed),), (param_t,))
 
-    def repeat(self, rows: tuple[ClaimRow, ...], t) -> None:
-        """Record decided rows for total t: each stands with param_t = t
-        (t None: as written). The tuple is stored, not copied."""
-        self.blocks.append((rows, t))
-        self._count += len(rows)
-
-    def repeat_per_total(self, rows_by_total: list[tuple[ClaimRow, ...]]) -> None:
-        """Record rows_by_total[t - 1] for each total t = 1, 2, ..., as that
-        many repeat calls would, with one extend and one count update."""
-        self.blocks.extend(zip(rows_by_total, range(1, len(rows_by_total) + 1)))
-        self._count += sum(map(len, rows_by_total))
+    def repeat(self, rows: tuple[ClaimRow, ...], totals: Sequence) -> None:
+        """Record decided rows once for each param_t in totals."""
+        self.blocks.append((rows, totals))
 
     @property
     def rows(self) -> "ReportRows":
         return ReportRows(self)
 
     def _expand(self, keep=None):
-        """The rows in order; keep, if given, filters each distinct tuple once."""
-        kept = {}  # id of a stored tuple -> its rows that keep holds for
-        for rows, t in self.blocks:
-            if keep is not None:
-                if (selected := kept.get(id(rows))) is None:
-                    selected = kept[id(rows)] = tuple(filter(keep, rows))
-                rows = selected
-            if t is None:
-                yield from rows
-            else:
-                for claim, j, _, lhs, rhs, passed in rows:
+        """The rows in order; keep, if given, filters each block's rows once."""
+        for rows, totals in self.blocks:
+            selected = rows if keep is None else tuple(filter(keep, rows))
+            for t in totals:
+                for claim, j, _, lhs, rhs, passed in selected:
                     yield ClaimRow(claim, j, t, lhs, rhs, passed)
 
     def failures(self) -> list[ClaimRow]:
@@ -399,28 +401,25 @@ class BoundsReport:
         return not self.unattributed_failures()
 
     def tally(self) -> dict[str, list[int]]:
-        """claim -> [rows, failures], counted once per distinct tuple."""
-        uses = {}  # id of a stored tuple -> [the tuple, blocks holding it]
-        for rows, _ in self.blocks:
-            uses.setdefault(id(rows), [rows, 0])[1] += 1
+        """claim -> [rows, failures], counted once per block."""
         counts = {}
-        for rows, n in uses.values():
+        for rows, totals in self.blocks:
             for row in rows:
                 count = counts.setdefault(row.claim, [0, 0])
-                count[0] += n
-                count[1] += 0 if row.passed else n
+                count[0] += len(totals)
+                count[1] += 0 if row.passed else len(totals)
         return counts
 
 
 class ReportRows(Sequence):
-    """Read-only view of a report's rows: the length is a running count, and
-    every read expands the rows from the blocks."""
+    """Read-only view of a report's rows: every read expands the rows from
+    the blocks."""
 
     def __init__(self, report: BoundsReport):
         self._report = report
 
     def __len__(self) -> int:
-        return self._report._count
+        return sum(len(rows) * len(totals) for rows, totals in self._report.blocks)
 
     def __iter__(self):
         return self._report._expand()
@@ -481,39 +480,32 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
     [literal] carry the alternate index conventions, rows tagged [info] sit
     outside the guarantee's range. Failures are reported, never raised.
 
-    A total's rows depend on t only through the conditional its branch
-    shares and t >> m (the lemma2_ii cap, and theorem_top once
-    t >= 2^(m+1)), so each claim is decided once per distinct pair, and
-    the report stores each pair's decided rows once and repeats them for
-    every total of the pair: at (14, 8), 32,766 blocks that share 222
-    tuples of decided rows stand for 327,650 rows.
+    A total's rows depend on t only through its group (see _groups): the
+    conditional and t >> m (the lemma2_ii cap, and theorem_top once
+    t >= 2^(m+1)). So each claim is decided once per group, and the report
+    stores each group's decided rows once with the group's range of
+    totals: at (14, 8), 222 group blocks and 27 added rows stand for 327,650
+    rows.
     """
     if 2**cfg.h > DESK_SCALE_LIMIT:
         raise SplittingError(f"2^h > {DESK_SCALE_LIMIT}: refuse exhaustive check")
     report = BoundsReport()
     m, k, h, lg = cfg.m, cfg.k, cfg.h, cfg.log2k
-
-    # (id of the shared conditional, t >> m) per total; each such group keeps
-    # its conditional and the magnitudes of its totals
-    keys, groups = [], {}
-    for t in range(1, cfg.t_max + 1):
-        dist = exact_conditional_expectation(t, cfg)
-        keys.append(key := (id(dist), t >> m))
-        groups.setdefault(key, (dist, set()))[1].add(t.bit_length() - 1)
+    groups = _groups(cfg).values()
     marg = marginal_expectation(cfg).values
     three_halves, k_bound, eight = Fraction(3, 2), Fraction(k), Fraction(8)
-    caps = [Fraction(top) for top in range((cfg.t_max >> m) + 1)]
     case_one_rhs = [Fraction(3 * h) / min(Fraction(k, 2), Fraction(max(m + 1 - j, lg)))
                     for j in range(m + 2)]
 
     # per group: the conditional upper bounds, then the posterior-ratio ones
-    decided = {}
-    for (dist_id, top), (dist, _) in groups.items():
+    decided = []
+    for dist, first, count in groups:
+        top = first >> m
         bounds, ratios = BoundsReport(), BoundsReport()
         for j in range(1, m - k // 2 + 1):
             bounds.add("lemma2_i", j, None, dist.values[j], three_halves)
-        bounds.add("lemma2_ii[idx=m+1]", m + 1, None, dist.values[m + 1], caps[top])
-        bounds.add("lemma2_ii[idx=m]", m, None, dist.values[m], caps[top])
+        bounds.add("lemma2_ii[idx=m+1]", m + 1, None, dist.values[m + 1], Fraction(top))
+        bounds.add("lemma2_ii[idx=m]", m, None, dist.values[m], Fraction(top))
         bounds.add("lemma2_iii", 0, None, dist.values[0], k_bound)
         ratios.add("theorem_zero", 0, None, _ratio(dist.values[0], marg[0]), eight)
         for p in range(0, m + 1):
@@ -530,12 +522,10 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
             # alternate: j read literally off "piece value = 2^(j+1)"
             if p >= 1:
                 ratios.add("theorem_piece[literal]", p, None, ratio, case_one_rhs[p - 1])
-        decided[dist_id, top] = tuple(bounds.rows), tuple(ratios.rows)
+        decided.append((tuple(bounds.rows), tuple(ratios.rows), range(first, first + count)))
 
-    def per_total(part):  # each total repeats its group's decided rows, in order
-        report.repeat_per_total([decided[key][part] for key in keys])
-
-    per_total(0)
+    for rows, _, totals in decided:
+        report.repeat(rows, totals)
     # marginal lower bounds (lhs is the bound, rhs the computed marginal)
     for j in range(1, m - k // 2 + 1):
         report.add("lemma3_i", j, "", Fraction(k, 4 * h), marg[j])
@@ -543,13 +533,14 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
         report.add("lemma3_ii", j, "", Fraction(max(m + 1 - j, lg), 2 * h), marg[j])
     report.add("lemma3_iii", m + 1, "", Fraction(3 * (k - 2 * lg), 4 * h), marg[m + 1])
     report.add("lemma3_iv", 0, "", Fraction(k, 8), marg[0])
-    per_total(1)
+    for _, rows, totals in decided:
+        report.repeat(rows, totals)
 
     # anonymity floor: scales consistent with one observed piece
     for p in range(0, m + 1):
         idx = p + 1
-        scales = set().union(*(magnitudes for dist, magnitudes in groups.values()
-                               if dist.values[idx].numerator > 0))
+        scales = {first.bit_length() - 1 for dist, first, _ in groups
+                  if dist.values[idx].numerator > 0}
         claim = "anonymity_floor" if p < m else "anonymity_floor[info]"
         report.add(claim, p, "", Fraction(lg), Fraction(len(scales)))
     return report

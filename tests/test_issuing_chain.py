@@ -20,6 +20,7 @@ from shieldbridge.issuing_chain import (
 )
 from shieldbridge.notes import (
     Note,
+    Nullifier,
     SharedSecretDirectory,
     commit_note,
     derive_rcm,
@@ -264,6 +265,33 @@ class TestWzecTransfer:
         assert h.chain.wzec_transfer(tx) == tx.txid()
         rej = h.chain.wzec_transfer(tx)
         assert isinstance(rej, Rejection) and rej.reason == "double-spend"
+
+    def test_forged_nullifier_double_spend_rejected(self):
+        # the same transfer again, its spend under a made-up nullifier
+        h = minted_harness()
+        source = list(h.wzec_wallet.unspent.values())[0]
+        tx, _ = build_transfer(h.wzec_wallet, [(h.wzec_wallet.address, source.value,
+                                                rng_bytes(h.rng, 32))],
+                               0, h.directory, h.rng)
+        assert h.chain.wzec_transfer(tx) == tx.txid()
+        forged = replace(tx, spends=(replace(tx.spends[0], nullifier=Nullifier(
+            rng_bytes(h.rng, 32))),))
+        rej = h.chain.wzec_transfer(forged)
+        assert isinstance(rej, Rejection) and rej.reason == "nullifier-mismatch"
+        assert h.chain.pool_value() == h.chain.supply == 4_900_000_000
+
+    def test_output_commitment_must_open_its_note(self):
+        # the output carries an honest note but commits to a larger one
+        h = minted_harness()
+        source = list(h.wzec_wallet.unspent.values())[0]
+        tx, notes = build_transfer(h.wzec_wallet, [(h.wzec_wallet.address, source.value,
+                                                    rng_bytes(h.rng, 32))],
+                                   0, h.directory, h.rng)
+        inflated = replace(notes[0], value=notes[0].value + 1)
+        forged = replace(tx, outputs=(replace(tx.outputs[0], cm=commit_note(inflated)),))
+        rej = h.chain.wzec_transfer(forged)
+        assert isinstance(rej, Rejection) and rej.reason == "commitment-mismatch"
+        assert h.chain.pool_value() == h.chain.supply == 4_900_000_000
 
 
 def replace_witness(transfer, **fields):

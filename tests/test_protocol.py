@@ -26,7 +26,7 @@ from shieldbridge.protocol import (
     ops_by_request,
     sequence_ok,
 )
-from shieldbridge.simcli import collect_metrics, corrupt_ciphertext
+from shieldbridge.simcli import ActorSpec, VaultBot, collect_metrics, corrupt_ciphertext
 from shieldbridge.vault_registry import RegistryParams
 from shieldbridge.zcash_chain import BlockHeader, CommitmentTree, MerklePath, Rejection
 
@@ -302,6 +302,26 @@ class TestIssueChallenge:
                               Rejection)
         assert engine.challenge_issue("V1", request.request_id) == OK
         assert request.state == ISSUE_CHALLENGED
+
+    def test_honest_vault_challenges_a_ciphertext_of_another_note(self):
+        # the ciphertext authenticates under the vault's key, so it decrypts,
+        # but to a note whose commitment is not the mint's lock commitment
+        engine = make_engine()
+        request = engine.request_lock("A1", "V1")
+        engine.do_lock("A1", request.request_id, LOCK)
+        for _ in range(engine.config.relay_k + 1):
+            engine.tick()
+        transfer = engine.build_mint(request.request_id)
+        lock_note = transfer.witness.lock_note
+        other = replace(lock_note, rcm=digest(b"test-other-rcm", lock_note.rcm))
+        ct = engine.build_note_ciphertext(other, "V1")
+        engine.do_mint("A1", request.request_id, transfer, ct)
+        assert request.state == AWAIT_ISSUE_CONFIRM
+        assert engine.vault_note(request) is None
+        VaultBot(ActorSpec("V1", "vault")).step(engine)
+        assert request.state == ISSUE_CHALLENGED
+        assert collect_metrics(engine)["challenge_upheld"] == 1
+        assert engine.issuing.supply == 0
 
     def test_honest_ciphertext_challenge_rejected(self):
         engine = make_engine()
@@ -715,6 +735,23 @@ class TestRequestGuard:
         assert engine.trace_rows()[rows:] == [
             (engine.now, actor, op, request_id, "", "", "rejected:no-such-request")]
         assert engine.requests == requests
+
+
+class TestStatementsFromNonVaults:
+    @pytest.mark.parametrize("method, op", [("submit_poc", "submitPOC"),
+                                            ("submit_pob", "submitPOB"),
+                                            ("submit_poi", "submitPOI")])
+    @pytest.mark.parametrize("name", ["A1", "X9"], ids=["user", "unknown-actor"])
+    def test_traced_as_unknown_vault(self, method, op, name):
+        # a statement from a name the registry does not hold is a traced
+        # rejection, never a KeyError
+        engine = make_engine()
+        vaults = dict(engine.registry.vaults)
+        rej = getattr(engine, method)(name)
+        assert isinstance(rej, Rejection) and rej.reason == "unknown-vault"
+        assert engine.trace[-1][1:3] == (name, op)
+        assert engine.trace[-1][-1] == "rejected:unknown-vault"
+        assert engine.registry.vaults == vaults
 
 
 class TestSetup:

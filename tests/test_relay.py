@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shieldbridge.notes import (
     Note,
@@ -283,3 +285,72 @@ class TestEclipseProofForgery:
         assert relay.verify_note_inclusion(fake_cm, path, forged.hash) == VERIFIED
         # ground truth: the commitment is not in the real chain
         assert not chain.pool.knows_commitment(fake_cm)
+
+
+def ancestry_final(relay):
+    """Oracle for is_final: walk the parents down from the best tip; a block
+    is final iff the walk meets it at depth >= k."""
+    tip_height = relay.headers[relay.best_tip].height
+    final, cursor = set(), relay.best_tip
+    while cursor in relay.headers:
+        header = relay.headers[cursor]
+        if tip_height - header.height >= relay.k:
+            final.add(cursor)
+        cursor = header.parent
+    return final
+
+
+class TestFinalityAgainstAncestryOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4))
+    def test_forks_and_eclipses(self, rng, k):
+        """An honest chain whose relayers are muted and unmuted at random, a
+        private attacker branch released whole or in scrambled order, random
+        side forks and resubmissions: after every step each stored header is
+        final exactly when the oracle says so."""
+        genesis = BlockHeader(0, b"\x00" * 32, b"\x00" * 32, 1)
+        relay = Relay(genesis, finality_depth=k, tree_depth=8)
+        nonces = iter(range(1, 10**6))
+
+        def child(parent):
+            return BlockHeader(parent.height + 1, parent.hash, b"\x00" * 32, 1,
+                               nonce=next(nonces))
+
+        honest, backlog, private, muted = [genesis], [], [], False
+        tip_height = 0
+        for _ in range(80):
+            action = rng.choice(["mine", "mine", "mine", "attack", "attack", "release",
+                                 "mute", "fork", "resubmit"])
+            if action == "mine":
+                honest.append(child(honest[-1]))
+                backlog.append(honest[-1])
+            elif action == "attack":
+                if not private or rng.random() < 0.2:  # a fresh fork below the honest tip
+                    private = [rng.choice(honest[-2 * k - 2:])]
+                private.append(child(private[-1]))
+            elif action == "release":
+                released = private[1:]
+                if rng.random() < 0.5:
+                    rng.shuffle(released)  # out of order: some are unknown-parent at first
+                for header in released:
+                    relay.submit_header(header)
+            elif action == "mute":
+                muted = not muted
+            elif action == "fork":
+                relay.submit_header(child(relay.headers[rng.choice(list(relay.headers))]))
+            else:
+                stored = relay.headers[rng.choice(list(relay.headers))]
+                assert relay.submit_header(stored) == ACCEPTED
+            if not muted:
+                for header in backlog:
+                    relay.submit_header(header)
+                backlog = []
+            # is_final's single lookup rests on these two facts
+            tip = relay.headers[relay.best_tip]
+            assert tip.height >= tip_height
+            tip_height = tip.height
+            assert all(height <= tip.height - k for height in relay.finalized)
+            final = ancestry_final(relay)
+            for block_hash in relay.headers:
+                assert relay.is_final(block_hash) == (block_hash in final)
+            assert not relay.is_final(child(tip).hash)  # never submitted

@@ -19,6 +19,7 @@ from shieldbridge.splitting import (
     UndefinedRatioError,
     _branch,
     _branch_distribution,
+    _groups,
     _ones_in_range,
     check_bounds,
     check_lemma1,
@@ -360,15 +361,14 @@ class TestCheckBounds:
 class TestBoundsReport:
     @staticmethod
     def small_report():
-        # a hand-made report: two added rows around one decided tuple that is
-        # stored for three totals, one failing row attributed, one not
+        # a hand-made report: two added rows around one block of decided rows
+        # that stands for totals 4, 5 and 6, one failing row attributed, one not
         report = BoundsReport()
         report.add("a", 1, "", Fraction(1), Fraction(2))
         decided = (ClaimRow("b", 0, None, Fraction(3), Fraction(2), False),
                    ClaimRow("c[info]", 2, None, Fraction(5), Fraction(1), False),
                    ClaimRow("d", 3, None, Fraction(0), Fraction(1), True))
-        for t in (4, 5, 6):
-            report.repeat(decided, t)
+        report.repeat(decided, range(4, 7))
         report.add("e", 0, None, Fraction(2), Fraction(2))
         expected = [ClaimRow("a", 1, "", Fraction(1), Fraction(2), True),
                     *(row._replace(param_t=t) for t in (4, 5, 6) for row in decided),
@@ -627,3 +627,18 @@ def test_check_bounds_calls_each_conditional_twice_per_total(monkeypatch):
     report = check_bounds(cfg)
     assert len(calls) == 2 * cfg.t_max
     assert len(report.rows) == 16_350
+    # one block per group for each of the two per-group parts, carrying the
+    # group's range of totals; every other block is one added row: m + 2
+    # marginal lower bounds and m + 1 anonymity floors
+    groups = _groups(cfg)
+    group_blocks = [totals for _, totals in report.blocks if type(totals) is range]
+    added = [(rows, totals) for rows, totals in report.blocks if type(totals) is not range]
+    assert len(group_blocks) == 2 * len(groups)
+    assert len(added) == 2 * cfg.m + 3
+    assert all(len(rows) == len(totals) == 1 and totals[0] == rows[0].param_t
+               for rows, totals in added)
+    # each part's ranges tile [1, t_max] in order, one per group
+    for part in (group_blocks[:len(groups)], group_blocks[len(groups):]):
+        assert [t for totals in part for t in totals] == list(range(1, cfg.t_max + 1))
+        assert [(totals.start, len(totals)) for totals in part] == [
+            (first, count) for _, first, count in groups.values()]

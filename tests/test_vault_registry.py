@@ -200,6 +200,18 @@ class TestLiquidation:
         assert registry.witness_obligations(vault) == 0
         assert registry.history_witness(vault)[-1] == ("liquidation", 2)
 
+    @pytest.mark.parametrize("rate", [Fraction(3), Fraction(1)], ids=["up", "down"])
+    def test_stale_statement_rate_move_without_deficit_no_liquidation(self, setup, rate):
+        # armed (stale statement, rate moved past the margin) but the vault
+        # still backs 49 at 3/2 * 3 = 220.5 with 300: nothing to seize
+        ledger, oracle, registry, vault = self.arm(setup, collateral=300)
+        oracle.set_rate(50, rate)
+        history = registry.history_witness(vault)
+        assert registry.check_liquidation(vault, now=PARAMS.pob_period + 1) is None
+        assert ledger.collateral_of(vault) == 300
+        assert ledger.balance(LIQUIDATION_POOL) == 0
+        assert registry.history_witness(vault) == history
+
     def test_small_rate_move_below_margin_no_liquidation(self, setup):
         ledger, oracle, registry, vault = self.arm(setup)
         oracle.set_rate(50, Fraction(2, 1) * (1 + Fraction(5, 100)))  # +5% < margin

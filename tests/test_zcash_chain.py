@@ -13,6 +13,7 @@ from shieldbridge.notes import (
     Note,
     NoteCommitment,
     NoteError,
+    Nullifier,
     SharedSecretDirectory,
     commit_note,
     derive_nullifier,
@@ -193,6 +194,17 @@ class TestTreeAgainstRecursiveOracle:
             tree.path_at(0, 2)
 
 
+def with_forged_nullifier(tx: ShieldedTx, rng) -> ShieldedTx:
+    """tx with its first spend under a fresh nullifier, witness unchanged."""
+    first = replace(tx.spends[0], nullifier=Nullifier(rng_bytes(rng, 32)))
+    return replace(tx, spends=(first, *tx.spends[1:]))
+
+
+def with_output_cm(tx: ShieldedTx, cm: NoteCommitment) -> ShieldedTx:
+    """tx with its first output's commitment replaced, note unchanged."""
+    return replace(tx, outputs=(replace(tx.outputs[0], cm=cm), *tx.outputs[1:]))
+
+
 class TestTransactions:
     def test_spend_roundtrip(self, rng, directory):
         chain, wallet = seed_chain(rng, directory)
@@ -252,6 +264,29 @@ class TestTransactions:
         )
         rej = chain.submit_shielded_tx(tx)
         assert isinstance(rej, Rejection) and rej.reason == "unknown-note"
+
+    def test_forged_nullifier_double_spend_rejected(self, rng, directory):
+        # the confirmed tx again, its spend under a made-up nullifier: the
+        # nullifier set cannot see this double spend, only the derivation can
+        chain, wallet = seed_chain(rng, directory)
+        tx, _ = build_transfer(wallet, [(random_address(rng), 4_000, rng_bytes(rng, 32))],
+                               chain.fee, directory, rng)
+        assert chain.submit_shielded_tx(tx) == tx.txid()
+        chain.mine_block()
+        forged = with_forged_nullifier(tx, rng)
+        rej = chain.submit_shielded_tx(forged)
+        assert isinstance(rej, Rejection) and rej.reason == "nullifier-mismatch"
+        assert chain.mempool == []
+
+    def test_output_commitment_must_open_its_note(self, rng, directory):
+        # the output carries an honest note but commits to a larger one
+        chain, wallet = seed_chain(rng, directory)
+        tx, notes = build_transfer(wallet, [(random_address(rng), 4_000, rng_bytes(rng, 32))],
+                                   chain.fee, directory, rng)
+        inflated = replace(notes[0], value=notes[0].value + 1_000)
+        rej = chain.submit_shielded_tx(with_output_cm(tx, commit_note(inflated)))
+        assert isinstance(rej, Rejection) and rej.reason == "commitment-mismatch"
+        assert chain.mempool == []
 
     def test_public_view_hides_values(self, rng, directory):
         chain, wallet = seed_chain(rng, directory)
