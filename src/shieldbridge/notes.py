@@ -233,10 +233,9 @@ def decrypt_note(ct: NoteCiphertext, secret: SharedSecret) -> Optional[Note]:
     """Returns the note, or None when authentication or decoding fails.
 
     A None here is exactly the condition under which the recipient should
-    challenge the request that published the ciphertext.
+    challenge the request that published the ciphertext. A payload shorter
+    than a tag leaves a tag too short to match.
     """
-    if len(ct.payload) < DIGEST_SIZE:
-        return None
     body, tag = ct.payload[:-DIGEST_SIZE], ct.payload[-DIGEST_SIZE:]
     if not hmac.compare_digest(tag, _auth_tag(secret, ct.ephemeral_public, body)):
         return None

@@ -284,8 +284,6 @@ class Engine:
         """Advance one tick: mine a block, relay its header, let actors
         move, then fire every due deadline exactly once. Returns the rows the
         timeouts and liquidations traced, as (tick, event, request id or vault)."""
-        if not self._started:
-            self.start()
         self.now += 1
         header = self.zcash.mine_block()
         if not self.relayer_muted:
@@ -359,7 +357,7 @@ class Engine:
         and make the party at fault pay."""
         setattr(self.registry.vaults[request.vault_id], f"active_{request.kind}", None)
         confirmed = step.closes == "confirmed"
-        vault = self.actors.get(request.vault_id)
+        vault = self.actors[request.vault_id]  # a registered vault is an actor
         if request.pending_txid is not None:
             # the minted note on a confirmed mint, the refund on a voided burn
             credited = self.issuing.finalize_tx(request.pending_txid,
@@ -369,13 +367,12 @@ class Engine:
         if confirmed and request.kind == "issue":
             lock_note = request.transfer.witness.lock_note
             self.registry.note_issue_completed(request.vault_id, lock_note.value)
-            if vault is not None and self.vault_note(request) is not None:
+            if self.vault_note(request) is not None:
                 vault.zcash.credit(lock_note)
         elif confirmed:
             self.registry.note_redeem_completed(request.vault_id,
                                                 request.transfer.witness.burn_amount)
-        elif (request.pending_txid is not None and request.lock_note is not None
-              and vault is not None):
+        elif request.pending_txid is not None and request.lock_note is not None:
             vault.zcash.credit(request.lock_note)  # a voided mint's issuer loses the lock
         ledger = self.issuing.i_ledger
         reason = (_event_name(step.op) if step.party == SYSTEM
@@ -720,8 +717,8 @@ class Engine:
                     if request_id is not None]
         for request_id in sorted(open_ids, key=lambda request_id: int(request_id[1:])):
             request = self.requests[request_id]
-            step = TIMEOUTS.get((request.kind, request.state))
-            if step is not None and self.now > getattr(request, step.deadline):
+            step = TIMEOUTS[request.kind, request.state]  # every open state has one
+            if self.now > getattr(request, step.deadline):
                 self._advance(request, step.op, SYSTEM)
 
     # -- scanning and metrics ----------------------------------------------------------
@@ -771,11 +768,12 @@ def ops_by_request(trace_rows: list[tuple]) -> dict[str, list[str]]:
 def sequence_ok(kind: str, ops: list[str]) -> bool:
     """Whether `ops` walk LIFECYCLE rows of `kind` from its start state to a
     close, each from the state the last one left, keeping every once-only
-    rule."""
+    rule. The two kinds share no state, so a row of the other kind never
+    starts from the state the walk is in."""
     state, closed, done = START[kind], False, set()
     for op in ops:
         step = LIFECYCLE.get(op)
-        if (closed or step is None or step.kind != kind or step.before != state
+        if (closed or step is None or step.before != state
                 or (step.once is not None and step.once[0] in done)):
             return False
         state, closed = step.after, step.closes is not None

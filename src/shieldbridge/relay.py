@@ -35,8 +35,10 @@ class RelayMetrics:
 class Relay:
     """Header store with depth-k finality signalling.
 
-    Initialized from a trusted checkpoint header (normally the simulated
-    chain's genesis), like a light client. It knows the depth of the
+    Initialized from a trusted checkpoint header at any height (normally
+    the simulated chain's genesis), like a light client: nothing below the
+    checkpoint is ever known, and the checkpoint itself becomes final once
+    the tip is k headers above it. It knows the depth of the
     chain's commitment tree, so an inclusion path must carry exactly
     `tree_depth` siblings: a shorter one would fold an internal node of
     the tree up to the root and pass it off as a leaf.
@@ -49,9 +51,9 @@ class Relay:
         self.headers: dict[bytes, BlockHeader] = {checkpoint.hash: checkpoint}
         self.cum_work: dict[bytes, int] = {checkpoint.hash: checkpoint.work}
         self.best_tip: bytes = checkpoint.hash
+        self.checkpoint_height = checkpoint.height
         self.finalized: dict[int, bytes] = {}
         self.metrics = RelayMetrics()
-        self._advance_finality()
 
     # -- header acceptance --
 
@@ -78,10 +80,11 @@ class Relay:
 
         Walks downward from the newly finalized height and stops at the
         first height whose recorded hash already matches, since ancestor
-        chains coincide from there on. Amortized O(k) per tip change."""
+        chains coincide from there on, or at the checkpoint. Amortized O(k)
+        per tip change."""
         tip = self.headers[self.best_tip]
         final_max = tip.height - self.k
-        if final_max < 0:
+        if final_max < self.checkpoint_height:
             return
         cursor = tip
         while cursor.height > final_max:

@@ -297,7 +297,7 @@ class IssueBot(_ScriptBot):
             yield
             while not request.terminal:
                 yield
-            if strategy != "replay_lock" or replayed is not None:
+            if strategy != "replay_lock":  # the replay round stalls at its refused mint
                 return
             replayed = request.lock_note
             yield  # the replay round opens its request on the next tick
@@ -319,7 +319,7 @@ class RedeemBot(_ScriptBot):
         spec, strategy = self.spec, self.spec.strategy
         rounds = [(spec.at, spec.amount)]
         if strategy in ("double_redeem", "reuse_release"):  # burn again once the first closes
-            rounds.append((spec.at2 or spec.at, spec.amount2 or spec.amount))
+            rounds.append((spec.at2, spec.amount2 or spec.amount))
         request = reuse = None
         for start, amount in rounds:
             if request is not None:
@@ -387,7 +387,7 @@ class VaultBot:
             if engine.block_of(request.release_cm) is not None:
                 engine.confirm_redeem(name, request.request_id)
                 return
-        if self.spec.strategy == "stale_proof" and self._stale_proof is not None:
+        if self._stale_proof is not None:  # only a stale_proof vault keeps one
             # replay an old release proof against a fresh burn; the relay
             # rejects it because the redeemer chose a fresh commitment
             if request.request_id not in self._stale_attempted:

@@ -216,9 +216,7 @@ class VaultRegistry:
         seizing s = deficit / (sigma - 1) and cutting obligations by s/rate
         leaves collateral' = obligations' * sigma * rate.
         """
-        record = self.vaults.get(vault_id)
-        if record is None:
-            return None
+        record = self.vaults[vault_id]
         params = self.params
         if now - record.last_statement_tick <= params.pob_period:
             return None

@@ -227,7 +227,7 @@ class ShieldedPool:
             if nf in seen or nf in self.nullifiers or nf in extra_nullifiers:
                 return Rejection("double-spend")
             seen.add(nf)
-            if not allow_unbacked and commit_note(spend.witness.note).digest not in self.leaf_index:
+            if commit_note(spend.witness.note).digest not in self.leaf_index:
                 return Rejection("unknown-note")
         for out in tx.outputs:
             if commit_note(out.note_witness) != out.cm:

@@ -16,6 +16,7 @@ from shieldbridge.issuing_chain import (
     MintStatement,
     MintTransfer,
     MintWitness,
+    TransparentLedger,
     post_fee_amount,
 )
 from shieldbridge.notes import (
@@ -353,3 +354,36 @@ class TestObserverView:
         log = str(h.chain.public_log)
         for secret_value in ("5000000000", "4900000000", "4802000000"):
             assert secret_value not in log
+
+
+class TestLedgerMisuse:
+    """Misuse of the i ledger or of a pending tx is an internal error."""
+
+    def test_negative_deposit(self):
+        with pytest.raises(LedgerError, match="negative deposit"):
+            TransparentLedger().deposit("A", -1)
+
+    def test_second_warranty_for_one_request(self):
+        ledger = TransparentLedger()
+        ledger.deposit("A", 10)
+        assert ledger.lock_warranty("R1", "A", 5) is None
+        with pytest.raises(LedgerError, match="already locked for R1"):
+            ledger.lock_warranty("R1", "A", 5)
+        assert ledger.balance("A") == 5 and ledger.total() == 10
+
+    @pytest.mark.parametrize("method, args", [("return_warranty", ()),
+                                              ("forfeit_warranty", ("B",))])
+    def test_unknown_warranty(self, method, args):
+        ledger = TransparentLedger()
+        with pytest.raises(LedgerError, match="no warranty locked for R1"):
+            getattr(ledger, method)("R1", *args)
+
+    def test_finalize_unknown_txid(self, harness):
+        with pytest.raises(LedgerError, match="non-pending tx I-mint-9"):
+            harness.chain.finalize_tx("I-mint-9", CONFIRMED)
+
+    def test_finalize_with_an_unknown_outcome(self, harness):
+        tx = harness.chain.submit_mint_tx(harness.mint_transfer(), harness.permit_nonce)
+        with pytest.raises(LedgerError, match="bad outcome"):
+            harness.chain.finalize_tx(tx.txid, "maybe")
+        assert tx.status == PENDING and harness.chain.supply == 0

@@ -126,10 +126,14 @@ def test_decrypt_flipped_byte(channel, addr):
         assert decrypt_note(NoteCiphertext(bytes(tampered), epk), secret) is None
 
 
-def test_decrypt_garbage_payload(channel):
+def test_decrypt_garbage_payload(channel, addr):
     _, epk, secret = channel
     assert decrypt_note(NoteCiphertext(b"\x00" * 80, epk), secret) is None
     assert decrypt_note(NoteCiphertext(b"", epk), secret) is None
+    # shorter than a tag, even one cut from a true tag
+    tag = encrypt_note(make_note(addr), addr, secret, epk).payload[-32:]
+    for payload in (tag[-1:], tag[-31:]):
+        assert decrypt_note(NoteCiphertext(payload, epk), secret) is None
 
 
 def test_malformed_plaintext_decodes_to_none(addr):
@@ -308,3 +312,21 @@ class TestFastPathsAgainstOracles:
         for value in (2**64, -1):
             with pytest.raises(NoteError):
                 encode_int(value)
+
+
+class TestNoteFieldChecks:
+    @pytest.mark.parametrize("diversifier, pk_d, message", [
+        (b"\x00" * 10, b"\x00" * 32, "diversifier must be 11 bytes"),
+        (b"\x00" * 11, b"\x00" * 31, "pk_d must be 32 bytes"),
+    ], ids=["diversifier", "pk_d"])
+    def test_address_lengths(self, diversifier, pk_d, message):
+        with pytest.raises(NoteError, match=message):
+            Address(diversifier, pk_d)
+
+    def test_rcm_length(self, addr):
+        with pytest.raises(NoteError, match="rcm must be 32 bytes"):
+            Note(addr, 5, b"\x01" * 31)
+
+    def test_negative_value(self, addr):
+        with pytest.raises(NoteError, match="non-negative"):
+            Note(addr, -1, b"\x01" * 32)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from shieldbridge.notes import NoteCommitment, SharedSecret, digest
+from shieldbridge.notes import Note, NoteCommitment, SharedSecret, commit_note, digest
 from shieldbridge.protocol import (
     AWAIT_ISSUE_CONFIRM,
     AWAIT_REDEEM_CONFIRM,
@@ -767,6 +767,19 @@ class TestSetup:
         assert account.zcash.balance() == 100
         assert engine.issuing.i_ledger.balance("A") == 10
 
+    def test_add_actor_after_start_is_internal_error(self):
+        engine = make_engine()
+        with pytest.raises(ProtocolError, match="before start"):
+            engine.add_actor("A9")
+        assert "A9" not in engine.actors
+
+    def test_second_start_is_internal_error(self):
+        engine = make_engine()
+        height = engine.zcash.height
+        with pytest.raises(ProtocolError, match="already started"):
+            engine.start()
+        assert engine.zcash.height == height
+
 
 def full_scan_deadlines(engine):
     """The full request scan `_enforce_deadlines` replaced: the oracle."""
@@ -823,3 +836,214 @@ class TestDeadlineOrder:
                           else "confirm-redeem-timeout", request.request_id)
                          for request in due]
         assert engine.trace == oracle.trace and engine.events == oracle.events
+
+
+def unregistered_engine():
+    """An engine with vault actor V1 (i = COLLATERAL) and user A1, started,
+    with no vault registered yet."""
+    params = RegistryParams(v_max=10_000_000_000, f=Fraction(2, 100),
+                            sigma_std=Fraction(3, 2), i_w=5)
+    engine = Engine(ProtocolConfig(params, relay_k=3, tree_depth=8), 7)
+    engine.oracle.set_rate(0, Fraction(2, 1))
+    engine.add_actor("V1", zec_notes=(20_000_000_000,), i_balance=COLLATERAL)
+    engine.add_actor("A1", zec_notes=(10_000_000_000,), i_balance=100)
+    engine.start()
+    return engine
+
+
+def last_row(engine):
+    return engine.trace_rows()[-1]
+
+
+def orphan_block(engine, block_hash):
+    """Reorg the backing chain (not the relay) onto a longer side branch
+    that forks just below `block_hash`."""
+    chain = engine.zcash
+    tip = chain.blocks[block_hash].header.parent
+    for _ in range(chain.height - chain.blocks[block_hash].header.height + 2):
+        tip = chain.mine_block(parent_hash=tip, txs=[]).hash
+    assert not isinstance(chain.reorg_to(tip), Rejection)
+    assert not chain.block_on_main(block_hash)
+
+
+class TestRegistration:
+    """A refused registration is one traced rejection and records no vault."""
+
+    @pytest.mark.parametrize("name, collateral, reason", [
+        ("X9", COLLATERAL, "unknown-actor"),
+        ("V1", COLLATERAL + 1, "insufficient-i"),
+        ("V1", 0, "zero-collateral"),
+    ], ids=["unknown-actor", "collateral-above-i", "zero-collateral"])
+    def test_refused(self, name, collateral, reason):
+        engine = unregistered_engine()
+        ledger = engine.issuing.i_ledger
+        total = engine.total_i()
+        rej = engine.register_vault(name, collateral)
+        assert rej == Rejection(reason)
+        assert last_row(engine) == (engine.now, name, "registerVault", "", "", "",
+                                    f"rejected:{reason}")
+        assert engine.registry.vaults == {}
+        assert ledger.collateral == {} and ledger.balance("V1") == COLLATERAL
+        assert engine.total_i() == total
+
+    def test_second_registration_refused(self):
+        engine = unregistered_engine()
+        assert engine.register_vault("V1", COLLATERAL // 2) == "V1"
+        record = engine.registry.vaults["V1"]
+        rej = engine.register_vault("V1", COLLATERAL // 2)
+        assert rej == Rejection("already-registered")
+        assert last_row(engine)[-1] == "rejected:already-registered"
+        assert engine.registry.vaults == {"V1": record}
+        assert engine.issuing.i_ledger.collateral_of("V1") == COLLATERAL // 2
+
+
+class TestRequestOpsAgainstBadInput:
+    def test_burn_to_a_name_that_is_no_vault(self):
+        engine = engine_with_supply()
+        transfer, _ = engine.build_burn("A1", "V1", 1_000_000)
+        rej = engine.do_burn("A1", "X9", transfer)
+        assert rej == Rejection("unknown-vault")
+        assert last_row(engine)[-1] == "rejected:unknown-vault"
+
+    def test_request_id_none_is_traced_as_empty(self):
+        engine = make_engine()
+        assert engine.confirm_issue("V1", None) == Rejection("no-such-request")
+        assert last_row(engine) == (engine.now, "V1", "confirmIssue", "", "", "",
+                                    "rejected:no-such-request")
+
+    def test_lock_after_mint_timeout_is_bad_state(self):
+        # a mint-timeout close leaves the state at AwaitingMint: only the
+        # close itself keeps the lock from paying
+        engine = make_engine()
+        request = engine.request_lock("A1", "V1")
+        engine.run_until(request.deadline_mint + 1)
+        assert request.close_reason == "mint-timeout"
+        balance = engine.actors["A1"].zcash.balance()
+        rej = engine.do_lock("A1", request.request_id, LOCK)
+        assert rej == Rejection("bad-state")
+        assert request.lock_note is None and engine.zcash.mempool == []
+        assert engine.actors["A1"].zcash.balance() == balance
+
+    def test_lock_from_a_note_not_on_chain(self):
+        # a wallet note the chain never mined cannot pay a lock
+        engine = make_engine()
+        wallet = engine.actors["A1"].zcash
+        wallet.credit(Note(wallet.address, 50_000_000_000, b"\x01" * 32))
+        request = engine.request_lock("A1", "V1")
+        rej = engine.do_lock("A1", request.request_id, LOCK)
+        assert rej == Rejection("unknown-note")
+        assert last_row(engine) == (engine.now, "A1", "lock", request.request_id,
+                                    AWAITING_MINT, AWAITING_MINT, "rejected:unknown-note")
+        assert request.lock_note is None and "lock" not in request.done
+        assert engine.zcash.mempool == []
+
+    def test_release_of_a_ciphertext_that_does_not_decrypt(self):
+        engine = engine_with_supply()
+        transfer, _ = engine.build_burn("A1", "V1", MINTED)
+        ct = corrupt_ciphertext(transfer.statement.ciphertext)
+        transfer = replace(transfer, statement=replace(transfer.statement, ciphertext=ct))
+        request = engine.do_burn("A1", "V1", transfer)
+        rej = engine.do_release("V1", request.request_id)
+        assert rej == Rejection("cannot-decrypt")
+        assert last_row(engine)[-1] == "rejected:cannot-decrypt"
+        assert not request.released
+
+    def test_release_by_a_vault_short_of_zec(self):
+        engine = engine_with_supply()
+        request = run_redeem(engine, release=False, confirm=False)
+        engine.actors["V1"].zcash.unspent.clear()  # the vault spent its ZEC elsewhere
+        rej = engine.do_release("V1", request.request_id)
+        assert isinstance(rej, Rejection) and "insufficient funds" in rej.reason
+        assert last_row(engine)[-1] == f"rejected:{rej.reason}"
+        assert not request.released and engine.zcash.mempool == []
+
+
+class TestBuildMintPreconditions:
+    """`build_mint` is an honest issuer's builder: asked too early, or after
+    the lock's block left the main chain, it is a caller's error."""
+
+    def test_before_the_lock(self):
+        engine = make_engine()
+        request = engine.request_lock("A1", "V1")
+        with pytest.raises(ProtocolError, match="no lock recorded"):
+            engine.build_mint(request.request_id)
+
+    def test_before_the_lock_is_mined(self):
+        engine = make_engine()
+        request = engine.request_lock("A1", "V1")
+        engine.do_lock("A1", request.request_id, LOCK)
+        with pytest.raises(ProtocolError, match="lock not mined yet"):
+            engine.build_mint(request.request_id)
+
+    def test_after_a_reorg_orphans_the_lock(self):
+        engine = make_engine()
+        request = engine.request_lock("A1", "V1")
+        engine.do_lock("A1", request.request_id, LOCK)
+        for _ in range(engine.config.relay_k + 1):
+            engine.tick()
+        orphan_block(engine, engine.block_of(commit_note(request.lock_note).digest))
+        with pytest.raises(ProtocolError, match="no path: block-not-on-main"):
+            engine.build_mint(request.request_id)
+
+    def test_confirm_redeem_after_a_reorg_orphans_the_release(self):
+        engine = engine_with_supply()
+        request = run_redeem(engine, confirm=False)
+        release_block = engine.block_of(request.release_cm)
+        assert engine.relay.is_final(release_block)
+        orphan_block(engine, release_block)
+        rej = engine.confirm_redeem("V1", request.request_id)
+        assert rej == Rejection("block-not-on-main")
+        assert last_row(engine)[-1] == "rejected:block-not-on-main"
+        assert request.state == AWAIT_REDEEM_CONFIRM
+
+
+class TestCloseEffects:
+    def test_auto_confirmed_mint_the_vault_cannot_open_pays_it_nothing(self):
+        # the lock note goes to the vault's wallet only when the vault can
+        # read it; a silent vault's auto-confirm of a garbled ciphertext
+        # still mints, but the vault learns no spendable note
+        engine = make_engine()
+        request = run_issue(engine, confirm=False, ct_edit=corrupt_ciphertext)
+        engine.run_until(request.deadline_confirm + 1)
+        assert request.close_reason == "confirmed"
+        lock_cm = commit_note(request.lock_note).digest
+        assert lock_cm not in engine.actors["V1"].zcash.unspent
+        assert engine.actors["V1"].zcash.balance() == 20_000_000_000
+
+    def test_forged_branch_recommitting_a_true_commitment_is_a_violation(self):
+        # the forged block commits a leaf the true chain holds too; the
+        # proof is still into a block the true chain never mined
+        engine = make_engine(tree_depth=4)
+        leaf = NoteCommitment(engine.zcash.pool.tree.leaves[0])
+        engine.relayer_muted = True
+        tree = CommitmentTree(depth=4)
+        tree.append(leaf)
+        parent = engine.relay.headers[engine.relay.best_tip]
+        forged = tip = BlockHeader(parent.height + 1, parent.hash, tree.root(), 1,
+                                   nonce=10**6)
+        for _ in range(engine.config.relay_k + 1):
+            engine.relay.submit_header(tip)
+            tip = BlockHeader(tip.height + 1, tip.hash, tip.tree_root, 1,
+                              nonce=10**6 + tip.height)
+        assert engine.relay.is_final(forged.hash)
+        verdict = engine.check_inclusion_claim(leaf, tree.path_at(0, 1), forged.hash)
+        assert not isinstance(verdict, Rejection)
+        assert engine.events[-1] == (engine.now, "relay-violation", "inclusion-forgery")
+
+
+class TestSequenceOk:
+    def test_kinds_share_no_state(self):
+        # sequence_ok rejects a row of the other kind by its from-state alone
+        states = {kind: {state for step in LIFECYCLE.values() if step.kind == kind
+                         for state in (step.before, step.after)}
+                  for kind in ("issue", "redeem")}
+        assert states["issue"] & states["redeem"] == set()
+
+    def test_op_of_the_other_kind(self):
+        assert not sequence_ok("issue", ["requestLock", "burn"])
+        assert not sequence_ok("redeem", ["requestLock"])
+        assert not sequence_ok("redeem", ["burn", "confirmIssue"])
+
+    def test_unknown_op(self):
+        assert not sequence_ok("issue", ["requestLock", "bogus"])
+        assert not sequence_ok("redeem", ["bogus"])

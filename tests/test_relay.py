@@ -137,6 +137,12 @@ class TestFinality:
         _, relay = relayed_chain()
         assert not relay.is_final(rng_bytes(rng, 32))
 
+    def test_unknown_block_has_no_depth(self, rng):
+        chain, relay = relayed_chain()
+        feed_main(chain, relay, 3)
+        assert relay.depth_of(rng_bytes(rng, 32)) == -1
+        assert relay.depth_of(chain.main[0]) == 3
+
     def test_abandoned_branch_never_final(self):
         chain, relay = relayed_chain(k=2)
         feed_main(chain, relay, 2)
@@ -354,3 +360,20 @@ class TestFinalityAgainstAncestryOracle:
             for block_hash in relay.headers:
                 assert relay.is_final(block_hash) == (block_hash in final)
             assert not relay.is_final(child(tip).hash)  # never submitted
+
+    @pytest.mark.parametrize("k", [3, 24, 40])
+    def test_checkpoint_above_genesis(self, k):
+        """A light client's checkpoint at height 30: nothing below it is
+        known, and it and its descendants become final at depth k."""
+        checkpoint = BlockHeader(30, digest(b"test-parent"), digest(b"test-root"), 1)
+        relay = Relay(checkpoint, finality_depth=k, tree_depth=8)
+        assert relay.finalized == {}
+        tip = checkpoint
+        for _ in range(50):
+            tip = BlockHeader(tip.height + 1, tip.hash, tip.tree_root, 1)
+            assert relay.submit_header(tip) == ACCEPTED
+            final = ancestry_final(relay)
+            for block_hash in relay.headers:
+                assert relay.is_final(block_hash) == (block_hash in final)
+            assert relay.is_final(checkpoint.hash) == (tip.height >= 30 + k)
+        assert relay.metrics.finality_flips == 0

@@ -567,3 +567,124 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
         assert err.count("\n") == 1
+
+
+class TestScenarioKeys:
+    @pytest.mark.parametrize("line, message", [
+        ("= 5", "line 32: empty key or value"),
+        ("seed =", "line 32: empty key or value"),
+        ("expect = 1", "unrecognized key 'expect'"),
+        ("oracle.foo.1 = 1", "unrecognized key 'oracle.foo.1'"),
+        ("bogus.rate.5 = 1", "unrecognized key 'bogus.rate.5'"),
+        ("oracle.rate.abc = 1",
+         "oracle.rate.abc: the tick must be ASCII digits without leading zeros"),
+        ("actor.A1.bogus = 1", "unrecognized key 'actor.A1.bogus'"),
+        ("bogus.A1.zec = 1", "unrecognized key 'bogus.A1.zec'"),
+    ], ids=["no-key", "no-value", "bare-expect", "oracle-not-rate", "rate-not-oracle",
+            "rate-tick-not-digits", "actor-field", "actor-not-section"])
+    def test_bad_key_exits_2(self, line, message, tmp_path, capsys):
+        text = load_bundled_scenario("issue_happy")
+        assert text.count("\n") == 31
+        f = tmp_path / "bad.cfg"
+        f.write_text(text + line + "\n")
+        assert main(["run", "--scenario", str(f)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_expectation_on_an_unknown_metric_fails(self, tmp_path, capsys):
+        f = tmp_path / "typo.cfg"
+        f.write_text(load_bundled_scenario("issue_happy") + "expect.final_suply = 1\n")
+        assert main(["run", "--scenario", str(f)]) == 1
+        assert "FAIL expect.final_suply: no such metric\n" in capsys.readouterr().out
+
+    def test_collateral_of_a_non_vault_is_ignored(self):
+        # only a vault locks collateral, so only a vault's is checked
+        text = load_bundled_scenario("issue_happy") + "actor.A1.collateral = 500\n"
+        assert [a.collateral for a in load_scenario(text).actors] == [29400000000, 500]
+
+
+def bot_run(bots, ticks, zec=400, **protocol):
+    """The engine of `strategy_run` (V1 registered with 294 and stated, A1
+    with `zec`), its protocol fields overridden, after `ticks` ticks of
+    `bots`."""
+    params = RegistryParams(v_max=100, f=Fraction(2, 100), sigma_std=Fraction(3, 2),
+                            i_w=5, poc_validity=100, pob_period=100)
+    protocol = {"relay_k": 2, "delta_mint": 8, "delta_confirm_issue": 2,
+                "delta_confirm_redeem": 8, "zc_fee": 1, "tree_depth": 6, **protocol}
+    engine = Engine(ProtocolConfig(params, **protocol), 7)
+    engine.oracle.set_rate(0, Fraction(2, 1))
+    engine.add_actor("V1", zec_notes=(500,), i_balance=344)
+    engine.add_actor("A1", zec_notes=(zec,) if zec else (), i_balance=50)
+    engine.start()
+    engine.register_vault("V1", 294)
+    engine.submit_poc("V1")
+    engine.run_until(ticks, lambda eng: [bot.step(eng) for bot in bots])
+    return engine
+
+
+def issuer_run(strategy="honest", ticks=40, **setup):
+    """An honest vault and one IssueBot: the bot and the engine."""
+    bot = IssueBot(ActorSpec("A1", "issuer", strategy, vault="V1", amount=50, at=2))
+    return bot, bot_run([VaultBot(ActorSpec("V1", "vault")), bot], ticks, **setup)
+
+
+def ok_ops(engine, actor):
+    return [op for _, who, op, *_, outcome in engine.trace_rows()
+            if who == actor and outcome == "ok"]
+
+
+class TestBotEdges:
+    @pytest.mark.parametrize("kwargs", [{"zec": 0}, {"relay_k": 10, "delta_mint": 5}],
+                             ids=["lock-refused", "lock-final-after-deadline"])
+    def test_issuer_whose_request_closes_before_a_mint(self, kwargs):
+        bot, engine = issuer_run(**kwargs)
+        assert bot.phase == "done"
+        assert engine.requests[bot.request_id].close_reason == "mint-timeout"
+        assert all(op != "mint" for _, _, op, *_ in engine.trace_rows())
+        assert conformance_errors(engine) == []
+
+    def test_replay_lock_replays_once(self):
+        bot, engine = issuer_run(strategy="replay_lock", ticks=120)
+        assert ok_ops(engine, "A1") == ["requestLock", "lock", "mint", "requestLock"]
+        assert [row[-1] for row in engine.trace_rows() if row[2] == "mint"] == [
+            "ok", "rejected:replay:lock-cm-replayed"]
+        assert bot.phase == "stalled" and len(engine.requests) == 2
+
+    def test_stale_proof_vault_keeps_only_a_confirmed_proof(self):
+        # delta_confirm_redeem = k + 1: the release turns final on the tick
+        # after the deadline, so every confirm is refused as too late and
+        # the vault holds no proof to replay; it releases for each burn
+        engine = bot_run([VaultBot(ActorSpec("V1", "vault", "stale_proof")),
+                          IssueBot(ActorSpec("A1", "issuer", vault="V1", amount=50, at=2)),
+                          RedeemBot(ActorSpec("A1", "redeemer", "double_redeem", vault="V1",
+                                              amount=20, at=14, amount2=10, at2=26))],
+                         44, delta_confirm_redeem=3)
+        rows = [(op, outcome) for _, actor, op, *_, outcome in engine.trace_rows()
+                if actor == "V1" and op in ("release", "confirmRedeem")]
+        assert rows == [("release", "ok"), ("confirmRedeem", "rejected:deadline-passed")] * 2
+
+    def test_vault_whose_registration_is_refused(self):
+        text = load_bundled_scenario("issue_happy").replace(
+            "actor.V1.collateral = 29400000000", "actor.V1.collateral = 0")
+        result = run_scenario(load_scenario(text))
+        assert result.engine.registry.vaults == {}
+        assert result.engine.trace_rows()[0][1:] == (
+            "V1", "registerVault", "", "", "", "rejected:zero-collateral")
+        assert result.metrics["final_supply"] == 0
+
+    @pytest.mark.parametrize("at2, amount2, second_tick, amounts", [
+        (40, 10, 40, [20, 10]), (0, 0, None, [20, 20])], ids=["at2-amount2", "unset"])
+    def test_double_redeem_second_round(self, at2, amount2, second_tick, amounts):
+        # the second round burns amount2 at at2, or `amount` again as soon
+        # as the first round has closed
+        engine = bot_run([VaultBot(ActorSpec("V1", "vault")),
+                          IssueBot(ActorSpec("A1", "issuer", vault="V1", amount=50, at=2)),
+                          RedeemBot(ActorSpec("A1", "redeemer", "double_redeem", vault="V1",
+                                              amount=20, at=14, amount2=amount2, at2=at2))],
+                         60)
+        burns = [(request.transfer.witness.burn_amount, request.request_id)
+                 for request in engine.requests.values() if request.kind == "redeem"]
+        assert [amount for amount, _ in burns] == amounts
+        ticks = {request_id: [tick for tick, _, _, rid, *_ in engine.trace_rows()
+                              if rid == request_id] for _, request_id in burns}
+        first, second = ticks.values()
+        assert second[0] == (second_tick or first[-1] + 1)

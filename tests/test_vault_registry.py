@@ -257,3 +257,48 @@ class TestObserverHygiene:
         view = str(registry.public_view())
         assert "4242424242" not in view
         assert "obligation" not in view
+
+
+class TestStatementEdges:
+    def test_balance_statement_ends_issuing_while_capacity_is_fresh(self, setup):
+        ledger, _, registry, addr = setup
+        vault = register(ledger, registry, addr)
+        assert registry.submit_poc(vault, now=0) == "accepted"
+        assert registry.issue_available(vault, 1)
+        assert registry.submit_pob(vault, now=1) == "accepted"
+        assert registry.vaults[vault].poc_expiry >= 2
+        assert not registry.issue_available(vault, 2)
+
+    def test_balance_statement_with_the_true_history(self, setup):
+        ledger, _, registry, addr = setup
+        vault = register(ledger, registry, addr, collateral=300)
+        registry.note_issue_completed(vault, 49)
+        registry.note_redeem_completed(vault, 9)
+        witness = registry.history_witness(vault)
+        assert registry.submit_pob(vault, now=1, witness_history=witness) == "accepted"
+        assert registry.vaults[vault].issue_state == NOT_ISSUING
+
+    def test_vault_without_a_statement_is_never_liquidated(self, setup):
+        # no statement, no rate to measure a move against
+        ledger, oracle, registry, addr = setup
+        vault = register(ledger, registry, addr, collateral=150)
+        registry.note_issue_completed(vault, 49)
+        oracle.set_rate(50, Fraction(3, 1))
+        assert registry.check_liquidation(vault, now=PARAMS.pob_period + 1) is None
+        assert ledger.collateral_of(vault) == 150
+
+    def test_sigma_one_liquidation_seizes_all_collateral(self, setup):
+        # at sigma_std = 1 no seizure restores the ratio, so all is taken
+        ledger, oracle, _, addr = setup
+        params = RegistryParams(v_max=100, f=Fraction(2, 100), sigma_std=Fraction(1),
+                                i_w=5, pob_period=10)
+        oracle.set_rate(20, Fraction(4, 1))
+        registry = VaultRegistry(params, ledger, oracle)
+        vault = register(ledger, registry, addr, collateral=150)
+        registry.note_issue_completed(vault, 60)
+        assert registry.submit_pob(vault, now=0) == "accepted"  # 60 * 2 <= 150
+        event = registry.check_liquidation(vault, now=20)  # 60 * 4 - 150 = 90 short
+        assert event is not None and event.seized == 150 and event.deficit == 90
+        assert ledger.collateral_of(vault) == 0
+        assert ledger.balance(LIQUIDATION_POOL) == 150
+        assert registry.history_witness(vault)[-1] == ("liquidation", 38)  # ceil(150 / 4)

@@ -605,3 +605,100 @@ class TestMerklePathOp:
         # the same leaf anchored at the later block also verifies there
         later_path = chain.merkle_path(cm, later_header.hash)
         assert fold_path(cm.digest, later_path) == later_header.tree_root
+
+
+def spend_of(wallet, note):
+    return SpendDescription(derive_nullifier(note, wallet.nullifier_key),
+                            SpendWitness(note, wallet.nullifier_key))
+
+
+def output_of(note, directory, rng):
+    epk = directory.new_ephemeral(rng)
+    ct = encrypt_note(note, note.address, directory.secret_for(epk, note.address), epk)
+    return OutputDescription(commit_note(note), ct, note)
+
+
+class TestChainGuards:
+    def test_full_tree(self):
+        tree = CommitmentTree(1)
+        tree.append(NoteCommitment(b"\x01" * 32))
+        tree.append(NoteCommitment(b"\x02" * 32))
+        with pytest.raises(ChainError, match="commitment tree full"):
+            tree.append(NoteCommitment(b"\x03" * 32))
+        assert len(tree) == 2
+
+    def test_prefix_past_the_tree(self):
+        tree = CommitmentTree(3)
+        tree.append(NoteCommitment(b"\x01" * 32))
+        with pytest.raises(ChainError, match="prefix larger than tree"):
+            tree.root_at(2)
+        with pytest.raises(ChainError, match="leaf not present"):
+            tree.path_at(1, 1)
+
+    def test_mine_on_an_unknown_parent(self, rng):
+        chain = ChainState(depth=4)
+        with pytest.raises(ChainError, match="unknown parent"):
+            chain.mine_block(parent_hash=rng_bytes(rng, 32))
+        assert len(chain.blocks) == 1
+
+    def test_reorg_to_an_unknown_branch(self, rng):
+        chain = ChainState(depth=4)
+        assert chain.reorg_to(rng_bytes(rng, 32)) == Rejection("unknown-branch")
+
+    def test_path_into_an_orphaned_block(self, rng, directory):
+        chain, wallet = seed_chain(rng, directory)
+        funding = chain.main[1]
+        tip = chain.main[0]
+        for _ in range(3):
+            tip = chain.mine_block(parent_hash=tip, txs=[]).hash
+        chain.reorg_to(tip)
+        cm = commit_note(next(iter(wallet.unspent.values())))
+        assert chain.merkle_path(cm, funding) == Rejection("block-not-on-main")
+
+    def test_path_for_a_commitment_mined_after_the_cited_block(self, rng, directory):
+        chain, wallet = seed_chain(rng, directory)
+        cited = chain.main[-1]
+        tx, notes = build_transfer(wallet, [(random_address(rng), 4_000, rng_bytes(rng, 32))],
+                                   chain.fee, directory, rng)
+        chain.submit_shielded_tx(tx)
+        chain.mine_block()
+        assert chain.merkle_path(commit_note(notes[0]), cited) == Rejection("not-found")
+
+    def test_one_tx_spending_a_note_twice(self, rng, directory):
+        chain, wallet = seed_chain(rng, directory, values=(10_000,))
+        note = next(iter(wallet.unspent.values()))
+        twice = Note(wallet.address, 2 * note.value - chain.fee, rng_bytes(rng, 32))
+        tx = ShieldedTx((spend_of(wallet, note),) * 2,
+                        (output_of(twice, directory, rng),), chain.fee)
+        assert chain.submit_shielded_tx(tx) == Rejection("double-spend")
+
+    def test_value_from_nothing_needs_the_flag(self, rng, directory):
+        chain = ChainState(depth=4, fee=0)
+        note = Note(random_address(rng), 100, rng_bytes(rng, 32))
+        tx = ShieldedTx((), (output_of(note, directory, rng),), 0)
+        assert chain.submit_shielded_tx(tx) == Rejection("value-imbalance")
+        assert chain.submit_shielded_tx(tx, allow_unbacked=True) == tx.txid()
+
+    def test_flag_creates_no_value_alongside_spends(self, rng, directory):
+        chain, wallet = seed_chain(rng, directory, values=(10_000,))
+        note = next(iter(wallet.unspent.values()))
+        bloated = Note(wallet.address, note.value + 1, rng_bytes(rng, 32))
+        tx = ShieldedTx((spend_of(wallet, note),), (output_of(bloated, directory, rng),), 0)
+        rej = chain.submit_shielded_tx(tx, allow_unbacked=True)
+        assert rej == Rejection("value-imbalance")
+
+    def test_flag_still_needs_known_notes(self, rng, directory):
+        chain, wallet = seed_chain(rng, directory)
+        phantom = Note(wallet.address, 100, rng_bytes(rng, 32))
+        tx = ShieldedTx((spend_of(wallet, phantom),), (), 100)
+        rej = chain.submit_shielded_tx(tx, allow_unbacked=True)
+        assert rej == Rejection("unknown-note")
+
+    def test_side_block_without_a_body_leaves_the_mempool(self, rng, directory):
+        chain, wallet = seed_chain(rng, directory)
+        tx, _ = build_transfer(wallet, [(random_address(rng), 4_000, rng_bytes(rng, 32))],
+                               chain.fee, directory, rng)
+        chain.submit_shielded_tx(tx)
+        side = chain.mine_block(parent_hash=chain.main[-2])
+        assert chain.blocks[side.hash].txs == []
+        assert chain.mempool == [tx]
