@@ -22,9 +22,9 @@ of a request, the per-tick deadline pass and `conformance_errors` all read
 it. Every closing row runs the same close step: free the vault slot, settle
 the pending mint or burn, apply a confirm's effects, and charge the row's
 `fault` party (the wronged-party rule). Actors query the engine through
-`block_of` (the block that mined a commitment) and `vault_note` (what a
-request's vault decrypts), and read per-request state (lock note,
-transfer, deadlines) off `RequestRecord`.
+`block_of` (the main-chain block that mined a commitment) and
+`vault_note` (what a request's vault decrypts), and read per-request
+state (lock note, transfer, deadlines) off `RequestRecord`.
 
 Determinism contract: identical (config, seed) yields identical traces,
 byte for byte.
@@ -410,13 +410,18 @@ class Engine:
 
     def _pay(self, payer: str, op: str, request: RequestRecord, output: tuple):
         """Pay one (address, value, rcm) output on the backing chain from the
-        payer's wallet, change back to it: the txid, or the traced rejection."""
+        payer's wallet, change back to it: the txid, or the traced rejection.
+        The traced reason is fixed, never the error's message, which holds
+        the payer's note total and the amount."""
         wallet = self.actors[payer].zcash
         try:
             tx, notes = build_transfer(wallet, [output], self.zcash.fee, self.directory,
                                        self.rng)
-        except (ChainError, NoteError) as exc:
-            return self._reject(payer, op, request.request_id, request.state, str(exc))
+        except ChainError:  # the wallet's notes do not cover the amount and fee
+            return self._reject(payer, op, request.request_id, request.state,
+                                "insufficient-funds")
+        except NoteError:
+            return self._reject(payer, op, request.request_id, request.state, "bad-amount")
         result = self.zcash.submit_shielded_tx(tx)
         if isinstance(result, Rejection):
             return self._reject(payer, op, request.request_id, request.state, result.reason)
@@ -428,8 +433,11 @@ class Engine:
     # -- queries -----------------------------------------------------------------
 
     def block_of(self, cm_digest: bytes) -> Optional[bytes]:
-        """Hash of the backing-chain block that mined a commitment, if any."""
-        return self._cm_block.get(cm_digest)
+        """Hash of the main-chain block that mined a commitment, if any: a
+        block a reorg orphaned answers None until the requeued tx is mined
+        again."""
+        block_hash = self._cm_block.get(cm_digest)
+        return block_hash if self.zcash.block_on_main(block_hash) else None
 
     def vault_note(self, request: RequestRecord) -> Optional[Note]:
         """The note the request's vault decrypts from the request's
@@ -531,12 +539,10 @@ class Engine:
         if lock_note is None:
             raise ProtocolError(f"no lock recorded for {request_id}")
         lock_cm = commit_note(lock_note)
-        block_hash = self._cm_block.get(lock_cm.digest)
+        block_hash = self.block_of(lock_cm.digest)
         if block_hash is None:
             raise ProtocolError("lock not mined yet")
-        path = self.zcash.merkle_path(lock_cm, block_hash)
-        if isinstance(path, Rejection):
-            raise ProtocolError(f"no path: {path.reason}")
+        path = self.zcash.merkle_path(lock_cm, block_hash)  # a main-chain block has a path
         value = post_fee_amount(lock_note.value, self.config.params.f)
         if wrong_relation:
             value += 1
@@ -683,15 +689,11 @@ class Engine:
             return request
         release_cm = NoteCommitment(request.release_cm)
         if proof is None:
-            block_hash = self._cm_block.get(request.release_cm)
+            block_hash = self.block_of(request.release_cm)
             if block_hash is None:
                 return self._reject(vault_id, "confirmRedeem", request_id,
                                     request.state, "release-not-mined")
-            path = self.zcash.merkle_path(release_cm, block_hash)
-            if isinstance(path, Rejection):
-                return self._reject(vault_id, "confirmRedeem", request_id,
-                                    request.state, path.reason)
-            proof = (path, block_hash)
+            proof = (self.zcash.merkle_path(release_cm, block_hash), block_hash)
         path, block_hash = proof
         verdict = self.relay.verify_note_inclusion(release_cm, path, block_hash)
         if isinstance(verdict, Rejection):

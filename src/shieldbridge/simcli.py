@@ -220,7 +220,10 @@ def load_scenario(text: str) -> ScenarioConfig:
                               f"{spec.strategy!r}; strategies: {', '.join(sorted(strategies))}")
         if spec.role != "vault" and spec.vault not in vaults:
             raise ConfigError(f"{prefix}vault: {spec.vault!r} names no vault actor")
-        if spec.role == "vault" and spec.collateral > spec.i:
+        if spec.role != "vault" and "collateral" in actors[spec.name]:
+            raise ConfigError(f"{prefix}collateral: only a vault locks collateral; "
+                              f"{spec.name!r} has role {spec.role!r}")
+        if spec.collateral > spec.i:  # past the check above, only a vault's is above 0
             raise ConfigError(f"{prefix}collateral: {spec.collateral} exceeds "
                               f"{prefix}i = {spec.i}")
     return _build(ScenarioConfig, {

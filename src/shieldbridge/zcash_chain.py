@@ -263,10 +263,8 @@ class BlockHeader:
     The digest's input (height, work and nonce through `encode_int`, with
     the parent and tree root) is built once, at construction, into
     `_parts`, so relaying a header never re-encodes it; an out-of-range
-    field raises `NoteError` at construction. `hash` still digests `_parts`
-    on every access: perfbench pins those calls as
-    `header_hashes_per_block`, so caching the hash itself waits for a
-    re-record of that count."""
+    field raises `NoteError` at construction. `hash` still calls `digest`
+    on every access, and the memo answers the repeats."""
 
     height: int
     parent: bytes

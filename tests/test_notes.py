@@ -28,6 +28,7 @@ from shieldbridge.notes import (
     verify_challenge,
 )
 from shieldbridge.notes import _auth_tag, _decode_note, _keystream, _xor
+from shieldbridge.zcash_chain import ChainState, OutputDescription, ShieldedTx
 
 
 @pytest.fixture
@@ -312,6 +313,61 @@ class TestFastPathsAgainstOracles:
         for value in (2**64, -1):
             with pytest.raises(NoteError):
                 encode_int(value)
+
+
+class TestDigestMemo:
+    """`digest` is memoised; `digest.__wrapped__`, the function the memo
+    calls on a miss, and `framed_digest` stay its oracles."""
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(st.sampled_from([b"", b"tree-node", b"t" * 300]),
+                              st.lists(st.binary(max_size=300), max_size=4)),
+                    min_size=1, max_size=8),
+           st.lists(st.integers(0, 7), max_size=40))
+    def test_memo_agrees_over_repeats_and_interleavings(self, calls, order):
+        for i in [*order, *range(len(calls)), *order]:
+            tag, parts = calls[i % len(calls)]
+            want = framed_digest(tag, *parts)
+            assert digest(tag, *parts) == want
+            assert digest.__wrapped__(tag, *parts) == want
+
+    def test_evicted_input_hashes_again(self):
+        digest.cache_clear()
+        size = notes.DIGEST_MEMO_SIZE
+        assert digest.cache_parameters()["maxsize"] == size
+        first = digest(b"evict", b"")
+        for n in range(size):
+            digest(b"evict", n.to_bytes(4, "big"))
+        assert digest.cache_info()[1:] == (size + 1, size, size)  # misses, max, current
+        assert digest(b"evict", b"") == first == framed_digest(b"evict", b"")
+        assert digest.cache_info().misses == size + 2
+        assert digest(b"evict", b"") == first
+        assert digest.cache_info().hits == 1
+
+    def test_memo_answers_a_growing_tree(self, addr):
+        # a root per block and a path per leaf, to 2,000 leaves: the
+        # working set is about one entry per live leaf, so 2048 entries keep
+        # over 99% hits here, where 1536 keep 63% and 1024 keep 28%
+        rng = random.Random(5)
+        chain = ChainState(16)
+        ct = NoteCiphertext(b"", b"")
+        digest.cache_clear()
+        for _ in range(250):
+            outs = [Note(addr, 1, rng_bytes(rng, 32)) for _ in range(8)]
+            tx = ShieldedTx((), tuple(OutputDescription(commit_note(n), ct, n) for n in outs), 0)
+            assert chain.submit_shielded_tx(tx, allow_unbacked=True) == tx.txid()
+            block = chain.mine_block().hash
+            for out in tx.outputs:
+                assert chain.merkle_path(out.cm, block).position < len(chain.pool.tree)
+        assert len(chain.pool.tree) == 2000
+        info = digest.cache_info()
+        assert info.hits >= 0.9 * (info.hits + info.misses), info
+
+    @pytest.mark.parametrize("parts", [(bytearray(b"ab"),), (b"ab", bytearray(32))])
+    def test_parts_are_bytes(self, parts):
+        assert framed_digest(b"t", *parts) == framed_digest(b"t", *map(bytes, parts))
+        with pytest.raises(TypeError, match="unhashable"):
+            digest(b"t", *parts)
 
 
 class TestNoteFieldChecks:

@@ -190,13 +190,25 @@ class TestTransferFailures:
         engine = make_engine()
         request = engine.request_lock("A1", "V1")
         rej = engine.do_lock("A1", request.request_id, 20_000_000_000)
-        reason = "A1: insufficient funds (10000000000 < 20000001000)"
-        assert isinstance(rej, Rejection) and rej.reason == reason
+        assert rej == Rejection("insufficient-funds")
         assert engine.trace_rows()[-1] == (engine.now, "A1", "lock", request.request_id,
                                            AWAITING_MINT, AWAITING_MINT,
-                                           f"rejected:{reason}")
+                                           "rejected:insufficient-funds")
         # the permit is still unused: a funded lock goes through
         assert not isinstance(engine.do_lock("A1", request.request_id, LOCK), Rejection)
+
+    @pytest.mark.parametrize("amount, reason", [(20_000_000_000, "insufficient-funds"),
+                                                (-123_457, "bad-amount")])
+    def test_failed_lock_traces_no_amount(self, amount, reason):
+        # the wallet's message holds the payer's note total (10^10) and the
+        # amount plus fee; the public trace gets only the fixed reason
+        engine = make_engine()
+        request = engine.request_lock("A1", "V1")
+        assert engine.do_lock("A1", request.request_id, amount) == Rejection(reason)
+        row = ",".join(map(str, engine.trace_rows()[-1]))
+        assert row.endswith(f"rejected:{reason}")
+        for secret in (10_000_000_000, amount, amount + engine.zcash.fee, abs(amount)):
+            assert str(secret) not in row
 
     def test_internal_error_in_lock_propagates(self, monkeypatch):
         engine = make_engine()
@@ -953,8 +965,8 @@ class TestRequestOpsAgainstBadInput:
         request = run_redeem(engine, release=False, confirm=False)
         engine.actors["V1"].zcash.unspent.clear()  # the vault spent its ZEC elsewhere
         rej = engine.do_release("V1", request.request_id)
-        assert isinstance(rej, Rejection) and "insufficient funds" in rej.reason
-        assert last_row(engine)[-1] == f"rejected:{rej.reason}"
+        assert rej == Rejection("insufficient-funds")
+        assert last_row(engine)[-1] == "rejected:insufficient-funds"
         assert not request.released and engine.zcash.mempool == []
 
 
@@ -981,8 +993,10 @@ class TestBuildMintPreconditions:
         engine.do_lock("A1", request.request_id, LOCK)
         for _ in range(engine.config.relay_k + 1):
             engine.tick()
-        orphan_block(engine, engine.block_of(commit_note(request.lock_note).digest))
-        with pytest.raises(ProtocolError, match="no path: block-not-on-main"):
+        lock_cm = commit_note(request.lock_note).digest
+        orphan_block(engine, engine.block_of(lock_cm))
+        assert engine.block_of(lock_cm) is None  # the lock is back in the mempool
+        with pytest.raises(ProtocolError, match="lock not mined yet"):
             engine.build_mint(request.request_id)
 
     def test_confirm_redeem_after_a_reorg_orphans_the_release(self):
@@ -992,8 +1006,8 @@ class TestBuildMintPreconditions:
         assert engine.relay.is_final(release_block)
         orphan_block(engine, release_block)
         rej = engine.confirm_redeem("V1", request.request_id)
-        assert rej == Rejection("block-not-on-main")
-        assert last_row(engine)[-1] == "rejected:block-not-on-main"
+        assert rej == Rejection("release-not-mined")
+        assert last_row(engine)[-1] == "rejected:release-not-mined"
         assert request.state == AWAIT_REDEEM_CONFIRM
 
 

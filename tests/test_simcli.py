@@ -6,11 +6,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import shieldbridge
 from shieldbridge import simcli
+from shieldbridge.notes import commit_note
 from shieldbridge.protocol import Engine, ProtocolConfig, ProtocolError, conformance_errors
 from shieldbridge.simcli import (
     ActorSpec,
@@ -596,10 +598,16 @@ class TestScenarioKeys:
         assert main(["run", "--scenario", str(f)]) == 1
         assert "FAIL expect.final_suply: no such metric\n" in capsys.readouterr().out
 
-    def test_collateral_of_a_non_vault_is_ignored(self):
-        # only a vault locks collateral, so only a vault's is checked
-        text = load_bundled_scenario("issue_happy") + "actor.A1.collateral = 500\n"
-        assert [a.collateral for a in load_scenario(text).actors] == [29400000000, 500]
+    def test_collateral_of_a_non_vault_exits_2(self, tmp_path, capsys):
+        # only a vault locks collateral, so the key on any other actor is a
+        # misplaced line, refused even at 0
+        f = tmp_path / "misplaced.cfg"
+        for value in (500, 0):
+            f.write_text(load_bundled_scenario("issue_happy") + f"actor.A1.collateral = {value}\n")
+            assert main(["run", "--scenario", str(f)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: actor.A1.collateral: only a vault locks collateral; "
+                "'A1' has role 'issuer'\n")
 
 
 def bot_run(bots, ticks, zec=400, **protocol):
@@ -661,6 +669,39 @@ class TestBotEdges:
         rows = [(op, outcome) for _, actor, op, *_, outcome in engine.trace_rows()
                 if actor == "V1" and op in ("release", "confirmRedeem")]
         assert rows == [("release", "ok"), ("confirmRedeem", "rejected:deadline-passed")] * 2
+
+    def test_issuer_waits_out_a_reorg_that_orphans_its_final_lock(self):
+        # the lock's block turns final on the relay, then the backing chain
+        # reorgs it away before the issuer's step; the relay hears of the
+        # new branch one tick later. The issuer must wait for the requeued
+        # lock to be mined and final again, then mint from the new block.
+        orphaned = []
+
+        def reorg_then_relay(engine):
+            request = engine.requests.get("R1")
+            lock_cm = request and request.lock_note and commit_note(request.lock_note).digest
+            block = lock_cm and engine.block_of(lock_cm)
+            if not orphaned and block is not None and engine.relay.is_final(block):
+                chain = engine.zcash
+                tip = chain.blocks[block].header.parent
+                for _ in range(chain.height - chain.blocks[block].header.height + 2):
+                    tip = chain.mine_block(parent_hash=tip, txs=[]).hash
+                assert not isinstance(chain.reorg_to(tip), Rejection)
+                orphaned.append(block)
+            elif orphaned:
+                for block_hash in engine.zcash.main[1:]:
+                    engine.relay.submit_header(engine.zcash.blocks[block_hash].header)
+
+        bot = IssueBot(ActorSpec("A1", "issuer", vault="V1", amount=50, at=2))
+        adversary = SimpleNamespace(step=reorg_then_relay)
+        engine = bot_run([VaultBot(ActorSpec("V1", "vault")), adversary, bot], 30,
+                         delta_mint=20)
+        request = engine.requests[bot.request_id]
+        assert orphaned and request.close_reason == "confirmed" and bot.phase == "done"
+        mint_block = request.transfer.statement.inclusion_block
+        assert mint_block != orphaned[0] and engine.zcash.block_on_main(mint_block)
+        assert ok_ops(engine, "A1") == ["requestLock", "lock", "mint"]
+        assert conformance_errors(engine) == []
 
     def test_vault_whose_registration_is_refused(self):
         text = load_bundled_scenario("issue_happy").replace(
