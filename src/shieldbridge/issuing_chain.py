@@ -236,8 +236,7 @@ class IssuingChain:
         """Independent accounting of the same quantity: live note values plus
         pending burn escrow. Tests assert it always equals `supply`."""
         live = sum(note.value for note in self._live_notes.values())
-        escrow = sum(p.escrow for p in self.pending.values()
-                     if p.kind == "burn" and p.status == PENDING)
+        escrow = sum(p.escrow for p in self.pending.values() if p.status == PENDING)
         return live + escrow
 
     def _credit_note(self, note: Note) -> None:

@@ -218,6 +218,11 @@ class SharedSecretDirectory:
             digest(b"shared-secret", self._sim_key, ephemeral_public, recipient.encode())
         )
 
+    def seal(self, note: Note, recipient: Address, rng) -> NoteCiphertext:
+        """`note` encrypted to `recipient` under a fresh ephemeral key."""
+        epk = self.new_ephemeral(rng)
+        return encrypt_note(note, recipient, self.secret_for(epk, recipient), epk)
+
 
 def _keystream(secret: SharedSecret, ephemeral_public: bytes, length: int) -> bytes:
     out = bytearray()

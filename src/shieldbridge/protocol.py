@@ -8,13 +8,15 @@ operation,
     tick, actor, op, request_id, state_before, state_after, outcome
 
 which is the conformance contract for trace-grammar tests, and
-`Engine.events`, one tuple per slash, upheld challenge, relay
-violation and liquidation. The counts in `metrics.csv` and the events
-`tick()` returns are read off these two. Deadline
-enforcement happens once per tick, after actors had their chance to move:
-a missed mint deadline forfeits the issuer's warranty, a silent vault has
-its pending mint auto-confirmed (and pays the warranty from collateral),
-and a silent vault on a redeem has the burn voided against it.
+`Engine.events`, one tuple per slash, upheld challenge, relay violation and
+liquidation. The counts in `metrics.csv` and the events `tick()` returns
+are read off these two. The honest relayers are a backing-chain listener
+that forwards every block the main chain takes, a reorg's side blocks
+included, until an eclipse mutes them. Deadline enforcement happens once
+per tick, after actors had their chance to move: a missed mint deadline
+forfeits the issuer's warranty, a silent vault has its pending mint
+auto-confirmed (and pays the warranty from collateral), and a silent vault
+on a redeem has the burn voided against it.
 
 `LIFECYCLE` is the single source of the request state machine: one row per
 request operation, actor ops and timeouts alike. The op guards, the close
@@ -61,7 +63,6 @@ from .notes import (
     commit_note,
     decrypt_note,
     derive_rcm,
-    encrypt_note,
     random_address,
     rng_bytes,
     verify_challenge,
@@ -235,6 +236,7 @@ class Engine:
         self._watched_locks: dict[bytes, int] = {}
         self._watched_releases: dict[bytes, int] = {}
         self.zcash.on_block(self._scan_block)
+        self.zcash.on_block(self._relay_block)
 
     # -- setup -----------------------------------------------------------------
 
@@ -256,8 +258,8 @@ class Engine:
         return account
 
     def start(self) -> None:
-        """Mine the funding block that seeds actor wallets and feed it to
-        the relay."""
+        """Mine the funding block that seeds actor wallets; the relayer
+        listener forwards it like any other main-chain block."""
         if self._started:
             raise ProtocolError("already started")
         self._started = True
@@ -266,28 +268,23 @@ class Engine:
             for owner, value in self._genesis_values:
                 wallet = self.actors[owner].zcash
                 note = Note(wallet.address, value, rng_bytes(self.rng, 32))
-                epk = self.directory.new_ephemeral(self.rng)
-                ct = encrypt_note(note, wallet.address,
-                                  self.directory.secret_for(epk, wallet.address), epk)
+                ct = self.directory.seal(note, wallet.address, self.rng)
                 outputs.append(OutputDescription(commit_note(note), ct, note))
                 wallet.credit(note)
             tx = ShieldedTx((), tuple(outputs), 0)
             result = self.zcash.submit_shielded_tx(tx, allow_unbacked=True)
             if isinstance(result, Rejection):
                 raise ProtocolError(f"seed tx rejected: {result.reason}")
-            header = self.zcash.mine_block()
-            self.relay.submit_header(header)
+            self.zcash.mine_block()
 
     # -- clock -------------------------------------------------------------------
 
     def tick(self, actor_phase=None) -> list[tuple]:
-        """Advance one tick: mine a block, relay its header, let actors
-        move, then fire every due deadline exactly once. Returns the rows the
-        timeouts and liquidations traced, as (tick, event, request id or vault)."""
+        """Advance one tick: mine a block (the relayer listener forwards it),
+        let actors move, then fire every due deadline exactly once. Returns the
+        rows the timeouts and liquidations traced, as (tick, event, request id or vault)."""
         self.now += 1
-        header = self.zcash.mine_block()
-        if not self.relayer_muted:
-            self.relay.submit_header(header)
+        self.zcash.mine_block()
         if actor_phase is not None:
             actor_phase(self)
         start = len(self.trace)
@@ -555,9 +552,8 @@ class Engine:
     def build_note_ciphertext(self, note: Note, vault_id: str) -> NoteCiphertext:
         """C^V construction: `note` encrypted to the vault under a fresh
         ephemeral key. A byzantine actor corrupts the result itself."""
-        vault_addr = self.registry.vaults[vault_id].zcash_address
-        epk = self.directory.new_ephemeral(self.rng)
-        return encrypt_note(note, vault_addr, self.directory.secret_for(epk, vault_addr), epk)
+        return self.directory.seal(note, self.registry.vaults[vault_id].zcash_address,
+                                   self.rng)
 
     def do_mint(self, issuer: str, request_id: str, transfer: MintTransfer,
                 ciphertext: NoteCiphertext):
@@ -735,6 +731,11 @@ class Engine:
                     self.zec_locked_total += self._watched_locks.pop(out.cm.digest)
                 if out.cm.digest in self._watched_releases:
                     self.zec_released_total += self._watched_releases.pop(out.cm.digest)
+
+    def _relay_block(self, block) -> None:
+        """The honest relayers: forward each main-chain block unless muted."""
+        if not self.relayer_muted:
+            self.relay.submit_header(block.header)
 
     def check_inclusion_claim(self, cm, path, block_hash: bytes):
         """Adversary-facing surface: the relay's verdict on an inclusion

@@ -711,6 +711,7 @@ def run_relay_safety(n_blocks: int, alpha: float, k: int, seed: int,
     rng = Random(seed)
     chain = ChainState(depth=4, fee=0)
     relay = Relay(chain.tip.header, finality_depth=k, tree_depth=4)
+    chain.on_block(lambda block: relay.submit_header(block.header))
     adv_tip: Optional[bytes] = None
     adv_blocks = 0
     reorgs = 0
@@ -729,17 +730,13 @@ def run_relay_safety(n_blocks: int, alpha: float, k: int, seed: int,
             adv_tip = header.hash
             adv_blocks += 1
             if chain.blocks[adv_tip].header.height > chain.height:
-                # publish: submit the branch headers, then reorg the chain
-                fork_height, side = chain.side_branch(adv_tip)
-                deepest = max(deepest, chain.height - fork_height)
-                for bh in side:
-                    relay.submit_header(chain.blocks[bh].header)
-                chain.reorg_to(adv_tip)
+                # publish: the reorg relays the branch's headers, oldest first
+                height = chain.height
+                deepest = max(deepest, height - chain.reorg_to(adv_tip).fork_height)
                 adv_tip = None
                 reorgs += 1
         else:
-            header = chain.mine_block()
-            relay.submit_header(header)
+            chain.mine_block()
             if adv_tip is not None and (chain.height
                                         - chain.blocks[adv_tip].header.height) > restart_behind:
                 adv_tip = None  # give up, restart against the new tip

@@ -29,7 +29,6 @@ from .notes import (
     derive_nullifier,
     digest,
     encode_int,
-    encrypt_note,
     rng_bytes,
     ZERO32,
 )
@@ -553,11 +552,7 @@ def build_transfer(wallet: Wallet, payments: list[tuple[Address, int, bytes]],
     change = sum(n.value for n in sources) - total_out
     if change > 0:
         notes.append(Note(wallet.address, change, rng_bytes(rng, 32)))
-    outputs = []
-    for note in notes:
-        epk = directory.new_ephemeral(rng)
-        secret = directory.secret_for(epk, note.address)
-        outputs.append(OutputDescription(commit_note(note),
-                                         encrypt_note(note, note.address, secret, epk),
-                                         note))
-    return ShieldedTx(spends, tuple(outputs), fee), notes
+    outputs = tuple(OutputDescription(commit_note(note),
+                                      directory.seal(note, note.address, rng), note)
+                    for note in notes)
+    return ShieldedTx(spends, outputs, fee), notes

@@ -86,8 +86,6 @@ DECLARED = {
         "an ok row with a request id is always a lifecycle row",
     ("protocol", "ops_by_request", "operand", "request_id"):
         "an ok lifecycle row always carries a request id",
-    ("issuing_chain", "IssuingChain.pool_value", "operand", 'p.kind == "burn"'):
-        "a mint's escrow is 0",
     ("simcli", "IssueBot._run", "operand", "block is not None"):
         "Relay.is_final(None) is False",
     ("simcli", "VaultBot._step_redeem", "operand", "block is not None"):

@@ -1,7 +1,8 @@
 """Design contracts that hold for the whole source tree: `src/` imports only
 the standard library and uses every name it imports, every hash goes
-through `notes.digest` with a literal domain tag, actors (the CLI bots and
-the demos) drive the engine through its public API, and README's
+through `notes.digest` with a literal domain tag, honest relaying happens
+only in chain listeners, actors (the CLI bots and the demos) drive the
+engine through its public API, and README's
 scenario-key and role tables state what the schema and the bots do."""
 
 import ast
@@ -80,6 +81,32 @@ def test_actors_use_public_engine_api(path):
                if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                and isinstance(node.value, ast.Name) and node.value.id in ENGINE_NAMES]
     assert private == []
+
+
+def _calls(node: ast.AST, method: str) -> list[ast.Call]:
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute) and call.func.attr == method]
+
+
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_honest_relaying_happens_only_in_chain_listeners():
+    # a chain listener hears every block the main chain takes, the side
+    # blocks a reorg applies included; a header relayed by hand is one a
+    # reorg can leave behind
+    protocol = _tree(ROOT / "src" / "shieldbridge" / "protocol.py")
+    listener = _function(protocol, "_relay_block")
+    relayed = _calls(protocol, "submit_header")
+    assert len(relayed) == 1 and relayed == _calls(listener, "submit_header")
+    assert [ast.unparse(call.args[0]) for call in _calls(
+        _function(protocol, "__init__"), "on_block")] == ["self._scan_block", "self._relay_block"]
+    safety = _function(_tree(ROOT / "src" / "shieldbridge" / "simcli.py"), "run_relay_safety")
+    in_listeners = [relay for registration in _calls(safety, "on_block")
+                    for relay in _calls(registration.args[0], "submit_header")]
+    assert len(in_listeners) == 1 and _calls(safety, "submit_header") == in_listeners
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],

@@ -1011,6 +1011,21 @@ class TestBuildMintPreconditions:
         assert request.state == AWAIT_REDEEM_CONFIRM
 
 
+class TestRelayFollowsReorgs:
+    def test_relay_takes_the_new_branch_and_a_later_lock_mints(self):
+        # the honest relayers forward each block a reorg applies, so the
+        # relay follows the new branch and a lock mined on it turns final
+        engine = make_engine()
+        engine.run_until(2)
+        orphan_block(engine, engine.zcash.tip.header.hash)
+        engine.run_until(7)
+        assert engine.relay.best_tip == engine.zcash.tip.header.hash
+        request = run_issue(engine)
+        assert engine.relay.is_final(request.transfer.statement.inclusion_block)
+        assert request.state == ISSUE_SUCCESS
+        assert engine.issuing.supply == MINTED
+
+
 class TestCloseEffects:
     def test_auto_confirmed_mint_the_vault_cannot_open_pays_it_nothing(self):
         # the lock note goes to the vault's wallet only when the vault can
