@@ -19,12 +19,18 @@ more fall back to full `encode_bytes` framing. A bounded LRU memo of
 tree and block headers make by the million, so every part must be
 hashable `bytes`. This module is the only one that imports `hashlib` or
 `hmac`.
+
+As Sapling's note plaintext has one fixed encoding, an `Address` or `Note`
+builds its bytes once, at construction, and every commitment, nullifier
+and ciphertext reads them from there; each still makes its own `digest`
+call. The ciphertext tag is one-shot `hmac.digest`, the same bytes as an
+`hmac.new(...).digest()` without the Python object.
 """
 
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import sha256
 from typing import Optional
@@ -97,40 +103,49 @@ def digest(tag: bytes, *parts: bytes) -> bytes:
     return h.digest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Address:
-    """Shielded payment address stand-in: an opaque (diversifier, pk_d) pair."""
+    """Shielded payment address stand-in: an opaque (diversifier, pk_d) pair.
+
+    Its encoding is built once, at construction, into `_encoded`."""
 
     diversifier: bytes
     pk_d: bytes
+    _encoded: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.diversifier) != DIVERSIFIER_SIZE:
             raise NoteError("diversifier must be 11 bytes")
         if len(self.pk_d) != KEY_SIZE:
             raise NoteError("pk_d must be 32 bytes")
+        object.__setattr__(self, "_encoded",
+                           encode_bytes(self.diversifier) + encode_bytes(self.pk_d))
 
     def encode(self) -> bytes:
-        return encode_bytes(self.diversifier) + encode_bytes(self.pk_d)
+        return self._encoded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Note:
     """A spendable value record: who can spend it, how much, and the
-    commitment trapdoor that hides it."""
+    commitment trapdoor that hides it.
+
+    Its encoding is built once, at construction, into `_encoded`, so a
+    value outside `encode_int`'s range raises `NoteError` here."""
 
     address: Address
     value: int
     rcm: bytes
+    _encoded: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.value < 0:
-            raise NoteError("note value must be non-negative")
         if len(self.rcm) != KEY_SIZE:
             raise NoteError("rcm must be 32 bytes")
+        object.__setattr__(self, "_encoded", self.address.encode() + encode_int(self.value)
+                           + encode_bytes(self.rcm))
 
     def encode(self) -> bytes:
-        return self.address.encode() + encode_int(self.value) + encode_bytes(self.rcm)
+        return self._encoded
 
 
 @dataclass(frozen=True)
@@ -224,13 +239,16 @@ class SharedSecretDirectory:
         return encrypt_note(note, recipient, self.secret_for(epk, recipient), epk)
 
 
+_COUNTERS = [encode_int(n) for n in range(3)]  # a note's 95-byte plaintext takes 3 blocks
+
+
 def _keystream(secret: SharedSecret, ephemeral_public: bytes, length: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out += digest(b"stream", secret.secret, ephemeral_public, encode_int(counter))
-        counter += 1
-    return bytes(out[:length])
+    """`length` bytes of the `stream` digests of counters 0, 1, ...: one
+    digest per 32-byte block, the counter encodings read from `_COUNTERS`."""
+    blocks = -(-length // DIGEST_SIZE)
+    counters = _COUNTERS[:blocks] + [encode_int(n) for n in range(len(_COUNTERS), blocks)]
+    return b"".join([digest(b"stream", secret.secret, ephemeral_public, counter)
+                     for counter in counters])[:length]
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:
@@ -240,8 +258,8 @@ def _xor(data: bytes, stream: bytes) -> bytes:
 
 
 def _auth_tag(secret: SharedSecret, ephemeral_public: bytes, body: bytes) -> bytes:
-    return hmac.new(secret.secret, encode_bytes(ephemeral_public) + encode_bytes(body),
-                    sha256).digest()
+    return hmac.digest(secret.secret, encode_bytes(ephemeral_public) + encode_bytes(body),
+                       "sha256")
 
 
 def encrypt_note(note: Note, recipient: Address, secret: SharedSecret,

@@ -233,6 +233,9 @@ class Engine:
         self._genesis_values: list[tuple[str, int]] = []
         self._started = False
         self._cm_block: dict[bytes, bytes] = {}      # mined cm -> block hash
+        # cm -> the wallets that expect it, filled from each `Wallet.expect`;
+        # `_scan_block` pops one entry per output instead of asking every actor
+        self._expecting: dict[bytes, list[Wallet]] = {}
         self._watched_locks: dict[bytes, int] = {}
         self._watched_releases: dict[bytes, int] = {}
         self.zcash.on_block(self._scan_block)
@@ -424,7 +427,7 @@ class Engine:
             return self._reject(payer, op, request.request_id, request.state, result.reason)
         wallet.mark_spent([s.witness.note for s in tx.spends])
         if len(notes) > 1:
-            wallet.expect(notes[-1])  # change
+            self._expecting.setdefault(wallet.expect(notes[-1]), []).append(wallet)  # change
         return result
 
     # -- queries -----------------------------------------------------------------
@@ -652,7 +655,9 @@ class Engine:
         wallet.mark_spent([s.witness.note for s in transfer.witness.spend_tx.spends])
         for out in transfer.witness.spend_tx.outputs:
             wallet.credit(out.note_witness)  # change is immediately live
-        self.actors[redeemer].zcash.expect(transfer.witness.release_note)
+        zcash_wallet = self.actors[redeemer].zcash
+        self._expecting.setdefault(zcash_wallet.expect(transfer.witness.release_note),
+                                   []).append(zcash_wallet)
         return self._open("burn", RequestRecord(
             request_id, "redeem", REDEEM_START, redeemer, vault_id,
             release_cm=transfer.statement.release_cm.digest,
@@ -724,13 +729,12 @@ class Engine:
     def _scan_block(self, block) -> None:
         for tx in block.txs:
             for out in tx.outputs:
-                self._cm_block[out.cm.digest] = block.header.hash
-                for account in self.actors.values():
-                    account.zcash.observe_commitment(out.cm)
-                if out.cm.digest in self._watched_locks:
-                    self.zec_locked_total += self._watched_locks.pop(out.cm.digest)
-                if out.cm.digest in self._watched_releases:
-                    self.zec_released_total += self._watched_releases.pop(out.cm.digest)
+                cm = out.cm.digest
+                self._cm_block[cm] = block.header.hash
+                for wallet in self._expecting.pop(cm, ()):
+                    wallet.observe_commitment(out.cm)
+                self.zec_locked_total += self._watched_locks.pop(cm, 0)
+                self.zec_released_total += self._watched_releases.pop(cm, 0)
 
     def _relay_block(self, block) -> None:
         """The honest relayers: forward each main-chain block unless muted."""

@@ -30,6 +30,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from importlib import resources
+from itertools import groupby, repeat
+from operator import itemgetter
 from pathlib import Path
 from random import Random
 from typing import Optional, get_type_hints
@@ -547,12 +549,24 @@ def check_expects(expects: dict[str, str], metrics: dict) -> list[str]:
 # --- output files ------------------------------------------------------------------
 
 
-def _csv_lines(header: str, rows) -> Iterator[str]:
+EACH = "\0"  # a block row's field that takes each value; no other field holds a NUL
+CSV_CHUNK = 1 << 12  # values per joined piece of a block: about 2 MB of report text
+
+
+def _csv_lines(header: str, rows=(), blocks=()) -> Iterator[str]:
     """The header line, then one line per row of comma-joined fields, each
-    ending in a newline: written to a file line by line, or joined."""
+    ending in a newline: written to a file as it comes, or joined. Then
+    each block (rows, values): its rows once per value, in order, with the
+    value in each `EACH` field. A block's lines are formatted once, and
+    come in pieces of one join over up to CSV_CHUNK values."""
     yield header + "\n"
     for row in rows:
         yield ",".join(map(str, row)) + "\n"
+    for block_rows, values in blocks:
+        segments = "".join(",".join(map(str, row)) + "\n" for row in block_rows).split(EACH)
+        for start in range(0, len(values), CSV_CHUNK):
+            yield "".join(map(str.join, map(str, values[start:start + CSV_CHUNK]),
+                              repeat(segments)))
 
 
 def _csv(header: str, rows) -> str:
@@ -579,18 +593,12 @@ def bounds_report_csv(report: BoundsReport) -> str:
 
 
 def bounds_report_lines(report: BoundsReport) -> Iterator[str]:
-    """One line per expanded row; each block's rows have their claim,param_j
-    head and lhs,rhs,pass tail formatted once, however many totals it holds."""
-
-    def lines():
-        for rows, totals in report.blocks:
-            parts = [(f"{row.claim},{row.param_j}",
-                      f"{row.lhs},{row.rhs},{str(row.passed).lower()}") for row in rows]
-            for t in totals:
-                for head, tail in parts:
-                    yield head, t, tail
-
-    return _csv_lines("claim,param_j,param_t,lhs,rhs,pass", lines())
+    """The report's rows, one CSV block per report block: each block's
+    fields are formatted once, however many totals it holds."""
+    return _csv_lines("claim,param_j,param_t,lhs,rhs,pass", blocks=(
+        (tuple((row.claim, row.param_j, EACH, row.lhs, row.rhs, str(row.passed).lower())
+               for row in rows), totals)
+        for rows, totals in report.blocks))
 
 
 def distribution_csv(cfg: SplitConfig) -> str:
@@ -598,10 +606,13 @@ def distribution_csv(cfg: SplitConfig) -> str:
 
 
 def distribution_lines(cfg: SplitConfig) -> Iterator[str]:
-    return _csv_lines("t,j,expectation_num,expectation_den",
-                      ((t, j, value.numerator, value.denominator)
-                       for t in range(1, cfg.t_max + 1)
-                       for j, value in enumerate(exact_conditional_expectation(t, cfg).values)))
+    """Each total's conditional E[X_j | T=t]; a run of totals that share
+    one conditional is one CSV block."""
+    conditionals = ((t, exact_conditional_expectation(t, cfg)) for t in range(1, cfg.t_max + 1))
+    return _csv_lines("t,j,expectation_num,expectation_den", blocks=(
+        (tuple((EACH, j, value.numerator, value.denominator)
+               for j, value in enumerate(dist.values)), [t for t, _ in run])
+        for dist, run in groupby(conditionals, key=itemgetter(1))))
 
 
 # --- privacy analysis -----------------------------------------------------------------

@@ -507,10 +507,14 @@ class Wallet:
     def credit(self, note: Note) -> None:
         self.unspent[commit_note(note).digest] = note
 
-    def expect(self, note: Note) -> None:
+    def expect(self, note: Note) -> bytes:
         """Register a note we created for ourselves (e.g. change) so it is
-        credited when its commitment appears on chain."""
-        self.expected[commit_note(note).digest] = note
+        credited when its commitment appears on chain; returns the
+        commitment's digest, for a scanner that routes each output to its
+        wallet."""
+        cm = commit_note(note).digest
+        self.expected[cm] = note
+        return cm
 
     def observe_commitment(self, cm: NoteCommitment) -> None:
         note = self.expected.pop(cm.digest, None)

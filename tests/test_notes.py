@@ -1,5 +1,7 @@
 import hashlib
+import hmac
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -231,7 +233,8 @@ class TestChallenge:
             assert verdict == (CHALLENGE_REJECTED if vault_would_accept else CHALLENGE_UPHELD)
 
 
-# --- oracles: the per-part framing and the per-byte XOR the fast paths replaced
+# --- oracles: the per-part framing, the per-byte XOR, the field-by-field
+# encodings, the keystream loop and the HMAC object the fast paths replaced
 
 
 def framed_digest(tag, *parts):
@@ -246,10 +249,32 @@ def generator_xor(data, stream):
     return bytes(a ^ b for a, b in zip(data, stream))
 
 
+def fields_address(address):
+    return encode_bytes(address.diversifier) + encode_bytes(address.pk_d)
+
+
+def fields_note(note):
+    return fields_address(note.address) + encode_int(note.value) + encode_bytes(note.rcm)
+
+
+def loop_keystream(secret, epk, length):
+    out = bytearray()
+    counter = 0
+    while len(out) < length:
+        out += digest(b"stream", secret.secret, epk, encode_int(counter))
+        counter += 1
+    return bytes(out[:length])
+
+
+def object_auth_tag(secret, epk, body):
+    return hmac.new(secret.secret, encode_bytes(epk) + encode_bytes(body),
+                    hashlib.sha256).digest()
+
+
 def generator_encrypt(note, secret, epk):
-    plaintext = note.encode()
-    body = generator_xor(plaintext, _keystream(secret, epk, len(plaintext)))
-    return NoteCiphertext(body + _auth_tag(secret, epk, body), epk)
+    plaintext = fields_note(note)
+    body = generator_xor(plaintext, loop_keystream(secret, epk, len(plaintext)))
+    return NoteCiphertext(body + object_auth_tag(secret, epk, body), epk)
 
 
 class TestFastPathsAgainstOracles:
@@ -307,6 +332,26 @@ class TestFastPathsAgainstOracles:
         assert decrypt_note(ct, secret) == note
         body = ct.payload[:-32]
         assert _decode_note(generator_xor(body, _keystream(secret, epk, len(body)))) == note
+
+    @given(st.binary(min_size=11, max_size=11), st.binary(min_size=32, max_size=32),
+           st.integers(0, 2**64 - 1), st.binary(min_size=32, max_size=32))
+    def test_encodings_match_their_fields(self, diversifier, pk_d, value, rcm):
+        note = Note(Address(diversifier, pk_d), value, rcm)
+        assert note.address.encode() == fields_address(note.address)
+        assert note.encode() == fields_note(note)
+        halved = replace(note, value=value // 2)  # replace builds the new note's encoding
+        assert halved.encode() == fields_note(halved)
+
+    @given(st.binary(min_size=32, max_size=32), st.binary(max_size=40),
+           st.integers(0, 200))
+    def test_keystream_matches_loop(self, secret, epk, length):
+        secret = SharedSecret(secret)
+        assert _keystream(secret, epk, length) == loop_keystream(secret, epk, length)
+
+    @given(st.binary(min_size=32, max_size=32), st.binary(max_size=40), st.binary(max_size=300))
+    def test_auth_tag_matches_hmac_object(self, secret, epk, body):
+        secret = SharedSecret(secret)
+        assert _auth_tag(secret, epk, body) == object_auth_tag(secret, epk, body)
 
     def test_encode_int_is_64_bit(self):
         assert encode_int(2**64 - 1) == b"\xff" * 8
@@ -384,5 +429,9 @@ class TestNoteFieldChecks:
             Note(addr, 5, b"\x01" * 31)
 
     def test_negative_value(self, addr):
-        with pytest.raises(NoteError, match="non-negative"):
+        with pytest.raises(NoteError, match=r"amounts are integers in \[0, 2\*\*64\), got -1"):
             Note(addr, -1, b"\x01" * 32)
+
+    def test_value_past_64_bits_fails_at_construction(self, addr):
+        with pytest.raises(NoteError, match=r"got 18446744073709551616"):
+            Note(addr, 2**64, b"\x01" * 32)

@@ -210,6 +210,19 @@ class TestTransferFailures:
         for secret in (10_000_000_000, amount, amount + engine.zcash.fee, abs(amount)):
             assert str(secret) not in row
 
+    def test_lock_past_64_bits_is_a_bad_amount(self):
+        # two genesis-sized notes cover 2**64 plus the fee, so the payment
+        # note itself, which fails at construction, is what refuses the lock
+        engine = make_engine()
+        wallet = engine.actors["A1"].zcash
+        for rcm in (b"\x01" * 32, b"\x02" * 32):
+            wallet.credit(Note(wallet.address, 2**63, rcm))
+        unspent = dict(wallet.unspent)
+        request = engine.request_lock("A1", "V1")
+        assert engine.do_lock("A1", request.request_id, 2**64) == Rejection("bad-amount")
+        assert engine.trace_rows()[-1][-1] == "rejected:bad-amount"
+        assert wallet.unspent == unspent
+
     def test_internal_error_in_lock_propagates(self, monkeypatch):
         engine = make_engine()
         request = engine.request_lock("A1", "V1")
@@ -528,6 +541,20 @@ class TestReplayProtection:
         assert engine.confirm_redeem("V1", second.request_id) == OK
         assert engine.zec_released_total == released_before
         assert second.state == REDEEM_SUCCESS
+
+    def test_release_reaches_its_redeemer_when_another_expects_it_too(self):
+        # A2 burns with A1's release note values, so both wallets expect one
+        # commitment: the scan still credits A1 when V1 releases it
+        engine = make_engine(pairs=2)
+        run_issue(engine, "A1", "V1")
+        run_issue(engine, "A2", "V2")
+        transfer, release_note = engine.build_burn("A1", "V1", 2_000_000_000)
+        first = engine.do_burn("A1", "V1", transfer)
+        transfer2, _ = engine.build_burn("A2", "V2", 2_000_000_000, reuse_note=release_note)
+        assert not isinstance(engine.do_burn("A2", "V2", transfer2), Rejection)
+        assert engine.do_release("V1", first.request_id)
+        engine.tick()
+        assert commit_note(release_note).digest in engine.actors["A1"].zcash.unspent
 
 
 class TestEclipsedConfirm:

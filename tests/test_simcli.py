@@ -489,16 +489,20 @@ class TestCli:
         for name, text in expected.items():
             assert (tmp_path / name).read_bytes() == text.encode()
 
-    def test_csv_lines_are_streamed(self):
-        # the large CSVs come as lazy lines, each ending in a newline, that the
-        # *_csv text functions join: no caller has to hold the whole text
+    def test_csv_lines_are_streamed(self, monkeypatch):
+        # the large CSVs come as lazy pieces of whole lines, each one block's
+        # lines for at most CSV_CHUNK values, that the *_csv text functions
+        # join: no caller has to hold the whole text, and the piece size does
+        # not change the bytes
         cfg = SplitConfig(7, 4)
-        for lines, text in ((simcli.bounds_report_lines(check_bounds(cfg)),
-                             simcli.bounds_report_csv(check_bounds(cfg))),
-                            (simcli.distribution_lines(cfg), simcli.distribution_csv(cfg))):
+        texts = (simcli.bounds_report_csv(check_bounds(cfg)), simcli.distribution_csv(cfg))
+        monkeypatch.setattr(simcli, "CSV_CHUNK", 3)
+        for lines, text in zip((simcli.bounds_report_lines(check_bounds(cfg)),
+                                simcli.distribution_lines(cfg)), texts):
             assert iter(lines) is lines
             lines = list(lines)
-            assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+            assert all(line.endswith("\n") for line in lines)
+            assert max(line.count("\n") for line in lines) <= 3 * (cfg.m + 2)
             assert "".join(lines) == text
 
     def test_unknown_bundled_scenario(self, capsys):

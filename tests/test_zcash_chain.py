@@ -2,12 +2,24 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shieldbridge import zcash_chain
+import shieldbridge
+from shieldbridge import (
+    issuing_chain,
+    notes,
+    oracle,
+    protocol,
+    relay,
+    simcli,
+    splitting,
+    vault_registry,
+    zcash_chain,
+)
 
 from shieldbridge.notes import (
     Note,
@@ -122,22 +134,30 @@ class RecursiveTree(CommitmentTree):
                                   self._node(level - 1, start + half, size))
 
 
+MODULES = (shieldbridge, notes, zcash_chain, relay, oracle, vault_registry, issuing_chain,
+           protocol, splitting, simcli)
+
+
 @contextmanager
 def counted_digests():
-    """Rebind `zcash_chain.digest` to a counter by domain tag, as the
-    benchmark's tracer does."""
+    """Rebind every module binding of `notes.digest` to a counter by domain
+    tag, as the benchmark's tracer does."""
     tags = Counter()
-    original = zcash_chain.digest
+    original = notes.digest
 
     def counted(tag, *parts):
         tags[tag] += 1
         return original(tag, *parts)
 
-    zcash_chain.digest = counted
+    bindings = [(module, name) for module in MODULES
+                for name, value in vars(module).items() if value is original]
+    for module, name in bindings:
+        setattr(module, name, counted)
     try:
         yield tags
     finally:
-        zcash_chain.digest = original
+        for module, name in bindings:
+            setattr(module, name, original)
 
 
 def call_counted(tags, method, *args):
@@ -702,3 +722,83 @@ class TestChainGuards:
         side = chain.mine_block(parent_hash=chain.main[-2])
         assert chain.blocks[side.hash].txs == []
         assert chain.mempool == [tx]
+
+
+def honest_load(pairs):
+    """An engine with `pairs` honest vault/user pairs, each user issuing 50
+    then redeeming 20 against its own vault, and a function that runs it for
+    44 ticks."""
+    params = vault_registry.RegistryParams(v_max=100, f=Fraction(2, 100),
+                                           sigma_std=Fraction(3, 2), i_w=5,
+                                           poc_validity=100, pob_period=100)
+    engine = protocol.Engine(protocol.ProtocolConfig(
+        params, relay_k=2, delta_mint=8, delta_confirm_issue=2, delta_confirm_redeem=8,
+        zc_fee=1, tree_depth=6), 7)
+    engine.oracle.set_rate(0, Fraction(2, 1))
+    bots = []
+    for i in range(1, pairs + 1):
+        engine.add_actor(f"V{i}", zec_notes=(500,), i_balance=344)
+        engine.add_actor(f"U{i}", zec_notes=(400,), i_balance=50)
+        user = simcli.ActorSpec(f"U{i}", "user", vault=f"V{i}", amount=50, at=1 + i,
+                                amount2=20, at2=13 + i)
+        bots += [simcli.VaultBot(simcli.ActorSpec(f"V{i}", "vault")),
+                 simcli.IssueBot(user), simcli.RedeemBot(user)]
+    engine.start()
+    for i in range(1, pairs + 1):
+        engine.register_vault(f"V{i}", 294)
+        engine.submit_poc(f"V{i}")
+    return engine, lambda: engine.run_until(44, lambda eng: [bot.step(eng) for bot in bots])
+
+
+class TestCountContract:
+    """The digests of the request path's note calls, pinned by tag: a count
+    that drifts fails here, not only in the benchmark's recorded counts."""
+
+    def test_digests_per_note_call(self, rng, directory):
+        wallet = Wallet("alice", random_address(rng), rng_bytes(rng, 32))
+        note = Note(wallet.address, 5_000, rng_bytes(rng, 32))
+        with counted_digests() as sealed:
+            ct = directory.seal(note, wallet.address, rng)
+        secret = directory.secret_for(ct.ephemeral_public, wallet.address)
+        with counted_digests() as decrypted:
+            assert notes.decrypt_note(ct, secret) == note
+        with counted_digests() as committed:
+            cm = commit_note(note)
+        with counted_digests() as expected:
+            assert wallet.expect(note) == cm.digest
+        # a 95-byte plaintext takes three 32-byte keystream blocks
+        assert sealed == {b"shared-secret": 1, b"stream": 3}
+        assert decrypted == {b"stream": 3}
+        assert committed == expected == {b"note-commitment": 1}
+
+    # the request path's tags; the tree and header counts wait for the
+    # incremental tree and the one-hash header to settle
+    @pytest.mark.parametrize("pairs, note_tags", [
+        (2, {b"note-commitment": 90, b"stream": 84, b"shared-secret": 28,
+             b"nullifier": 12, b"rcm-from-nonce": 4, b"txid": 4}),
+        (4, {b"note-commitment": 180, b"stream": 168, b"shared-secret": 56,
+             b"nullifier": 24, b"rcm-from-nonce": 8, b"txid": 8}),
+    ])
+    def test_honest_load_observes_only_expected_outputs(self, pairs, note_tags,
+                                                        monkeypatch):
+        engine, run = honest_load(pairs)
+        observed = []
+        observe = Wallet.observe_commitment
+
+        def recorded(wallet, cm):
+            observed.append((cm.digest, cm.digest in wallet.expected))
+            observe(wallet, cm)
+
+        monkeypatch.setattr(Wallet, "observe_commitment", recorded)
+        with counted_digests() as tags:
+            run()
+        assert all(request.close_reason == "confirmed" for request in engine.requests.values())
+        assert len(engine.requests) == 2 * pairs
+        mined = Counter(out.cm.digest for block_hash in engine.zcash.main
+                        for tx in engine.zcash.blocks[block_hash].txs for out in tx.outputs)
+        # each lock and release pays change, and the release note is expected
+        assert len(observed) == 3 * pairs
+        assert all(was_expected for _, was_expected in observed)
+        assert all(n <= mined[cm] for cm, n in Counter(cm for cm, _ in observed).items())
+        assert not any(account.zcash.expected for account in engine.actors.values())
+        assert {tag: tags[tag] for tag in note_tags} == note_tags
