@@ -63,7 +63,13 @@ _TAG_STATES: dict = {}  # tag -> SHA-256 state after encode_bytes(tag), filled o
 # The working set is about one entry per live leaf: a root or path rehashes
 # the tree's nodes, which repeat across the roots of one job. 2048 keeps
 # 82-98% hits on the benchmark's chain workloads; 1024 drops to about 50%,
-# and 4096 adds no hit but holds more memory.
+# and 4096 adds no hit but holds more memory. The hits also depend on the
+# order of the calls, so the tree keeps it: a path hashes one sibling
+# subtree after another, and each repeats nodes the last root or path
+# hashed recently. A path from one level-order walk over the whole prefix
+# makes the same calls, but every row sweeps the prefix before any node
+# repeats, so the LRU becomes a scan: at 2,600 leaves that walk got no hit
+# and `path_at` took 40% longer. It was rejected for that.
 DIGEST_MEMO_SIZE = 1 << 11
 
 

@@ -184,7 +184,9 @@ class RequestRecord:
     permit_id: Optional[str] = None  # issue: the lock permit and its nonce,
     nonce: Optional[bytes] = None    # from which the lock trapdoor derives
     lock_note: Optional[Note] = None  # the note this request's lock paid the vault
+    lock_cm: Optional[bytes] = None   # and its commitment's digest
     release_cm: Optional[bytes] = None
+    release_paid: Optional[tuple[bytes, int]] = None  # (cm digest, value) the release paid
     ciphertext: Optional[NoteCiphertext] = None
     transfer: Optional[Union[MintTransfer, BurnTransfer]] = None  # the mint or the burn
     deadline_mint: Optional[int] = None
@@ -227,8 +229,6 @@ class Engine:
         self.trace: list[tuple] = []
         self.events: list[tuple] = []  # (tick, kind, *details)
         self.supply_series: list[tuple[int, int]] = []
-        self.zec_locked_total = 0
-        self.zec_released_total = 0
         self._counter = {"request": 0, "permit": 0}
         self._genesis_values: list[tuple[str, int]] = []
         self._started = False
@@ -236,8 +236,6 @@ class Engine:
         # cm -> the wallets that expect it, filled from each `Wallet.expect`;
         # `_scan_block` pops one entry per output instead of asking every actor
         self._expecting: dict[bytes, list[Wallet]] = {}
-        self._watched_locks: dict[bytes, int] = {}
-        self._watched_releases: dict[bytes, int] = {}
         self.zcash.on_block(self._scan_block)
         self.zcash.on_block(self._relay_block)
 
@@ -439,6 +437,18 @@ class Engine:
         block_hash = self._cm_block.get(cm_digest)
         return block_hash if self.zcash.block_on_main(block_hash) else None
 
+    def zec_totals(self) -> tuple[int, int]:
+        """(ZEC locked, ZEC released) as the main chain holds them now: the
+        values of the distinct lock and release commitments that requests
+        paid and that are in the main chain's tree. A payment a reorg
+        orphaned counts again once it is mined again."""
+        mined = self.zcash.pool.leaf_index
+        locks = {request.lock_cm: request.lock_note.value
+                 for request in self.requests.values() if request.lock_cm in mined}
+        releases = dict(request.release_paid for request in self.requests.values()
+                        if request.release_paid and request.release_paid[0] in mined)
+        return sum(locks.values()), sum(releases.values())
+
     def vault_note(self, request: RequestRecord) -> Optional[Note]:
         """The note the request's vault decrypts from the request's
         ciphertext, or None unless it opens the claimed commitment."""
@@ -526,7 +536,7 @@ class Engine:
         if isinstance(result, Rejection):
             return result
         request.lock_note = Note(vault_addr, amount, rcm)
-        self._watched_locks[commit_note(request.lock_note).digest] = amount
+        request.lock_cm = commit_note(request.lock_note).digest
         self._advance(request, "lock", issuer)
         return result
 
@@ -678,7 +688,7 @@ class Engine:
         result = self._pay(vault_id, "release", request, (note.address, note.value, note.rcm))
         if isinstance(result, Rejection):
             return result
-        self._watched_releases[commit_note(note).digest] = note.value
+        request.release_paid = (commit_note(note).digest, note.value)
         self._advance(request, "release", vault_id)
         return result
 
@@ -733,8 +743,6 @@ class Engine:
                 self._cm_block[cm] = block.header.hash
                 for wallet in self._expecting.pop(cm, ()):
                     wallet.observe_commitment(out.cm)
-                self.zec_locked_total += self._watched_locks.pop(cm, 0)
-                self.zec_released_total += self._watched_releases.pop(cm, 0)
 
     def _relay_block(self, block) -> None:
         """The honest relayers: forward each main-chain block unless muted."""

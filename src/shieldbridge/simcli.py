@@ -508,6 +508,7 @@ def collect_metrics(engine: Engine) -> dict:
     """The run's final figures; the counts are read off the events and the trace."""
     kinds = Counter(event[1] for event in engine.events)
     rejected = [row[6] for row in engine.trace if row[6].startswith("rejected:")]
+    locked, released = engine.zec_totals()
     out = {
         "final_supply": engine.issuing.supply,
         "pool_value": engine.issuing.pool_value(),
@@ -517,14 +518,13 @@ def collect_metrics(engine: Engine) -> dict:
         "replay_rejections": sum("replay" in outcome for outcome in rejected),
         "relay_violations": kinds["relay-violation"],
         "liquidation_count": kinds["liquidation"],
-        "zec_locked_total": engine.zec_locked_total,
-        "zec_released_total": engine.zec_released_total,
+        "zec_locked_total": locked,
+        "zec_released_total": released,
         "finality_flips": engine.relay.metrics.finality_flips,
         "relay_headers_accepted": len(engine.relay.headers) - 1,  # all but the checkpoint
         "liquidation_pool": engine.issuing.i_ledger.balance(LIQUIDATION_POOL),
         "total_i": engine.total_i(),
-        "backing_deficit": max(0, engine.issuing.supply
-                               - (engine.zec_locked_total - engine.zec_released_total)),
+        "backing_deficit": max(0, engine.issuing.supply - (locked - released)),
     }
     for vault_id in sorted(engine.registry.vaults):
         out[f"collateral.{vault_id}"] = engine.issuing.i_ledger.collateral_of(vault_id)

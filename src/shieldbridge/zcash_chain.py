@@ -114,17 +114,31 @@ class CommitmentTree:
         Hashed bottom-up, one row per level: a row of odd length is padded
         with the empty subtree of its level before pairing, so level `lv`
         hashes ceil(n / 2**lv) nodes for the subtree's n present leaves, and
-        a subtree with no present leaf is the empty one of its height.
-        `digest` is read off the module for every row, so a counter bound
-        in its place sees each node."""
+        a subtree with no present leaf is the empty one of its height. Once
+        a row is one node, it is hashed with each level's empty subtree up
+        to `level`.
+
+        Invariant: the calls are the recursive definition's nodes (the
+        tests' `RecursiveTree`), with the same arguments, made row by row
+        and left to right within a row. The `digest` memo's hit rate
+        depends on that order, so a faster loop must keep both the calls
+        and their order. `digest` is read off the module for every row and
+        every single-node step, so a counter bound in its place sees each
+        node."""
         row = self.leaves[start:min(size, start + (1 << level))]
         if not row:
             return self._empties[level]
-        for lv in range(level):
+        lv = 0
+        while len(row) > 1:
             if len(row) & 1:
                 row.append(self._empties[lv])
-            row = list(map(digest, repeat(b"tree-node"), row[::2], row[1::2]))
-        return row[0]
+            pairs = iter(row)
+            row = list(map(digest, repeat(b"tree-node"), pairs, pairs))
+            lv += 1
+        node = row[0]
+        for empty in self._empties[lv:level]:
+            node = digest(b"tree-node", node, empty)
+        return node
 
     def root_at(self, size: int) -> bytes:
         if size > len(self.leaves):
@@ -461,12 +475,16 @@ class ChainState:
             for listener in self._listeners:
                 listener(block)
 
-        # transactions unique to the abandoned branch go back to the mempool
+        # transactions unique to the abandoned branch go back to the mempool,
+        # and a queued tx loses its place once the new branch spent its note
         requeued = []
         for tx in orphaned:
             if self.pool.validate_tx(tx, set()) is None:
                 requeued.append(tx)
-        self.mempool = requeued + self.mempool
+        spent = self.pool.nullifiers
+        self.mempool = requeued + [
+            tx for tx in self.mempool
+            if not any(s.nullifier.digest in spent for s in tx.spends)]
         return ReorgReport(branch_tip, fork_height, tuple(tx.txid() for tx in orphaned))
 
     # -- inclusion proofs --

@@ -411,7 +411,7 @@ class TestRedeemHappyPath:
         assert engine.registry.witness_obligations("V1") == LOCK - MINTED
         assert engine.actors["A1"].zcash.balance() == redeemer_zec_before + RELEASED
         assert engine.total_i() == total_before
-        assert engine.zec_released_total == RELEASED
+        assert engine.zec_totals()[1] == RELEASED
         assert conformance_errors(engine) == []
 
     def test_burn_at_poi_exempt_vault_rejected(self):
@@ -536,10 +536,10 @@ class TestReplayProtection:
 
         transfer2, _ = engine.build_burn("A1", "V1", amount, reuse_note=release_note)
         second = engine.do_burn("A1", "V1", transfer2)
-        released_before = engine.zec_released_total
+        released_before = engine.zec_totals()[1]
         # vault confirms without releasing again: same cm, old proof suffices
         assert engine.confirm_redeem("V1", second.request_id) == OK
-        assert engine.zec_released_total == released_before
+        assert engine.zec_totals()[1] == released_before
         assert second.state == REDEEM_SUCCESS
 
     def test_release_reaches_its_redeemer_when_another_expects_it_too(self):
@@ -580,7 +580,7 @@ class TestEclipsedConfirm:
         assert engine.confirm_redeem("V1", request.request_id,
                                      proof=(tree.path_at(0, 1), forged.hash)) == OK
         assert request.state == REDEEM_SUCCESS
-        assert engine.zec_released_total == 0
+        assert engine.zec_totals()[1] == 0
         assert collect_metrics(engine)["relay_violations"] == 1
         assert engine.events[-1] == (engine.now, "relay-violation", request.request_id)
 
@@ -1026,12 +1026,25 @@ class TestBuildMintPreconditions:
         with pytest.raises(ProtocolError, match="lock not mined yet"):
             engine.build_mint(request.request_id)
 
+    def test_an_orphaned_lock_backs_nothing_until_mined_again(self):
+        engine = make_engine()
+        request = engine.request_lock("A1", "V1")
+        engine.do_lock("A1", request.request_id, LOCK)
+        engine.tick()
+        assert engine.zec_totals() == (LOCK, 0)
+        orphan_block(engine, engine.block_of(request.lock_cm))
+        assert engine.zec_totals() == (0, 0)  # the lock is back in the mempool
+        engine.tick()
+        assert engine.zec_totals() == (LOCK, 0)
+
     def test_confirm_redeem_after_a_reorg_orphans_the_release(self):
         engine = engine_with_supply()
         request = run_redeem(engine, confirm=False)
         release_block = engine.block_of(request.release_cm)
         assert engine.relay.is_final(release_block)
+        assert engine.zec_totals()[1] == RELEASED
         orphan_block(engine, release_block)
+        assert engine.zec_totals()[1] == 0  # the release is back in the mempool
         rej = engine.confirm_redeem("V1", request.request_id)
         assert rej == Rejection("release-not-mined")
         assert last_row(engine)[-1] == "rejected:release-not-mined"

@@ -160,6 +160,26 @@ def counted_digests():
             setattr(module, name, original)
 
 
+@contextmanager
+def recorded_tree_nodes():
+    """Record each tree-node digest call the tree module makes, in order,
+    as ((left, right), node)."""
+    calls = []
+    original = zcash_chain.digest
+
+    def recorded(tag, *parts):
+        node = original(tag, *parts)
+        if tag == b"tree-node":
+            calls.append((parts, node))
+        return node
+
+    zcash_chain.digest = recorded
+    try:
+        yield calls
+    finally:
+        zcash_chain.digest = original
+
+
 def call_counted(tags, method, *args):
     """(result or raised ChainError message, tree-node digests the call made)"""
     before = tags[b"tree-node"]
@@ -206,6 +226,38 @@ class TestTreeAgainstRecursiveOracle:
             root = tree.root()
         assert tags[b"tree-node"] == 6
         assert root == RecursiveTree._node(tree, 3, 0, 5)
+
+    def test_benchmark_scale_in_the_same_calls_and_order(self):
+        # bridge_load's tree: depth 16, 1,891 leaves, before and after a
+        # truncation. Each root and path matches the oracle's value and
+        # makes the oracle's tree-node calls; a root, one subtree, makes
+        # them row by row, left to right: the oracle's, stably sorted by
+        # level.
+        rng = random.Random(27)
+        leaves = [rng.randbytes(32) for _ in range(1891)]
+        tree, oracle = CommitmentTree(16), RecursiveTree(16)
+        for cm in leaves:
+            tree.append(NoteCommitment(cm))
+            oracle.append(NoteCommitment(cm))
+        level = dict.fromkeys(leaves, 0) | {e: lv for lv, e in enumerate(tree._empties)}
+        for sizes in ((1, 2, 1023, 1024, 1025, 1891), (1, 2, 1023, 1024, 1025, 1500)):
+            for size in sizes:
+                for op, args in [("root_at", (size,))] + [
+                        ("path_at", (position, size))
+                        for position in (0, size // 2, size - 1)]:
+                    with recorded_tree_nodes() as got_calls:
+                        got = getattr(tree, op)(*args)
+                    with recorded_tree_nodes() as want_calls:
+                        want = getattr(oracle, op)(*args)
+                    assert got == want, (op, args)
+                    assert Counter(got_calls) == Counter(want_calls), (op, args)
+                    if op == "root_at":
+                        for (left, _), node in want_calls:
+                            level[node] = level[left] + 1
+                        rows = sorted(want_calls, key=lambda call: level[call[0][0]])
+                        assert got_calls == rows, args
+            tree.truncate(1500)
+            oracle.truncate(1500)
 
     def test_path_beyond_the_tree_rejected(self):
         tree = CommitmentTree(3)
@@ -479,6 +531,25 @@ class TestReorg:
             for tx in block.txs:
                 scratch.apply_tx(tx)
             assert scratch.tree.root() == block.header.tree_root, block.header.height
+
+    def test_reorg_drops_a_queued_spend_the_new_branch_made(self, rng, directory):
+        # T is queued while a side branch spends the same note in T'; after
+        # the reorg only T' may stay on the main chain
+        chain, wallet = seed_chain(rng, directory, values=(100,))
+        funding = chain.main[-1]
+        chain.mine_block()
+        dest = random_address(rng)
+        t, _ = build_transfer(wallet, [(dest, 50, rng_bytes(rng, 32))], chain.fee,
+                              directory, rng)
+        t_prime, _ = build_transfer(wallet, [(dest, 60, rng_bytes(rng, 32))], chain.fee,
+                                    directory, rng)
+        assert chain.submit_shielded_tx(t) == t.txid()
+        tip = chain.mine_block(parent_hash=funding, txs=[t_prime]).hash
+        tip = chain.mine_block(parent_hash=tip, txs=[]).hash
+        chain.reorg_to(tip)
+        chain.mine_block()
+        mined = [tx.txid() for bh in chain.main for tx in chain.blocks[bh].txs]
+        assert t_prime.txid() in mined and t.txid() not in mined
 
     def test_no_duplicate_nullifier_on_any_branch(self, rng, directory):
         chain, tip, _ = self.build_fork(rng, directory, side_len=2)
