@@ -1,62 +1,30 @@
-"""Gallery of the misbehaviour scenarios bundled with the package: what
-each adversary tries and how the protocol settles it.
+"""Gallery of every scenario bundled with the package: what each one plays,
+told by the header comment of its .cfg file, and how the protocol settles it.
 
 Run:  python demos/attack_gallery.py
 """
 
+from itertools import takewhile
+from textwrap import fill
+
 from shieldbridge.simcli import (
+    bundled_scenario_names,
     load_bundled_scenario,
     load_scenario,
     run_scenario,
 )
 
-GALLERY = [
-    ("issue_mint_timeout",
-     "issuer takes a lock permit and walks away -> warranty to the vault"),
-    ("issue_challenge",
-     "issuer encrypts garbage to the vault -> challenge voids the mint, "
-     "issuer loses warranty and locked coins"),
-    ("issue_vault_silent",
-     "vault ignores a pending mint -> auto-confirmed, vault pays warranty "
-     "from collateral"),
-    ("redeem_vault_silent",
-     "vault ignores a pending burn -> burn voided, escrow refunded, vault "
-     "pays warranty"),
-    ("redeem_challenge",
-     "redeemer encrypts garbage -> vault challenges, burn voided"),
-    ("vault_wrong_note",
-     "vault releases a wrong-value note -> cannot confirm, burn voided "
-     "against it; its collateral still covers the self-inflicted loss"),
-    ("replay_lock",
-     "issuer reuses a lock transaction for a second mint -> rejected by "
-     "the used-lock set"),
-    ("replay_release",
-     "vault confirms a fresh burn with an old release proof -> the fresh "
-     "commitment differs, proof rejected"),
-    ("replay_release_carveout",
-     "redeemer reuses identical note values -> the old proof genuinely "
-     "confirms the second burn (documented carve-out)"),
-    ("relay_eclipse",
-     "honest relayers muted -> forged branch finalized, forged inclusion "
-     "proof accepted, flagged as a safety violation"),
-    ("oracle_spike",
-     "rate spike with a stale balance statement -> partial liquidation "
-     "restores the collateral ratio"),
-    ("oracle_crash",
-     "crashed feed lets an undersized vault issue -> recovery exposes it, "
-     "liquidation seizes everything"),
-]
-
-for name, story in GALLERY:
-    result = run_scenario(load_scenario(load_bundled_scenario(name)))
-    status = "ok" if result.ok else "UNEXPECTED"
+for name in bundled_scenario_names():
+    text = load_bundled_scenario(name)
+    header = takewhile(lambda line: line.startswith("#"), text.splitlines())
+    result = run_scenario(load_scenario(text))
     m = result.metrics
-    print(f"{name:26s} [{status}]")
-    print(f"    {story}")
+    print(f"{name:26s} [{'ok' if result.ok else 'UNEXPECTED'}]")
+    print(fill(" ".join(line.lstrip("# ") for line in header), 78,
+               initial_indent="    ", subsequent_indent="    "))
     print(f"    supply={m['final_supply']} slashes={m['slash_count']} "
           f"challenges={m['challenge_upheld']} replays_blocked={m['replay_rejections']} "
           f"liquidations={m['liquidation_count']} relay_violations={m['relay_violations']}")
-    if result.failures:
-        for failure in result.failures:
-            print(f"    !! {failure}")
+    for failure in result.failures:
+        print(f"    !! {failure}")
 print("\nEvery scenario settled exactly as its expectations pin down.")

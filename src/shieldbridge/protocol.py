@@ -233,9 +233,9 @@ class Engine:
         self._genesis_values: list[tuple[str, int]] = []
         self._started = False
         self._cm_block: dict[bytes, bytes] = {}      # mined cm -> block hash
-        # cm -> the wallets that expect it, filled from each `Wallet.expect`;
-        # `_scan_block` pops one entry per output instead of asking every actor
-        self._expecting: dict[bytes, list[Wallet]] = {}
+        # cm -> the (wallet, note) pairs a party made for itself, filled by
+        # `_expect`; `_scan_block` pops one entry per output and credits them
+        self._expecting: dict[bytes, list[tuple[Wallet, Note]]] = {}
         self.zcash.on_block(self._scan_block)
         self.zcash.on_block(self._relay_block)
 
@@ -425,8 +425,12 @@ class Engine:
             return self._reject(payer, op, request.request_id, request.state, result.reason)
         wallet.mark_spent([s.witness.note for s in tx.spends])
         if len(notes) > 1:
-            self._expecting.setdefault(wallet.expect(notes[-1]), []).append(wallet)  # change
+            self._expect(wallet, notes[-1])  # change
         return result
+
+    def _expect(self, wallet: Wallet, note: Note) -> None:
+        """Credit a note a party made for itself once its commitment is mined."""
+        self._expecting.setdefault(commit_note(note).digest, []).append((wallet, note))
 
     # -- queries -----------------------------------------------------------------
 
@@ -665,9 +669,7 @@ class Engine:
         wallet.mark_spent([s.witness.note for s in transfer.witness.spend_tx.spends])
         for out in transfer.witness.spend_tx.outputs:
             wallet.credit(out.note_witness)  # change is immediately live
-        zcash_wallet = self.actors[redeemer].zcash
-        self._expecting.setdefault(zcash_wallet.expect(transfer.witness.release_note),
-                                   []).append(zcash_wallet)
+        self._expect(self.actors[redeemer].zcash, transfer.witness.release_note)
         return self._open("burn", RequestRecord(
             request_id, "redeem", REDEEM_START, redeemer, vault_id,
             release_cm=transfer.statement.release_cm.digest,
@@ -741,8 +743,8 @@ class Engine:
             for out in tx.outputs:
                 cm = out.cm.digest
                 self._cm_block[cm] = block.header.hash
-                for wallet in self._expecting.pop(cm, ()):
-                    wallet.observe_commitment(out.cm)
+                for wallet, note in self._expecting.pop(cm, ()):
+                    wallet.credit(note)
 
     def _relay_block(self, block) -> None:
         """The honest relayers: forward each main-chain block unless muted."""

@@ -73,7 +73,7 @@ class SplitConfig:
         object.__setattr__(self, "log2k", self.k.bit_length() - 1)
         object.__setattr__(self, "m", self.h + 1 - self.log2k)
         object.__setattr__(self, "t_max", 2**self.h - 1)
-        if self.m < 1 or self.m < self.k // 2:
+        if self.m < self.k // 2:
             raise SplittingError(
                 f"h + 1 - log2(k) = {self.m} too small for k = {self.k}; need >= k/2"
             )
@@ -136,7 +136,7 @@ def _branch(t: int, cfg: SplitConfig) -> tuple[int, int, int, int]:
         g = t.bit_length() - cfg.k // 2  # floor(log2 t) + 1 - k/2
         e = 2**g if g > 0 else 1
     else:
-        d = max(0, t // 2**m - 1)
+        d = t // 2**m - 1
         c = (cfg.k - d) // 2
         e = 2 ** (m - c)
     q = t // e
@@ -164,8 +164,6 @@ def _assemble(t: int, cfg: SplitConfig, d: int, e: int, q: int, i_max: int,
     part_one = i * e
     pieces = (((1 << cfg.m),) * d + _binary_pieces(part_one)
               + _binary_pieces(remaining - part_one))
-    if len(pieces) > cfg.k:
-        raise SplittingError(f"procedure produced {len(pieces)} > k pieces for t={t}")
     return SplitResult(pieces + (0,) * (cfg.k - len(pieces)), t - e * q)
 
 
@@ -205,8 +203,6 @@ class PieceDistribution:
     @staticmethod
     def index_of(value: int, cfg: SplitConfig) -> int:
         _require_ints(value=value)
-        if value == 0:
-            return 0
         if value & (value - 1) or value > 2**cfg.m:
             raise SplittingError(f"piece value {value} is not a power of two <= 2^m")
         return value.bit_length()
@@ -510,7 +506,7 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
         ratios.add("theorem_zero", 0, None, _ratio(dist.values[0], marg[0]), eight)
         for p in range(0, m + 1):
             idx = p + 1
-            if marg[idx].numerator == 0 or dist.values[idx].numerator == 0:
+            if dist.values[idx].numerator == 0:  # also covers every zero marginal
                 continue
             ratio = _ratio(dist.values[idx], marg[idx])
             if p == m and top >= 2:  # t >= 2^(m+1)

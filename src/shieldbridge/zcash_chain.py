@@ -520,24 +520,9 @@ class Wallet:
         self.address = address
         self.nullifier_key = nullifier_key
         self.unspent: dict[bytes, Note] = {}
-        self.expected: dict[bytes, Note] = {}
 
     def credit(self, note: Note) -> None:
         self.unspent[commit_note(note).digest] = note
-
-    def expect(self, note: Note) -> bytes:
-        """Register a note we created for ourselves (e.g. change) so it is
-        credited when its commitment appears on chain; returns the
-        commitment's digest, for a scanner that routes each output to its
-        wallet."""
-        cm = commit_note(note).digest
-        self.expected[cm] = note
-        return cm
-
-    def observe_commitment(self, cm: NoteCommitment) -> None:
-        note = self.expected.pop(cm.digest, None)
-        if note is not None:
-            self.credit(note)
 
     def balance(self) -> int:
         return sum(n.value for n in self.unspent.values())

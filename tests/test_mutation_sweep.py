@@ -6,6 +6,12 @@ import mutation_sweep
 import pytest
 
 
+def test_modules_cover_the_package():
+    package = mutation_sweep.ROOT / mutation_sweep.PACKAGE
+    assert sorted(mutation_sweep.MODULES) == sorted(
+        path.stem for path in package.glob("*.py") if path.stem != "__init__")
+
+
 @pytest.mark.parametrize("key", sorted(mutation_sweep.DECLARED), ids=" ".join)
 def test_declared_entry_names_one_site(key):
     module = key[0]

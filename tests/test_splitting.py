@@ -49,6 +49,18 @@ class TestConfig:
         with pytest.raises(SplittingError):
             SplitConfig(8, 3)
 
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_k_at_least_two(self, k):
+        # 1 and 0 pass the power-of-two test (k & (k - 1) == 0)
+        with pytest.raises(SplittingError, match="k must be a power of two >= 2"):
+            SplitConfig(8, k)
+
+    @pytest.mark.parametrize("h", [0, -1, -10**400], ids=["0", "-1", "-10**400"])
+    def test_h_must_be_positive(self, h):
+        # the m check refuses these too, but -10**400 overflows in 2**h first
+        with pytest.raises(SplittingError, match="h must be positive"):
+            SplitConfig(h, 2)
+
     def test_granularity_constraint(self):
         with pytest.raises(SplittingError):
             SplitConfig(2, 4)  # m = 1 < k/2
@@ -170,6 +182,30 @@ class TestSplitProcedure:
         with pytest.raises(SplittingError):
             pieces_for_draw(2**7, CFG74, 0)
 
+    @pytest.mark.parametrize("t", [1, 5, 600, 1023])
+    def test_out_of_range_draw(self, t):
+        for i in (-1, draw_bound(t, CFG108) + 1):
+            with pytest.raises(SplittingError, match=f"draw {i} outside"):
+                pieces_for_draw(t, CFG108, i)
+
+    @pytest.mark.parametrize("cfg", [SplitConfig(51, 8), SplitConfig(51, 16),
+                                     SplitConfig(64, 16)],
+                             ids=lambda cfg: f"h{cfg.h}-k{cfg.k}")
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_k_pieces_sum_to_total_beyond_desk_scale(self, cfg, data):
+        # a total of any bit length, with its first, last, a random and the
+        # all-ones draw (the most pieces in part one): exactly k pieces, and
+        # pieces plus withheld give t
+        n = data.draw(st.integers(0, cfg.h - 1))
+        t = data.draw(st.integers(2**n, 2**(n + 1) - 1))
+        bound = draw_bound(t, cfg)
+        all_ones = (1 << bound.bit_length() - 1) - 1 if bound else 0
+        for i in (0, bound, data.draw(st.integers(0, bound)), all_ones):
+            r = pieces_for_draw(t, cfg, i)
+            assert len(r.pieces) == cfg.k
+            assert sum(r.pieces) + r.withheld == t
+
     @pytest.mark.parametrize("t, i", [(5, True), (5, 1.0), (True, 0), (5.0, 0)])
     def test_non_integer_total_or_draw(self, t, i):
         # a True draw returned a split; a float one raised AttributeError
@@ -185,6 +221,15 @@ class TestExactDistributions:
         d = exact_conditional_expectation(1, CFG108)
         assert d.at_value(1) == 1
         assert d.at_value(0) == CFG108.k - 1
+
+    def test_distribution_refuses_wrong_length(self):
+        with pytest.raises(SplittingError, match="m \\+ 2 entries"):
+            PieceDistribution(CFG108, (Fraction(0),) * (CFG108.m + 1))
+
+    @pytest.mark.parametrize("value", [3, -1, 2**CFG108.m * 2])
+    def test_index_of_refuses_non_pieces(self, value):
+        with pytest.raises(SplittingError, match="not a power of two <= 2\\^m"):
+            PieceDistribution.index_of(value, CFG108)
 
     def test_row_sums_equal_k(self):
         for t in range(1, CFG108.t_max + 1):

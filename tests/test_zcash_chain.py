@@ -613,6 +613,7 @@ class TestRandomizedChurn:
             rng = random.Random(seed)
             chain, wallet = seed_chain(rng, directory, values=(50_000,))
             side_tips = []
+            change: dict[bytes, Note] = {}  # cm -> change note awaiting its block
             for _ in range(40):
                 move = rng.randrange(4)
                 if move == 0 and wallet.balance() > 1_000:
@@ -623,12 +624,13 @@ class TestRandomizedChurn:
                     if chain.submit_shielded_tx(tx) == tx.txid():
                         wallet.mark_spent([s.witness.note for s in tx.spends])
                         if len(notes) > 1:
-                            wallet.expect(notes[-1])
+                            change[commit_note(notes[-1]).digest] = notes[-1]
                 elif move == 1:
                     header = chain.mine_block()
                     for out_tx in chain.blocks[header.hash].txs:
                         for out in out_tx.outputs:
-                            wallet.observe_commitment(out.cm)
+                            if out.cm.digest in change:
+                                wallet.credit(change.pop(out.cm.digest))
                 elif move == 2:
                     fork_depth = rng.randrange(1, min(4, chain.height + 1))
                     parent = side_tips[-1] if side_tips and rng.random() < 0.5 \
@@ -834,13 +836,11 @@ class TestCountContract:
         with counted_digests() as decrypted:
             assert notes.decrypt_note(ct, secret) == note
         with counted_digests() as committed:
-            cm = commit_note(note)
-        with counted_digests() as expected:
-            assert wallet.expect(note) == cm.digest
+            commit_note(note)
         # a 95-byte plaintext takes three 32-byte keystream blocks
         assert sealed == {b"shared-secret": 1, b"stream": 3}
         assert decrypted == {b"stream": 3}
-        assert committed == expected == {b"note-commitment": 1}
+        assert committed == {b"note-commitment": 1}
 
     # the request path's tags; the tree and header counts wait for the
     # incremental tree and the one-hash header to settle
@@ -852,15 +852,30 @@ class TestCountContract:
     ])
     def test_honest_load_observes_only_expected_outputs(self, pairs, note_tags,
                                                         monkeypatch):
+        # the scan's credits are the `Wallet.credit` calls made while a
+        # block is scanned; each must name a (wallet, note) pair `_expect` took
+        expected, credited, scanning = [], [], []
+        Engine = protocol.Engine
+        expect, scan, credit = Engine._expect, Engine._scan_block, Wallet.credit
+
+        def recorded_expect(engine, wallet, note):
+            expected.append((wallet, note))
+            expect(engine, wallet, note)
+
+        def recorded_scan(engine, block):
+            scanning.append(block)
+            scan(engine, block)
+            scanning.pop()
+
+        def recorded_credit(wallet, note):
+            if scanning:
+                credited.append((wallet, note))
+            credit(wallet, note)
+
+        monkeypatch.setattr(Engine, "_expect", recorded_expect)
+        monkeypatch.setattr(Engine, "_scan_block", recorded_scan)
+        monkeypatch.setattr(Wallet, "credit", recorded_credit)
         engine, run = honest_load(pairs)
-        observed = []
-        observe = Wallet.observe_commitment
-
-        def recorded(wallet, cm):
-            observed.append((cm.digest, cm.digest in wallet.expected))
-            observe(wallet, cm)
-
-        monkeypatch.setattr(Wallet, "observe_commitment", recorded)
         with counted_digests() as tags:
             run()
         assert all(request.close_reason == "confirmed" for request in engine.requests.values())
@@ -868,8 +883,9 @@ class TestCountContract:
         mined = Counter(out.cm.digest for block_hash in engine.zcash.main
                         for tx in engine.zcash.blocks[block_hash].txs for out in tx.outputs)
         # each lock and release pays change, and the release note is expected
-        assert len(observed) == 3 * pairs
-        assert all(was_expected for _, was_expected in observed)
-        assert all(n <= mined[cm] for cm, n in Counter(cm for cm, _ in observed).items())
-        assert not any(account.zcash.expected for account in engine.actors.values())
+        assert len(credited) == 3 * pairs
+        assert all(pair in expected for pair in credited)
+        observed = Counter(commit_note(note).digest for _, note in credited)
+        assert all(n <= mined[cm] for cm, n in observed.items())
+        assert not engine._expecting
         assert {tag: tags[tag] for tag in note_tags} == note_tags
