@@ -40,10 +40,9 @@ print("lock transaction submitted; waiting for relay finality "
 for _ in range(config.relay_k + 1):
     engine.tick()
 transfer = engine.build_mint(request.request_id)
-ct = engine.build_note_ciphertext(transfer.witness.lock_note, "vault")
-engine.do_mint("alice", request.request_id, transfer, ct)
+engine.do_mint("alice", request.request_id, transfer)
 print(f"mint pending at tick {engine.now}; "
-      f"vault decrypts the ciphertext and confirms")
+      f"vault decrypts the mint's ciphertext and confirms")
 engine.confirm_issue("vault", request.request_id)
 print(f"request state: {request.state}")
 print(f"wrapped supply: {fmt(engine.issuing.supply)} "

@@ -121,13 +121,15 @@ class MintStatement:
     """Public claims of a mint: the lock note exists on the backing chain in
     a final block, its trapdoor was derived from the permit nonce, the
     minted value is the locked value less the fee, and the locked value
-    respects the per-request cap. Amounts themselves stay private."""
+    respects the per-request cap. Amounts themselves stay private. The
+    note ciphertext (C^V) transmits the lock note's plaintext to the vault."""
 
     lock_cm: NoteCommitment
     wzec_cm: NoteCommitment
     permit_id: str
     inclusion_block: bytes
     inclusion_path: MerklePath
+    ciphertext: NoteCiphertext
 
     def public_view(self) -> dict:
         return {
@@ -136,6 +138,7 @@ class MintStatement:
             "wzec_cm": self.wzec_cm.hex(),
             "permit": self.permit_id,
             "block": self.inclusion_block.hex(),
+            "ciphertext": self.ciphertext.payload.hex(),
         }
 
 

@@ -55,7 +55,6 @@ from .issuing_chain import (
 from .notes import (
     CHALLENGE_UPHELD,
     Note,
-    NoteCiphertext,
     NoteCommitment,
     NoteError,
     SharedSecret,
@@ -185,9 +184,7 @@ class RequestRecord:
     nonce: Optional[bytes] = None    # from which the lock trapdoor derives
     lock_note: Optional[Note] = None  # the note this request's lock paid the vault
     lock_cm: Optional[bytes] = None   # and its commitment's digest
-    release_cm: Optional[bytes] = None
     release_paid: Optional[tuple[bytes, int]] = None  # (cm digest, value) the release paid
-    ciphertext: Optional[NoteCiphertext] = None
     transfer: Optional[Union[MintTransfer, BurnTransfer]] = None  # the mint or the burn
     deadline_mint: Optional[int] = None
     deadline_confirm: Optional[int] = None
@@ -454,23 +451,21 @@ class Engine:
         return sum(locks.values()), sum(releases.values())
 
     def vault_note(self, request: RequestRecord) -> Optional[Note]:
-        """The note the request's vault decrypts from the request's
+        """The note the request's vault decrypts from its transfer's
         ciphertext, or None unless it opens the claimed commitment."""
+        ct = request.transfer.statement.ciphertext
         vault_addr = self.registry.vaults[request.vault_id].zcash_address
-        secret = self.directory.secret_for(request.ciphertext.ephemeral_public,
-                                           vault_addr)
-        note = decrypt_note(request.ciphertext, secret)
-        if note is None or commit_note(note).digest != self._claimed_cm(request):
+        note = decrypt_note(ct, self.directory.secret_for(ct.ephemeral_public, vault_addr))
+        if note is None or commit_note(note) != self._claimed_cm(request):
             return None
         return note
 
     @staticmethod
-    def _claimed_cm(request: RequestRecord) -> bytes:
+    def _claimed_cm(request: RequestRecord) -> NoteCommitment:
         """The commitment a request's ciphertext must open: the mint's lock
         note for an issue, the release note for a redeem."""
-        if request.kind == "issue":
-            return request.transfer.statement.lock_cm.digest
-        return request.release_cm
+        statement = request.transfer.statement
+        return statement.lock_cm if request.kind == "issue" else statement.release_cm
 
     # -- vault ops -----------------------------------------------------------------
 
@@ -546,8 +541,8 @@ class Engine:
 
     def build_mint(self, request_id: str, wrong_relation: bool = False,
                    lock_note_override: Optional[Note] = None) -> MintTransfer:
-        """Honest mint transfer for a locked request (tamper knobs for
-        byzantine issuers)."""
+        """Honest mint transfer for a locked request, its lock note sealed to
+        the request's vault as C^V (tamper knobs for byzantine issuers)."""
         request = self.requests[request_id]
         lock_note = lock_note_override or request.lock_note
         if lock_note is None:
@@ -562,18 +557,12 @@ class Engine:
             value += 1
         issuer_wallet = self.actors[request.requester].wzec
         wzec_note = Note(issuer_wallet.address, value, rng_bytes(self.rng, 32))
-        statement = MintStatement(lock_cm, commit_note(wzec_note),
-                                  request.permit_id, block_hash, path)
+        vault_addr = self.registry.vaults[request.vault_id].zcash_address
+        statement = MintStatement(lock_cm, commit_note(wzec_note), request.permit_id, block_hash,
+                                  path, self.directory.seal(lock_note, vault_addr, self.rng))
         return MintTransfer(statement, MintWitness(lock_note, wzec_note, request.nonce))
 
-    def build_note_ciphertext(self, note: Note, vault_id: str) -> NoteCiphertext:
-        """C^V construction: `note` encrypted to the vault under a fresh
-        ephemeral key. A byzantine actor corrupts the result itself."""
-        return self.directory.seal(note, self.registry.vaults[vault_id].zcash_address,
-                                   self.rng)
-
-    def do_mint(self, issuer: str, request_id: str, transfer: MintTransfer,
-                ciphertext: NoteCiphertext):
+    def do_mint(self, issuer: str, request_id: str, transfer: MintTransfer):
         request = self._guard("mint", issuer, request_id)
         if isinstance(request, Rejection):
             return request
@@ -587,7 +576,6 @@ class Engine:
                                transfer.statement.inclusion_block, request_id)
         request.deadline_confirm = self.now + self.config.delta_confirm_issue
         request.pending_txid = result.txid
-        request.ciphertext = ciphertext
         request.transfer = transfer
         self._advance(request, "mint", issuer)
         return result
@@ -613,18 +601,17 @@ class Engine:
 
     def _challenge(self, op: str, vault_id: str, request_id: str,
                    revealed: Optional[SharedSecret]):
-        """The vault shows the request's ciphertext does not open the claimed
-        commitment. Upheld, the pending mint or burn is voided and the
-        requester forfeits the warranty to the vault."""
+        """The vault shows its transfer's ciphertext does not open the
+        claimed commitment. Upheld, the pending mint or burn is voided and
+        the requester forfeits the warranty to the vault."""
         request = self._guard(op, vault_id, request_id)
         if isinstance(request, Rejection):
             return request
         vault_addr = self.registry.vaults[vault_id].zcash_address
+        ciphertext = request.transfer.statement.ciphertext
         if revealed is None:
-            revealed = self.directory.secret_for(request.ciphertext.ephemeral_public,
-                                                 vault_addr)
-        verdict = verify_challenge(request.ciphertext, revealed,
-                                   NoteCommitment(self._claimed_cm(request)),
+            revealed = self.directory.secret_for(ciphertext.ephemeral_public, vault_addr)
+        verdict = verify_challenge(ciphertext, revealed, self._claimed_cm(request),
                                    self.directory, vault_addr)
         if verdict != CHALLENGE_UPHELD:
             return self._reject(vault_id, op, request_id, request.state,
@@ -649,7 +636,8 @@ class Engine:
                                 rng_bytes(self.rng, 32))
         spend_tx, notes = build_transfer(account.wzec, [], amount, self.directory,
                                          self.rng)
-        ct = self.build_note_ciphertext(release_note, vault_id)
+        ct = self.directory.seal(release_note, self.registry.vaults[vault_id].zcash_address,
+                                 self.rng)
         statement = BurnStatement(commit_note(release_note), ct)
         return BurnTransfer(statement, BurnWitness(release_note, amount, spend_tx)), release_note
 
@@ -671,9 +659,7 @@ class Engine:
             wallet.credit(out.note_witness)  # change is immediately live
         self._expect(self.actors[redeemer].zcash, transfer.witness.release_note)
         return self._open("burn", RequestRecord(
-            request_id, "redeem", REDEEM_START, redeemer, vault_id,
-            release_cm=transfer.statement.release_cm.digest,
-            ciphertext=transfer.statement.ciphertext, transfer=transfer,
+            request_id, "redeem", REDEEM_START, redeemer, vault_id, transfer=transfer,
             deadline_confirm=self.now + self.config.delta_confirm_redeem,
             pending_txid=result.txid))
 
@@ -700,9 +686,9 @@ class Engine:
         request = self._guard("confirmRedeem", vault_id, request_id)
         if isinstance(request, Rejection):
             return request
-        release_cm = NoteCommitment(request.release_cm)
+        release_cm = request.transfer.statement.release_cm
         if proof is None:
-            block_hash = self.block_of(request.release_cm)
+            block_hash = self.block_of(release_cm.digest)
             if block_hash is None:
                 return self._reject(vault_id, "confirmRedeem", request_id,
                                     request.state, "release-not-mined")
@@ -712,7 +698,7 @@ class Engine:
         if isinstance(verdict, Rejection):
             return self._reject(vault_id, "confirmRedeem", request_id, request.state,
                                 verdict.reason)
-        self._check_true_chain(request.release_cm, block_hash, request_id)
+        self._check_true_chain(release_cm.digest, block_hash, request_id)
         self._advance(request, "confirmRedeem", vault_id)
         return OK
 

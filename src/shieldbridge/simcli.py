@@ -36,8 +36,8 @@ from pathlib import Path
 from random import Random
 from typing import Optional, get_type_hints
 
-from .issuing_chain import LIQUIDATION_POOL
-from .notes import VALUE_WIDTH, Note, NoteCiphertext, NoteCommitment, commit_note, rng_bytes
+from .issuing_chain import LIQUIDATION_POOL, BurnTransfer, MintTransfer
+from .notes import VALUE_WIDTH, Note, NoteCommitment, commit_note, rng_bytes
 from .protocol import (
     AWAIT_ISSUE_CONFIRM,
     OK,
@@ -236,9 +236,11 @@ def load_scenario(text: str) -> ScenarioConfig:
 # --- actor strategies ----------------------------------------------------------------
 
 
-def corrupt_ciphertext(ct: NoteCiphertext) -> NoteCiphertext:
-    """`ct` with its first byte flipped, so it fails authentication."""
-    return replace(ct, payload=bytes([ct.payload[0] ^ 0xFF]) + ct.payload[1:])
+def corrupt_ciphertext(transfer: MintTransfer | BurnTransfer) -> MintTransfer | BurnTransfer:
+    """`transfer` with its ciphertext's first byte flipped, so it fails authentication."""
+    ct = transfer.statement.ciphertext
+    ct = replace(ct, payload=bytes([ct.payload[0] ^ 0xFF]) + ct.payload[1:])
+    return replace(transfer, statement=replace(transfer.statement, ciphertext=ct))
 
 
 class _ScriptBot:
@@ -293,11 +295,9 @@ class IssueBot(_ScriptBot):
             transfer = engine.build_mint(request.request_id,
                                          wrong_relation=strategy == "wrong_relation",
                                          lock_note_override=replayed)
-            ct = engine.build_note_ciphertext(transfer.witness.lock_note, spec.vault)
             if strategy == "wrong_ciphertext":
-                ct = corrupt_ciphertext(ct)
-            if isinstance(engine.do_mint(spec.name, request.request_id, transfer, ct),
-                          Rejection):
+                transfer = corrupt_ciphertext(transfer)
+            if isinstance(engine.do_mint(spec.name, request.request_id, transfer), Rejection):
                 yield "stalled"  # the deadline will close the request
             yield
             while not request.terminal:
@@ -334,8 +334,7 @@ class RedeemBot(_ScriptBot):
             transfer, release_note = engine.build_burn(spec.name, spec.vault, amount,
                                                        reuse_note=reuse)
             if strategy in ("wrong_ciphertext", "redeem_wrong_ciphertext"):
-                ct = corrupt_ciphertext(transfer.statement.ciphertext)
-                transfer = replace(transfer, statement=replace(transfer.statement, ciphertext=ct))
+                transfer = corrupt_ciphertext(transfer)
             request = engine.do_burn(spec.name, spec.vault, transfer)
             if isinstance(request, Rejection):
                 return
@@ -385,11 +384,11 @@ class VaultBot:
             engine.challenge_issue(name, request.request_id)
 
     def _step_redeem(self, engine: Engine, request) -> None:
-        name = self.spec.name
+        name, release_cm = self.spec.name, request.transfer.statement.release_cm
         if self.spec.strategy == "proof_replayer":
             # confirm against an already-mined identical commitment, skipping
             # the release entirely (works only when the redeemer reused values)
-            if engine.block_of(request.release_cm) is not None:
+            if engine.block_of(release_cm.digest) is not None:
                 engine.confirm_redeem(name, request.request_id)
                 return
         if self._stale_proof is not None:  # only a stale_proof vault keeps one
@@ -409,13 +408,11 @@ class VaultBot:
                      if self.spec.strategy == "wrong_note" else None)
             engine.do_release(name, request.request_id, note_override=short)
         else:
-            block = engine.block_of(request.release_cm)
+            block = engine.block_of(release_cm.digest)
             if block is not None and engine.relay.is_final(block):
                 result = engine.confirm_redeem(name, request.request_id)
                 if result == OK and self.spec.strategy == "stale_proof":
-                    path = engine.zcash.merkle_path(NoteCommitment(request.release_cm),
-                                                    block)
-                    self._stale_proof = (path, block)
+                    self._stale_proof = (engine.zcash.merkle_path(release_cm, block), block)
 
 
 # role -> the bots that play it; a user issues, then redeems

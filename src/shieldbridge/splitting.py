@@ -341,6 +341,12 @@ class ClaimRow(NamedTuple):
     passed: bool
 
 
+def decide(claim, param_j, param_t, lhs: Fraction, rhs: Fraction) -> ClaimRow:
+    """The claim lhs <= rhs as a row, decided by cross-multiplication."""
+    return ClaimRow(claim, param_j, param_t, lhs, rhs,
+                    lhs.numerator * rhs.denominator <= rhs.numerator * lhs.denominator)
+
+
 # Claims carrying these tags are allowed to fail: each one is the alternate
 # reading of a documented ambiguity (index convention) or an informational
 # row outside the guarantee's range (gap/top piece).
@@ -363,9 +369,8 @@ class BoundsReport:
         self.blocks: list[tuple[tuple[ClaimRow, ...], Sequence]] = []
 
     def add(self, claim, param_j, param_t, lhs, rhs):
-        """Record the claim lhs <= rhs, decided by cross-multiplication."""
-        passed = lhs.numerator * rhs.denominator <= rhs.numerator * lhs.denominator
-        self.repeat((ClaimRow(claim, param_j, param_t, lhs, rhs, passed),), (param_t,))
+        """Record the claim lhs <= rhs (see decide)."""
+        self.repeat((decide(claim, param_j, param_t, lhs, rhs),), (param_t,))
 
     def repeat(self, rows: tuple[ClaimRow, ...], totals: Sequence) -> None:
         """Record decided rows once for each param_t in totals."""
@@ -497,13 +502,12 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
     decided = []
     for dist, first, count in groups:
         top = first >> m
-        bounds, ratios = BoundsReport(), BoundsReport()
-        for j in range(1, m - k // 2 + 1):
-            bounds.add("lemma2_i", j, None, dist.values[j], three_halves)
-        bounds.add("lemma2_ii[idx=m+1]", m + 1, None, dist.values[m + 1], Fraction(top))
-        bounds.add("lemma2_ii[idx=m]", m, None, dist.values[m], Fraction(top))
-        bounds.add("lemma2_iii", 0, None, dist.values[0], k_bound)
-        ratios.add("theorem_zero", 0, None, _ratio(dist.values[0], marg[0]), eight)
+        bounds = [decide("lemma2_i", j, None, dist.values[j], three_halves)
+                  for j in range(1, m - k // 2 + 1)]
+        bounds += (decide("lemma2_ii[idx=m+1]", m + 1, None, dist.values[m + 1], Fraction(top)),
+                   decide("lemma2_ii[idx=m]", m, None, dist.values[m], Fraction(top)),
+                   decide("lemma2_iii", 0, None, dist.values[0], k_bound))
+        ratios = [decide("theorem_zero", 0, None, _ratio(dist.values[0], marg[0]), eight)]
         for p in range(0, m + 1):
             idx = p + 1
             if dist.values[idx].numerator == 0:  # also covers every zero marginal
@@ -511,14 +515,15 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
             ratio = _ratio(dist.values[idx], marg[idx])
             if p == m and top >= 2:  # t >= 2^(m+1)
                 rhs = Fraction(4 * h * top, 3 * (k - 2 * lg))
-                ratios.add("theorem_top", p, None, ratio, rhs)
+                ratios.append(decide("theorem_top", p, None, ratio, rhs))
                 continue
             # primary convention: the bound's j is the piece-size index
-            ratios.add("theorem_piece", p, None, ratio, case_one_rhs[idx])
+            ratios.append(decide("theorem_piece", p, None, ratio, case_one_rhs[idx]))
             # alternate: j read literally off "piece value = 2^(j+1)"
             if p >= 1:
-                ratios.add("theorem_piece[literal]", p, None, ratio, case_one_rhs[p - 1])
-        decided.append((tuple(bounds.rows), tuple(ratios.rows), range(first, first + count)))
+                ratios.append(decide("theorem_piece[literal]", p, None, ratio,
+                                     case_one_rhs[p - 1]))
+        decided.append((tuple(bounds), tuple(ratios), range(first, first + count)))
 
     for rows, _, totals in decided:
         report.repeat(rows, totals)

@@ -475,16 +475,20 @@ class ChainState:
             for listener in self._listeners:
                 listener(block)
 
-        # transactions unique to the abandoned branch go back to the mempool,
-        # and a queued tx loses its place once the new branch spent its note
-        requeued = []
+        # transactions unique to the abandoned branch go back to the mempool;
+        # a queued tx loses its place once the new branch spent its note, or
+        # once its note came from an orphaned tx that stays out (a lost note)
+        requeued, lost = [], set()
         for tx in orphaned:
             if self.pool.validate_tx(tx, set()) is None:
                 requeued.append(tx)
+            else:
+                lost.update(out.note_witness for out in tx.outputs
+                            if out.cm.digest not in self.pool.leaf_index)
         spent = self.pool.nullifiers
         self.mempool = requeued + [
             tx for tx in self.mempool
-            if not any(s.nullifier.digest in spent for s in tx.spends)]
+            if not any(s.nullifier.digest in spent or s.witness.note in lost for s in tx.spends)]
         return ReorgReport(branch_tip, fork_height, tuple(tx.txid() for tx in orphaned))
 
     # -- inclusion proofs --

@@ -27,6 +27,9 @@ pytest does not collect it:
     python3 tests/mutation_sweep.py --list             # the sites, no test runs
 
 Over the nine modules the sweep takes about 26 minutes on 2 cores.
+SIGTERM or SIGINT stops it within about 0.1 s: the running pytest
+processes are killed with every process they started, queued mutants are
+dropped, the copied trees are removed, and it exits 128 + the signal.
 """
 
 from __future__ import annotations
@@ -35,11 +38,14 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -54,12 +60,13 @@ MODULES = ("protocol", "relay", "vault_registry", "issuing_chain", "zcash_chain"
 # without being any less correct.
 SOURCE_READERS = ("--ignore=tests/test_design_contracts.py",
                   "--ignore=tests/test_mutation_sweep.py")
-# The fast subset: tier-1 without its slowest tests. Of the tests it leaves
-# out, only test_splitting.py is the sole test to need some guards (the
-# splitting module's), so the full re-run decides those mutants.
+# The fast subset: tier-1 without its slowest tests. It keeps
+# test_splitting.py, the only file that kills most splitting mutants, less
+# its one slow brute-force case.
 FAST_SUBSET = (
     "tests", *SOURCE_READERS,
-    "--ignore=tests/test_splitting.py",
+    "--deselect=tests/test_splitting.py::TestExactDistributions::"
+    "test_matches_brute_force_average[h12-k16]",
     "--ignore=tests/test_demos.py",
     "--ignore=tests/test_perfbench_smoke.py",
     "--deselect=tests/test_acceptance.py::test_criterion_5_monte_carlo_matches_exact",
@@ -175,30 +182,41 @@ def _copy_tree(dest: Path) -> Path:
     return dest
 
 
-def _passes(tree: Path, suite: tuple[str, ...]) -> bool:
-    """Whether the suite passes in the copied tree (a timeout is a failure)."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *suite],
-            cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
+def _passes(tree: Path, suite: tuple[str, ...], stop: threading.Event) -> bool:
+    """Whether the suite passes in the copied tree; a timeout, or `stop` set
+    by a signal, is a failure. The pytest leads its own process group, so
+    killing the group also kills every process its tests started."""
+    if stop.is_set():
         return False
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *suite],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
+    deadline = time.monotonic() + TIMEOUT_S
+    while proc.poll() is None:
+        if stop.wait(0.1) or time.monotonic() > deadline:
+            with suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return False
     return proc.returncode == 0
 
 
-def _survives(tree: Path, mutant: Mutant, suite: tuple[str, ...]) -> bool:
+def _survives(tree: Path, mutant: Mutant, suite: tuple[str, ...],
+              stop: threading.Event) -> bool:
     """Write the mutant into a copied tree, run the suite, undo the mutant."""
     path = tree / PACKAGE / f"{mutant.module}.py"
     original = path.read_text()
     path.write_text(mutant.apply(original))
     try:
-        return _passes(tree, suite)
+        return _passes(tree, suite, stop)
     finally:
         path.write_text(original)
 
 
-def _run_all(trees: list[Path], todo: list[Mutant], suite, label: str) -> list[Mutant]:
+def _run_all(trees: list[Path], todo: list[Mutant], suite, label: str,
+             stop: threading.Event) -> list[Mutant]:
     """The mutants of `todo` that survive `suite`, in `todo`'s order; each
     copied tree runs one mutant at a time."""
     free = list(trees)
@@ -207,17 +225,22 @@ def _run_all(trees: list[Path], todo: list[Mutant], suite, label: str) -> list[M
     def run(mutant: Mutant) -> bool:
         tree = free.pop()
         try:
-            return _survives(tree, mutant, suite)
+            return _survives(tree, mutant, suite, stop)
         finally:
             free.append(tree)
 
     survivors = []
-    with ThreadPoolExecutor(len(trees)) as pool:
+    pool = ThreadPoolExecutor(len(trees))
+    try:
         for n, (mutant, survived) in enumerate(zip(todo, pool.map(run, todo)), start=1):
+            if stop.is_set():
+                break
             if survived:
                 survivors.append(mutant)
             print(f"[{label} {n}/{len(todo)} {time.monotonic() - started:.0f}s] "
                   f"{'SURVIVED' if survived else 'killed'}  {mutant}", flush=True)
+    finally:
+        pool.shutdown(cancel_futures=True)  # a stopped sweep runs no queued mutant
     return survivors
 
 
@@ -235,13 +258,27 @@ def main(argv=None) -> int:
         for mutant in todo:
             print(mutant)
         return 0
+    stop, stopped_by = threading.Event(), []
+
+    def on_signal(signum, frame) -> None:
+        stopped_by.append(signum)
+        stop.set()
+
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, on_signal)
     with tempfile.TemporaryDirectory(prefix="mutation-sweep-") as scratch:
         trees = [_copy_tree(Path(scratch) / f"w{i}") for i in range(args.workers)]
-        if not _passes(trees[0], FULL_SUITE):
-            print("the unmutated tree fails the suite; fix that first", file=sys.stderr)
-            return 2
-        fast = _run_all(trees, todo, FAST_SUBSET, "fast")
-        survivors = _run_all(trees, fast, FULL_SUITE, "full")
+        print("checking the unmutated tree", flush=True)
+        clean = _passes(trees[0], FULL_SUITE, stop)
+        fast = _run_all(trees, todo, FAST_SUBSET, "fast", stop) if clean else []
+        survivors = _run_all(trees, fast, FULL_SUITE, "full", stop)
+    if stopped_by:
+        print(f"stopped by signal {stopped_by[0]}; the copied trees are removed",
+              file=sys.stderr)
+        return 128 + stopped_by[0]
+    if not clean:
+        print("the unmutated tree fails the suite; fix that first", file=sys.stderr)
+        return 2
 
     print(f"\n{len(todo)} mutants, {len(fast)} survived the fast subset, "
           f"{len(survivors)} survived the full suite")

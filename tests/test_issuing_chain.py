@@ -83,8 +83,9 @@ class Harness:
         wzec_note = Note(issuer_addr, wzec_value, rng_bytes(self.rng, 32))
         lock_cm = commit_note(lock_note)
         path = self.zcash.merkle_path(commit_note(self.lock_note), self.inclusion.hash)
+        ct = self.directory.seal(lock_note, self.vault_addr, self.rng)
         statement = MintStatement(lock_cm, commit_note(wzec_note), "P1",
-                                  self.inclusion.hash, path)
+                                  self.inclusion.hash, path, ct)
         return MintTransfer(statement, MintWitness(lock_note, wzec_note, nonce))
 
 

@@ -56,20 +56,26 @@ def make_engine(k=3, seed=7, pairs=1, tree_depth=8, **overrides):
 
 
 def run_issue(engine, issuer="A1", vault="V1", amount=LOCK, confirm=True,
-              ct_edit=None, mint_kwargs=None):
+              edit=None, mint_kwargs=None):
     request = engine.request_lock(issuer, vault)
     assert not isinstance(request, Rejection)
     assert engine.do_lock(issuer, request.request_id, amount)
     for _ in range(engine.config.relay_k + 1):
         engine.tick()
     transfer = engine.build_mint(request.request_id, **(mint_kwargs or {}))
-    ct = engine.build_note_ciphertext(transfer.witness.lock_note, vault)
-    if ct_edit is not None:
-        ct = ct_edit(ct)
-    result = engine.do_mint(issuer, request.request_id, transfer, ct)
+    if edit is not None:
+        transfer = edit(transfer)
+    result = engine.do_mint(issuer, request.request_id, transfer)
     if confirm and not isinstance(result, Rejection):
         assert engine.confirm_issue(vault, request.request_id) == OK
     return request
+
+
+def sealing(engine, transfer, note):
+    """`transfer` with its ciphertext replaced by one of `note`, sealed to
+    the vault of the transfer's request (V1)."""
+    ct = engine.directory.seal(note, engine.registry.vaults["V1"].zcash_address, engine.rng)
+    return replace(transfer, statement=replace(transfer.statement, ciphertext=ct))
 
 
 class TestIssueHappyPath:
@@ -140,8 +146,7 @@ class TestIssueRejections:
         engine.do_lock("A1", request.request_id, LOCK)
         engine.tick()  # mined but far from final
         transfer = engine.build_mint(request.request_id)
-        ct = engine.build_note_ciphertext(transfer.witness.lock_note, "V1")
-        rej = engine.do_mint("A1", request.request_id, transfer, ct)
+        rej = engine.do_mint("A1", request.request_id, transfer)
         assert isinstance(rej, Rejection) and rej.reason == "inclusion:not-final"
 
     def test_random_rcm_lock_fails_mint_statement(self):
@@ -151,8 +156,7 @@ class TestIssueRejections:
         for _ in range(engine.config.relay_k + 1):
             engine.tick()
         transfer = engine.build_mint(request.request_id)
-        ct = engine.build_note_ciphertext(transfer.witness.lock_note, "V1")
-        rej = engine.do_mint("A1", request.request_id, transfer, ct)
+        rej = engine.do_mint("A1", request.request_id, transfer)
         assert isinstance(rej, Rejection)
         assert rej.reason == "statement-failed:rcm-not-derived"
 
@@ -176,8 +180,7 @@ class TestIssueRejections:
         old_transfer = done.transfer
         transfer = engine.build_mint(second.request_id,
                                      lock_note_override=old_transfer.witness.lock_note)
-        ct = engine.build_note_ciphertext(old_transfer.witness.lock_note, "V1")
-        rej = engine.do_mint("A1", second.request_id, transfer, ct)
+        rej = engine.do_mint("A1", second.request_id, transfer)
         assert isinstance(rej, Rejection) and "lock-cm-replayed" in rej.reason
         assert collect_metrics(engine)["replay_rejections"] == 1
 
@@ -303,7 +306,7 @@ class TestIssueTimeouts:
 class TestIssueChallenge:
     def test_corrupted_ciphertext_challenged(self):
         engine = make_engine()
-        request = run_issue(engine, confirm=False, ct_edit=corrupt_ciphertext)
+        request = run_issue(engine, confirm=False, edit=corrupt_ciphertext)
         assert engine.challenge_issue("V1", request.request_id) == OK
         assert request.state == ISSUE_CHALLENGED
         assert engine.issuing.supply == 0  # mint voided
@@ -322,9 +325,8 @@ class TestIssueChallenge:
         transfer = engine.build_mint(request.request_id)
         lock_note = transfer.witness.lock_note
         wrong = replace(lock_note, value=lock_note.value + 1)
-        ct = engine.build_note_ciphertext(wrong, "V1")
-        assert not isinstance(engine.do_mint("A1", request.request_id, transfer, ct),
-                              Rejection)
+        assert not isinstance(engine.do_mint("A1", request.request_id,
+                                             sealing(engine, transfer, wrong)), Rejection)
         assert engine.challenge_issue("V1", request.request_id) == OK
         assert request.state == ISSUE_CHALLENGED
 
@@ -339,8 +341,7 @@ class TestIssueChallenge:
         transfer = engine.build_mint(request.request_id)
         lock_note = transfer.witness.lock_note
         other = replace(lock_note, rcm=digest(b"test-other-rcm", lock_note.rcm))
-        ct = engine.build_note_ciphertext(other, "V1")
-        engine.do_mint("A1", request.request_id, transfer, ct)
+        engine.do_mint("A1", request.request_id, sealing(engine, transfer, other))
         assert request.state == AWAIT_ISSUE_CONFIRM
         assert engine.vault_note(request) is None
         VaultBot(ActorSpec("V1", "vault")).step(engine)
@@ -358,7 +359,7 @@ class TestIssueChallenge:
 
     def test_forged_secret_challenge_rejected(self):
         engine = make_engine()
-        request = run_issue(engine, confirm=False, ct_edit=corrupt_ciphertext)
+        request = run_issue(engine, confirm=False, edit=corrupt_ciphertext)
         rej = engine.challenge_issue("V1", request.request_id,
                                      revealed=SharedSecret(b"\x05" * 32))
         assert isinstance(rej, Rejection) and rej.reason == "challenge-not-upheld"
@@ -371,7 +372,7 @@ class TestIssueChallenge:
 
     def test_challenge_after_deadline_rejected(self):
         engine = make_engine()
-        request = run_issue(engine, confirm=False, ct_edit=corrupt_ciphertext)
+        request = run_issue(engine, confirm=False, edit=corrupt_ciphertext)
         engine.now = request.deadline_confirm + 1
         rej = engine.challenge_issue("V1", request.request_id)
         assert isinstance(rej, Rejection) and rej.reason == "deadline-passed"
@@ -461,10 +462,7 @@ class TestRedeemFailures:
     def test_corrupt_ciphertext_redeem_challenged(self):
         engine = engine_with_supply()
         transfer, _ = engine.build_burn("A1", "V1", MINTED)
-        statement = transfer.statement
-        transfer = replace(transfer, statement=replace(
-            statement, ciphertext=corrupt_ciphertext(statement.ciphertext)))
-        request = engine.do_burn("A1", "V1", transfer)
+        request = engine.do_burn("A1", "V1", corrupt_ciphertext(transfer))
         assert engine.challenge_redeem("V1", request.request_id) == OK
         assert request.state == REDEEM_CHALLENGED
         assert engine.issuing.supply == MINTED  # burn voided, wZEC refunded
@@ -512,9 +510,9 @@ class TestReplayProtection:
         # the new request's commitment differs, so the proof cannot verify
         engine = engine_with_supply()
         first = run_redeem(engine, amount=2_000_000_000)
-        old_cm_digest = first.release_cm
-        old_block = engine.block_of(old_cm_digest)
-        old_path = engine.zcash.merkle_path(NoteCommitment(old_cm_digest), old_block)
+        old_cm = first.transfer.statement.release_cm
+        old_block = engine.block_of(old_cm.digest)
+        old_path = engine.zcash.merkle_path(old_cm, old_block)
 
         transfer, _ = engine.build_burn("A1", "V1", 1_000_000_000)
         second = engine.do_burn("A1", "V1", transfer)
@@ -567,7 +565,7 @@ class TestEclipsedConfirm:
         request = engine.do_burn("A1", "V1", transfer)
         engine.relayer_muted = True
         tree = CommitmentTree(depth=engine.zcash.pool.tree.depth)
-        tree.append(NoteCommitment(request.release_cm))
+        tree.append(request.transfer.statement.release_cm)
         parent = engine.relay.headers[engine.relay.best_tip]
         forged = tip = BlockHeader(parent.height + 1, parent.hash, tree.root(), 1,
                                    nonce=10**6)
@@ -740,7 +738,7 @@ class TestStateMachineModelCheck:
 
 
 # (engine method, trace op, arguments after the actor and request id)
-GUARDED_OPS = [("do_lock", "lock", (LOCK,)), ("do_mint", "mint", (None, None)),
+GUARDED_OPS = [("do_lock", "lock", (LOCK,)), ("do_mint", "mint", (None,)),
                ("confirm_issue", "confirmIssue", ()),
                ("challenge_issue", "challengeIssue", ()), ("do_release", "release", ()),
                ("confirm_redeem", "confirmRedeem", ()),
@@ -845,8 +843,7 @@ def engine_with_due_requests(pairs=5):
         engine.tick()
     for (vault, user), request in zip(names, locks):
         transfer = engine.build_mint(request.request_id)
-        ct = engine.build_note_ciphertext(transfer.witness.lock_note, vault)
-        assert engine.do_mint(user, request.request_id, transfer, ct)
+        assert engine.do_mint(user, request.request_id, transfer)
         assert engine.confirm_issue(vault, request.request_id) == OK
     due = [engine.request_lock(user, vault) for vault, user in reversed(names)]
     for vault, user in names:
@@ -979,9 +976,7 @@ class TestRequestOpsAgainstBadInput:
     def test_release_of_a_ciphertext_that_does_not_decrypt(self):
         engine = engine_with_supply()
         transfer, _ = engine.build_burn("A1", "V1", MINTED)
-        ct = corrupt_ciphertext(transfer.statement.ciphertext)
-        transfer = replace(transfer, statement=replace(transfer.statement, ciphertext=ct))
-        request = engine.do_burn("A1", "V1", transfer)
+        request = engine.do_burn("A1", "V1", corrupt_ciphertext(transfer))
         rej = engine.do_release("V1", request.request_id)
         assert rej == Rejection("cannot-decrypt")
         assert last_row(engine)[-1] == "rejected:cannot-decrypt"
@@ -1040,7 +1035,7 @@ class TestBuildMintPreconditions:
     def test_confirm_redeem_after_a_reorg_orphans_the_release(self):
         engine = engine_with_supply()
         request = run_redeem(engine, confirm=False)
-        release_block = engine.block_of(request.release_cm)
+        release_block = engine.block_of(request.transfer.statement.release_cm.digest)
         assert engine.relay.is_final(release_block)
         assert engine.zec_totals()[1] == RELEASED
         orphan_block(engine, release_block)
@@ -1072,7 +1067,7 @@ class TestCloseEffects:
         # read it; a silent vault's auto-confirm of a garbled ciphertext
         # still mints, but the vault learns no spendable note
         engine = make_engine()
-        request = run_issue(engine, confirm=False, ct_edit=corrupt_ciphertext)
+        request = run_issue(engine, confirm=False, edit=corrupt_ciphertext)
         engine.run_until(request.deadline_confirm + 1)
         assert request.close_reason == "confirmed"
         lock_cm = commit_note(request.lock_note).digest

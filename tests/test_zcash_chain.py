@@ -551,6 +551,43 @@ class TestReorg:
         mined = [tx.txid() for bh in chain.main for tx in chain.blocks[bh].txs]
         assert t_prime.txid() in mined and t.txid() not in mined
 
+    def reorg_under_a_queued_spend(self, rng, directory, side_pays_bob):
+        """X pays Bob note N and is mined; Bob queues Y spending N; a 2-block
+        side branch from X's parent spends X's source again, in X itself
+        (`side_pays_bob`) or in X', which pays someone else. Either way X
+        stays out of the mempool; only X' leaves N out of the tree."""
+        chain, alice = seed_chain(rng, directory, values=(100,))
+        funding = chain.main[-1]
+        bob = Wallet("bob", random_address(rng), rng_bytes(rng, 32))
+        x, (n, _) = build_transfer(alice, [(bob.address, 50, rng_bytes(rng, 32))],
+                                   chain.fee, directory, rng)
+        x_prime, _ = build_transfer(alice, [(random_address(rng), 60, rng_bytes(rng, 32))],
+                                    chain.fee, directory, rng)
+        assert chain.submit_shielded_tx(x) == x.txid()
+        chain.mine_block()
+        bob.credit(n)
+        y, _ = build_transfer(bob, [(random_address(rng), 20, rng_bytes(rng, 32))],
+                              chain.fee, directory, rng)
+        assert chain.submit_shielded_tx(y) == y.txid()
+        tip = chain.mine_block(parent_hash=funding, txs=[x if side_pays_bob else x_prime]).hash
+        tip = chain.mine_block(parent_hash=tip, txs=[]).hash
+        chain.reorg_to(tip)
+        assert [tx.txid() for tx in chain.mempool if tx.txid() == x.txid()] == []
+        chain.mine_block()
+        mined = [tx.txid() for bh in chain.main for tx in chain.blocks[bh].txs]
+        return chain, n, y.txid() in mined
+
+    def test_reorg_drops_a_queued_spend_of_a_note_it_erased(self, rng, directory):
+        chain, n, y_mined = self.reorg_under_a_queued_spend(rng, directory, False)
+        assert commit_note(n).digest not in chain.pool.leaf_index
+        assert not y_mined
+
+    def test_reorg_keeps_a_queued_spend_of_a_note_the_branch_mined_again(self, rng,
+                                                                         directory):
+        chain, n, y_mined = self.reorg_under_a_queued_spend(rng, directory, True)
+        assert commit_note(n).digest in chain.pool.leaf_index
+        assert y_mined
+
     def test_no_duplicate_nullifier_on_any_branch(self, rng, directory):
         chain, tip, _ = self.build_fork(rng, directory, side_len=2)
         chain.reorg_to(tip)
