@@ -6,13 +6,18 @@ custodian observing one piece learns very little about the total. This
 module implements:
 
   * the scale-independent prior over totals,
-  * the randomized splitting procedure (single uniform draw i),
+  * the randomized splitting procedure (single uniform draw i); totals
+    fall into runs, each the e consecutive totals of one branch
+    (d, e, q, i_max), and at desk scale split(), draw_bound() and
+    pieces_for_draw() read each total's branch from a per-(h, k) table
+    indexed by total, filled one run at a time,
   * exact conditional and marginal piece-size distributions over every
     total, the conditionals counted from the draw's bits (Lemma 1's bit
     counts) with rational arithmetic; the tests enumerate every draw as
     the oracle; a conditional depends on the total only through its
     branch, so it is computed once per branch, and at desk scale each
-    total's conditional is read from a per-(h, k) table indexed by total,
+    total's conditional is read from a second such table, filled by the
+    same run walk,
   * posterior ratios Pr[T=t | piece=v] / Pr[T=t], and
   * exhaustive desk-scale verifiers for the distributional bounds the
     strategy is designed to satisfy, reported claim by claim and total by
@@ -144,11 +149,43 @@ def _branch(t: int, cfg: SplitConfig) -> tuple[int, int, int, int]:
     return d, e, q, i_max
 
 
+# (h, k) -> each total's _branch tuple, index 0 unused; one tuple per run
+_BRANCHES: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+
+
+def _branch_at(t: int, cfg: SplitConfig) -> tuple[int, int, int, int]:
+    """_branch(t, cfg) for a total check_total accepted. At desk scale it is
+    read from a per-(h, k) table indexed by total, built on first use;
+    beyond it, as for the conditionals, it is derived for each call."""
+    if cfg.t_max >= DESK_SCALE_LIMIT:
+        return _branch(t, cfg)
+    table = _BRANCHES.get((cfg.h, cfg.k))
+    if table is None:
+        table = [None]
+        for branch in _runs(cfg):
+            table += [branch] * branch[1]
+        _BRANCHES[cfg.h, cfg.k] = table
+    return table[t]
+
+
+def _runs(cfg: SplitConfig):
+    """Each branch's (d, e, q, i_max), in order of totals. A branch's
+    q = t // e, so it covers the e consecutive totals of one e-aligned
+    block, which lies inside one bit length below 2^m and inside one t >> m
+    block above it; e divides every bit length's and every such block's
+    first total, so each run starts a block and the runs tile [1, t_max]."""
+    t = 1
+    while t <= cfg.t_max:
+        branch = _branch(t, cfg)
+        yield branch
+        t += branch[1]
+
+
 def draw_bound(t: int, cfg: SplitConfig) -> int:
     """Largest value of the procedure's single uniform draw i for total t."""
     _require_ints(t=t)
     cfg.check_total(t)
-    return _branch(t, cfg)[3]
+    return _branch_at(t, cfg)[3]
 
 
 @functools.lru_cache(maxsize=DESK_SCALE_LIMIT)
@@ -171,14 +208,16 @@ def pieces_for_draw(t: int, cfg: SplitConfig, i: int) -> SplitResult:
     """Deterministic outcome of the procedure for a fixed draw i."""
     _require_ints(t=t, i=i)
     cfg.check_total(t)
-    d, e, q, i_max = _branch(t, cfg)
+    d, e, q, i_max = _branch_at(t, cfg)
     return _assemble(t, cfg, d, e, q, i_max, i)
 
 
 def split(t: int, cfg: SplitConfig, rng) -> SplitResult:
     """Randomized split of t into k pieces, each 0 or a power of two <= 2^m."""
+    if type(t) is not int:  # inline, not _require_ints: it runs once per draw
+        raise SplittingError(f"t must be an integer, got {t!r}")
     cfg.check_total(t)
-    d, e, q, i_max = _branch(t, cfg)
+    d, e, q, i_max = _branch_at(t, cfg)
     return _assemble(t, cfg, d, e, q, i_max, rng.randrange(i_max + 1))
 
 
@@ -241,14 +280,9 @@ def exact_conditional_expectation(t: int, cfg: SplitConfig) -> PieceDistribution
 
 
 def _conditional_table(cfg: SplitConfig) -> list[PieceDistribution]:
-    """Each total's _branch_distribution, filled one branch at a time: a
-    branch's q = t // e, so it covers the e consecutive totals of one
-    e-aligned block, which lies inside one bit length below 2^m and inside
-    one t >> m block above it; e divides every bit length's and every such
-    block's first total, so each run starts a block."""
+    """Each total's _branch_distribution, filled one run (see _runs) at a time."""
     table = [None]
-    while len(table) <= cfg.t_max:
-        d, e, _, i_max = _branch(len(table), cfg)
+    for d, e, _, i_max in _runs(cfg):
         table += [_branch_distribution(cfg, d, e, i_max)] * e
     return table
 

@@ -181,12 +181,69 @@ class TestSplitProcedure:
             pieces_for_draw(0, CFG74, 0)
         with pytest.raises(SplittingError):
             pieces_for_draw(2**7, CFG74, 0)
+        # at desk scale and beyond it, every entry point refuses the total
+        # before it looks up its branch: t = -1 would read the last run's
+        # table entry
+        for cfg in (SplitConfig(14, 8), SplitConfig(17, 4)):
+            for t in (0, -1, cfg.t_max + 1):
+                with pytest.raises(SplittingError, match=f"total {t} outside"):
+                    split(t, cfg, random.Random(0))
+                with pytest.raises(SplittingError, match=f"total {t} outside"):
+                    draw_bound(t, cfg)
+                with pytest.raises(SplittingError, match=f"total {t} outside"):
+                    pieces_for_draw(t, cfg, 0)
 
     @pytest.mark.parametrize("t", [1, 5, 600, 1023])
     def test_out_of_range_draw(self, t):
         for i in (-1, draw_bound(t, CFG108) + 1):
             with pytest.raises(SplittingError, match=f"draw {i} outside"):
                 pieces_for_draw(t, CFG108, i)
+
+    def test_beyond_desk_scale_builds_no_branch_table(self, monkeypatch):
+        # (17, 4) is just beyond desk scale, so a branch table built there
+        # by mistake would hold 2^17 entries, not hang the run at 2^51
+        monkeypatch.setattr(splitting, "_BRANCHES", {})
+        cfg = SplitConfig(17, 4)
+        m = cfg.m
+        for t in (1, 2**m - 1, 2**m, 2**m + 12345, cfg.t_max):
+            d, e, q, i_max = _branch(t, cfg)
+            assert draw_bound(t, cfg) == i_max
+            assert pieces_for_draw(t, cfg, i_max // 2) == splitting._assemble(
+                t, cfg, d, e, q, i_max, i_max // 2)
+            assert split(t, cfg, random.Random(t)) == pieces_for_draw(
+                t, cfg, random.Random(t).randrange(i_max + 1))
+        assert splitting._BRANCHES == {}
+
+    @pytest.mark.parametrize("hk", [(7, 4), (14, 8)], ids=["h7-k4", "h14-k8"])
+    def test_split_is_pieces_for_its_draw(self, hk):
+        # split's one uniform draw on [0, draw_bound], then pieces_for_draw
+        cfg = SplitConfig(*hk)
+        for t in range(1, cfg.t_max + 1):
+            assert split(t, cfg, random.Random(t)) == pieces_for_draw(
+                t, cfg, random.Random(t).randrange(draw_bound(t, cfg) + 1))
+
+    def test_desk_scale_split_reads_the_branch_table(self, monkeypatch):
+        # the table is filled with one _branch call per run; after that no
+        # desk-scale split calls _branch
+        calls = []
+        original = splitting._branch
+
+        def counted(t, cfg):
+            calls.append(t)
+            return original(t, cfg)
+
+        monkeypatch.setattr(splitting, "_branch", counted)
+        monkeypatch.setattr(splitting, "_BRANCHES", {})
+        cfg = SplitConfig(14, 8)
+        rng = random.Random(3)
+        split(1, cfg, rng)
+        table = splitting._BRANCHES[14, 8]
+        assert len(calls) == len({id(branch) for branch in table[1:]}) == 111
+        calls.clear()
+        for t in range(1, cfg.t_max + 1):
+            split(t, cfg, rng)
+        assert calls == []
+        assert splitting._BRANCHES[14, 8] is table
 
     @pytest.mark.parametrize("cfg", [SplitConfig(51, 8), SplitConfig(51, 16),
                                      SplitConfig(64, 16)],
@@ -214,6 +271,10 @@ class TestSplitProcedure:
         if i == 0:
             with pytest.raises(SplittingError, match="must be an integer"):
                 draw_bound(t, SplitConfig(4, 2))
+            # a True total gave the split of 1; a float one raised
+            # AttributeError
+            with pytest.raises(SplittingError, match="must be an integer"):
+                split(t, SplitConfig(4, 2), random.Random(0))
 
 
 class TestExactDistributions:
@@ -637,6 +698,21 @@ class TestConditionalTable:
             assert exact_conditional_expectation(t, cfg) is _branch_distribution(cfg, d, e, i_max)
         table = splitting._CONDITIONALS[hk]
         assert len(table) == cfg.t_max + 1
+
+    @pytest.mark.parametrize("hk", SMALL_CONFIGS + [(14, 8)],
+                             ids=lambda hk: f"h{hk[0]}-k{hk[1]}")
+    def test_every_branch_entry_is_its_branch(self, hk, monkeypatch):
+        # the per-(h, k) branch table that split, draw_bound and
+        # pieces_for_draw read, against _branch as the oracle; each run of
+        # totals shares one tuple
+        monkeypatch.setattr(splitting, "_BRANCHES", {})
+        cfg = SplitConfig(*hk)
+        draw_bound(1, cfg)
+        table = splitting._BRANCHES[hk]
+        assert len(table) == cfg.t_max + 1
+        for t in range(1, cfg.t_max + 1):
+            assert table[t] == _branch(t, cfg)
+        assert len({id(branch) for branch in table[1:]}) == len(list(splitting._runs(cfg)))
 
     def test_a_second_config_reuses_the_table(self):
         first = exact_conditional_expectation(5, SplitConfig(11, 4))
