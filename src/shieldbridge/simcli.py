@@ -713,8 +713,10 @@ def run_relay_safety(n_blocks: int, alpha: float, k: int, seed: int,
     moment it outweighs the public chain, which reorgs every honest block
     above the fork point, and gives up once it falls restart_behind blocks
     behind. Deeper reorgs than the adversary's current deficit are always
-    possible in this model, just gambler's-ruin unlikely. Reports reorg
-    depths plus the relay's finality flips.
+    possible in this model, just gambler's-ruin unlikely. Reports each
+    reorg's depth (the honest blocks it orphaned) plus the relay's finality
+    flips: a depth-d reorg flips the max(0, d - k) final heights it
+    reverts.
     """
     rng = Random(seed)
     chain = ChainState(depth=4, fee=0)
@@ -722,8 +724,7 @@ def run_relay_safety(n_blocks: int, alpha: float, k: int, seed: int,
     chain.on_block(lambda block: relay.submit_header(block.header))
     adv_tip: Optional[bytes] = None
     adv_blocks = 0
-    reorgs = 0
-    deepest = 0
+    reorg_depths = []
     for _ in range(n_blocks):
         if rng.random() < alpha:
             if adv_tip is None:
@@ -740,9 +741,8 @@ def run_relay_safety(n_blocks: int, alpha: float, k: int, seed: int,
             if chain.blocks[adv_tip].header.height > chain.height:
                 # publish: the reorg relays the branch's headers, oldest first
                 height = chain.height
-                deepest = max(deepest, height - chain.reorg_to(adv_tip).fork_height)
+                reorg_depths.append(height - chain.reorg_to(adv_tip).fork_height)
                 adv_tip = None
-                reorgs += 1
         else:
             chain.mine_block()
             if adv_tip is not None and (chain.height
@@ -751,8 +751,9 @@ def run_relay_safety(n_blocks: int, alpha: float, k: int, seed: int,
     return {
         "blocks": n_blocks,
         "adversary_blocks": adv_blocks,
-        "reorgs": reorgs,
-        "deepest_reorg": deepest,
+        "reorgs": len(reorg_depths),
+        "reorg_depths": reorg_depths,
+        "deepest_reorg": max(reorg_depths, default=0),
         "finality_flips": relay.metrics.finality_flips,
         "tip_switches": relay.metrics.tip_switches,
         # liveness: the relay must have tracked the chain the whole run

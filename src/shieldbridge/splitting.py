@@ -21,10 +21,12 @@ module implements:
   * posterior ratios Pr[T=t | piece=v] / Pr[T=t], and
   * exhaustive desk-scale verifiers for the distributional bounds the
     strategy is designed to satisfy, reported claim by claim and total by
-    total. The totals fall into groups, each a contiguous run sharing one
-    conditional and one t >> m; each claim is decided once per group, and
-    the report stores one block per group (its decided rows and the range of
-    totals they stand for), expanding them into per-total rows on read.
+    total. The totals fall into groups, each one run of totals, streamed
+    in order from one pass over the totals' conditionals; a run shares one
+    conditional and lies inside one t >> m block. Each claim is decided
+    once per group, and the report stores one block per group (its decided
+    rows and the range of totals they stand for), expanding them into
+    per-total rows on read.
 
 All probabilities are exact fractions, and every verdict is an integer
 cross-multiplication of them; no bound check depends on rounding.
@@ -36,6 +38,7 @@ import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 DESK_SCALE_LIMIT = 2**16  # exhaustive checks refuse larger supports
@@ -269,13 +272,16 @@ def exact_conditional_expectation(t: int, cfg: SplitConfig) -> PieceDistribution
     would need 2^h entries, the branch is derived for each call."""
     if type(t) is not int:  # inline, not _require_ints: check_bounds calls this per total
         raise SplittingError(f"t must be an integer, got {t!r}")
-    cfg.check_total(t)
+    if not 1 <= t <= cfg.t_max:  # inlined per total; check_total words the error
+        cfg.check_total(t)
+    try:
+        return _CONDITIONALS[cfg.h, cfg.k][t]
+    except KeyError:  # no table yet for (h, k), or none beyond desk scale
+        pass
     if cfg.t_max >= DESK_SCALE_LIMIT:
         d, e, _, i_max = _branch(t, cfg)
         return _branch_distribution(cfg, d, e, i_max)
-    table = _CONDITIONALS.get((cfg.h, cfg.k))
-    if table is None:
-        table = _CONDITIONALS[cfg.h, cfg.k] = _conditional_table(cfg)
+    table = _CONDITIONALS[cfg.h, cfg.k] = _conditional_table(cfg)
     return table[t]
 
 
@@ -301,21 +307,24 @@ def _branch_distribution(cfg: SplitConfig, d: int, e: int, i_max: int) -> PieceD
     return PieceDistribution(cfg, tuple([Fraction(c, n) if c else _ZERO for c in counts]))
 
 
-def _groups(cfg: SplitConfig) -> dict[tuple[int, int], list]:
-    """(id of the shared conditional, t >> m) -> [conditional, first total,
-    count], in order of totals. A total's conditional depends on it only
-    through its branch, whose totals are one e-aligned run inside one bit
-    length and one t >> m block, so each group is one contiguous run of one
-    magnitude, and each group's totals are range(first, first + count).
+def _groups(cfg: SplitConfig) -> list[list]:
+    """[conditional, first total, count] for each run of totals (see _runs),
+    in order of totals, streamed from one pass over the totals: a group
+    opens whenever a total's conditional is not the previous total's
+    object. Adjacent runs never share a conditional, so each group is one
+    run, inside one bit length and one t >> m block, and its totals are
+    range(first, first + count).
 
     It asks exact_conditional_expectation once per total and is not
     memoised: perfbench pins that function's calls at two per total for a
     cold check_bounds (this enumeration, then the marginal's), until a
     re-recorded count lets it enumerate runs instead."""
-    groups = {}
-    for t in range(1, cfg.t_max + 1):
-        dist = exact_conditional_expectation(t, cfg)
-        groups.setdefault((id(dist), t >> cfg.m), [dist, t, 0])[2] += 1
+    groups, first = [], 1
+    conditionals = map(exact_conditional_expectation, range(1, cfg.t_max + 1), repeat(cfg))
+    for _, run in groupby(conditionals, id):
+        run = list(run)
+        groups.append([run[0], first, len(run)])
+        first += len(run)
     return groups
 
 
@@ -327,7 +336,7 @@ def marginal_expectation(cfg: SplitConfig) -> PieceDistribution:
     the integer c over n * 2^N: one Fraction per such denominator, then / h.
     Each group of totals (see _groups) adds c once, times its count."""
     sums = [{} for _ in range(cfg.m + 2)]  # per index: n * 2^N -> sum of c
-    for dist, first, count in _groups(cfg).values():
+    for dist, first, count in _groups(cfg):
         scale = first.bit_length() - 1
         for by_den, x in zip(sums, dist.values):
             if c := x.numerator:
@@ -515,18 +524,18 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
     [literal] carry the alternate index conventions, rows tagged [info] sit
     outside the guarantee's range. Failures are reported, never raised.
 
-    A total's rows depend on t only through its group (see _groups): the
-    conditional and t >> m (the lemma2_ii cap, and theorem_top once
-    t >= 2^(m+1)). So each claim is decided once per group, and the report
-    stores each group's decided rows once with the group's range of
-    totals: at (14, 8), 222 group blocks and 27 added rows stand for 327,650
-    rows.
+    A total's rows depend on t only through its conditional and t >> m (the
+    lemma2_ii cap, and theorem_top once t >= 2^(m+1)), and each group (see
+    _groups) is one run of totals sharing both. So each claim is decided
+    once per group, and the report stores each group's decided rows once
+    with the group's range of totals: at (14, 8), two blocks for each of
+    the 111 groups and 27 added rows stand for 327,650 rows.
     """
     if 2**cfg.h > DESK_SCALE_LIMIT:
         raise SplittingError(f"2^h > {DESK_SCALE_LIMIT}: refuse exhaustive check")
     report = BoundsReport()
     m, k, h, lg = cfg.m, cfg.k, cfg.h, cfg.log2k
-    groups = _groups(cfg).values()
+    groups = _groups(cfg)
     marg = marginal_expectation(cfg).values
     three_halves, k_bound, eight = Fraction(3, 2), Fraction(k), Fraction(8)
     case_one_rhs = [Fraction(3 * h) / min(Fraction(k, 2), Fraction(max(m + 1 - j, lg)))

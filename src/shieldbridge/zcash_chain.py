@@ -193,6 +193,11 @@ class ShieldedTx:
     outputs: tuple[OutputDescription, ...]
     fee: int
 
+    def balances(self) -> bool:
+        """Spent value equals created value plus the fee."""
+        return sum(s.witness.note.value for s in self.spends) == (
+            sum(o.note_witness.value for o in self.outputs) + self.fee)
+
     def txid(self) -> str:
         parts = [s.nullifier.digest for s in self.spends]
         parts += [o.cm.digest for o in self.outputs]
@@ -245,9 +250,7 @@ class ShieldedPool:
         for out in tx.outputs:
             if commit_note(out.note_witness) != out.cm:
                 return Rejection("commitment-mismatch")
-        if sum(s.witness.note.value for s in tx.spends) != (
-            sum(o.note_witness.value for o in tx.outputs) + tx.fee
-        ):
+        if not tx.balances():
             if not (allow_unbacked and not tx.spends):
                 return Rejection("value-imbalance")
         return None
@@ -389,8 +392,10 @@ class ChainState:
 
     def mine_block(self, parent_hash: Optional[bytes] = None,
                    txs: Optional[list[ShieldedTx]] = None) -> BlockHeader:
-        """Append one block. On the main tip the mempool is drained; on a
-        side branch the caller supplies the (possibly empty) body."""
+        """Append one block. On the main tip the mempool is drained, or an
+        explicit body that breaks the ledger (see _invalid_body) raises
+        ChainError; on a side branch the caller supplies the (possibly
+        empty) body, and reorg_to checks it."""
         parent_hash = parent_hash if parent_hash is not None else self.main[-1]
         if parent_hash not in self.blocks:
             raise ChainError("unknown parent")
@@ -400,6 +405,8 @@ class ChainState:
         if on_main_tip and txs is None:
             txs = self.mempool
             self.mempool = []
+        elif on_main_tip and self._invalid_body(txs, self.pool.nullifiers):
+            raise ChainError("block body reuses a nullifier or does not balance")
         txs = txs or []
 
         if on_main_tip:
@@ -430,6 +437,24 @@ class ChainState:
                 listener(block)
         return header
 
+    @staticmethod
+    def _invalid_body(txs: list[ShieldedTx], spent: set[bytes]) -> bool:
+        """True when a body would break its branch's ledger: a tx spends a
+        nullifier in `spent` (the branch's spends before the body) or one
+        spent earlier in the body, or a tx with spends does not balance.
+        Output-only txs may create value: they are the model's coinbase.
+        It reads stored digests and values only, so it hashes nothing."""
+        seen = set()
+        for tx in txs:
+            if tx.spends and not tx.balances():
+                return True
+            for spend in tx.spends:
+                nf = spend.nullifier.digest
+                if nf in spent or nf in seen:
+                    return True
+                seen.add(nf)
+        return False
+
     def _root_of(self, leaves: list[bytes]) -> bytes:
         scratch = CommitmentTree(self.pool.tree.depth)
         scratch.leaves = list(leaves)
@@ -448,7 +473,9 @@ class ChainState:
     # -- reorg --
 
     def reorg_to(self, branch_tip: bytes):
-        """Switch the main chain to a strictly heavier branch."""
+        """Switch the main chain to a strictly heavier branch whose side
+        blocks keep the ledger (see _invalid_body); an invalid branch is
+        refused before any state changes."""
         if branch_tip not in self.blocks:
             return Rejection("unknown-branch")
         branch = self.blocks[branch_tip]
@@ -462,6 +489,9 @@ class ChainState:
             block = self.blocks[bh]
             orphaned.extend(block.txs)
             removed_nfs |= block.new_nullifiers
+        side_txs = [tx for bh in side for tx in self.blocks[bh].txs]
+        if self._invalid_body(side_txs, self.pool.nullifiers - removed_nfs):
+            return Rejection("invalid-branch")
         fork_block = self.blocks[self.main[fork_height]]
         self.pool.unapply_leaves(fork_block.leaf_count, removed_nfs)
 

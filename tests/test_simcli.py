@@ -418,6 +418,16 @@ class TestRelaySafetyHarness:
                                  restart_behind=50)
         assert stats["finality_flips"] > 0
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+    def test_flips_are_the_final_heights_each_reorg_reverts(self, k):
+        # a depth-d reorg orphans heights above its fork; the final ones
+        # among them, d - k once d > k, each flip once
+        for seed in range(3):
+            stats = run_relay_safety(n_blocks=3_000, alpha=0.4, k=k, seed=seed)
+            depths = stats["reorg_depths"]
+            assert len(depths) == stats["reorgs"] > 0
+            assert stats["finality_flips"] == sum(max(0, d - k) for d in depths)
+
 
 class TestCli:
     def test_run_exit_codes(self, tmp_path):

@@ -714,6 +714,24 @@ class TestConditionalTable:
             assert table[t] == _branch(t, cfg)
         assert len({id(branch) for branch in table[1:]}) == len(list(splitting._runs(cfg)))
 
+    @pytest.mark.parametrize("hk", SMALL_CONFIGS + [(12, 16), (14, 8)],
+                             ids=lambda hk: f"h{hk[0]}-k{hk[1]}")
+    def test_groups_are_the_runs(self, hk):
+        # _groups opens a group whenever the conditional object changes, so
+        # it must find one group per run, in order: adjacent runs never
+        # share a conditional, and a run never crosses a t >> m block
+        cfg = SplitConfig(*hk)
+        groups = _groups(cfg)
+        runs = list(splitting._runs(cfg))
+        assert len(groups) == len(runs)
+        first = 1
+        for (dist, start, count), (d, e, _, i_max) in zip(groups, runs):
+            assert (start, count) == (first, e)
+            assert dist is _branch_distribution(cfg, d, e, i_max)
+            assert start >> cfg.m == (start + count - 1) >> cfg.m
+            first += e
+        assert first == cfg.t_max + 1
+
     def test_a_second_config_reuses_the_table(self):
         first = exact_conditional_expectation(5, SplitConfig(11, 4))
         table = splitting._CONDITIONALS[11, 4]
@@ -762,4 +780,4 @@ def test_check_bounds_calls_each_conditional_twice_per_total(monkeypatch):
     for part in (group_blocks[:len(groups)], group_blocks[len(groups):]):
         assert [t for totals in part for t in totals] == list(range(1, cfg.t_max + 1))
         assert [(totals.start, len(totals)) for totals in part] == [
-            (first, count) for _, first, count in groups.values()]
+            (first, count) for _, first, count in groups]

@@ -588,6 +588,51 @@ class TestReorg:
         assert commit_note(n).digest in chain.pool.leaf_index
         assert y_mined
 
+    def test_branch_that_spends_a_main_nullifier_again_is_refused(self, rng, directory):
+        # the side branch forks after the spend, so T' reuses T's nullifier
+        # on its own branch; the reorg must change nothing
+        chain, wallet = seed_chain(rng, directory, values=(100,))
+        dest = random_address(rng)
+        t, _ = build_transfer(wallet, [(dest, 50, rng_bytes(rng, 32))], chain.fee,
+                              directory, rng)
+        t_prime, _ = build_transfer(wallet, [(dest, 60, rng_bytes(rng, 32))], chain.fee,
+                                    directory, rng)
+        assert chain.submit_shielded_tx(t) == t.txid()
+        chain.mine_block()
+        tip = chain.main[-1]
+        chain.mine_block()
+        chain.mine_block()
+        for body in ([t_prime], [], []):
+            tip = chain.mine_block(parent_hash=tip, txs=body).hash
+        queued = output_only_tx(rng, directory)
+        chain.submit_shielded_tx(queued, allow_unbacked=True)
+        main, size = list(chain.main), len(chain.pool.tree)
+        nullifiers = set(chain.pool.nullifiers)
+        seen = []
+        chain.on_block(seen.append)
+        assert chain.reorg_to(tip) == Rejection("invalid-branch")
+        assert (chain.main, len(chain.pool.tree), chain.pool.nullifiers) == (
+            main, size, nullifiers)
+        assert chain.mempool == [queued] and seen == []
+
+    @pytest.mark.parametrize("body", ["negative-fee", "spent-nullifier", "twice-in-body"])
+    def test_main_tip_body_that_breaks_the_ledger_is_refused(self, rng, directory, body):
+        chain, wallet = seed_chain(rng, directory, values=(100, 200))
+        dest = random_address(rng)
+        t, _ = build_transfer(wallet, [(dest, 50, rng_bytes(rng, 32))], chain.fee,
+                              directory, rng)
+        if body == "negative-fee":
+            txs = [replace(t, fee=-10**9)]
+        elif body == "spent-nullifier":
+            chain.mine_block(txs=[t])
+            txs = [t]
+        else:
+            txs = [t, t]
+        main, nullifiers = list(chain.main), set(chain.pool.nullifiers)
+        with pytest.raises(ChainError):
+            chain.mine_block(txs=txs)
+        assert (chain.main, chain.pool.nullifiers) == (main, nullifiers)
+
     def test_no_duplicate_nullifier_on_any_branch(self, rng, directory):
         chain, tip, _ = self.build_fork(rng, directory, side_len=2)
         chain.reorg_to(tip)
