@@ -30,8 +30,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from importlib import resources
-from itertools import groupby, repeat
-from operator import itemgetter
+from itertools import repeat
 from pathlib import Path
 from random import Random
 from typing import Optional, get_type_hints
@@ -53,8 +52,8 @@ from .splitting import (
     BoundsReport,
     SplitConfig,
     SplittingError,
+    _groups,
     check_bounds,
-    exact_conditional_expectation,
     sample_prior,
     split,
 )
@@ -603,25 +602,32 @@ def distribution_csv(cfg: SplitConfig) -> str:
 
 
 def distribution_lines(cfg: SplitConfig) -> Iterator[str]:
-    """Each total's conditional E[X_j | T=t]; a run of totals that share
-    one conditional is one CSV block."""
-    conditionals = ((t, exact_conditional_expectation(t, cfg)) for t in range(1, cfg.t_max + 1))
+    """Each total's conditional E[X_j | T=t]; each group of totals (one run
+    sharing one conditional, see splitting._groups) is one CSV block."""
     return _csv_lines("t,j,expectation_num,expectation_den", blocks=(
         (tuple((EACH, j, value.numerator, value.denominator)
-               for j, value in enumerate(dist.values)), [t for t, _ in run])
-        for dist, run in groupby(conditionals, key=itemgetter(1))))
+               for j, value in enumerate(dist.values)), range(first, first + count))
+        for dist, first, count in _groups(cfg)))
 
 
 # --- privacy analysis -----------------------------------------------------------------
 
 
-def _split_config(h: int, k: int, total: Optional[int] = None) -> SplitConfig:
+# (largest h, what bounds it): `privacy` walks every total, so it stays at
+# desk scale; `check-bounds` walks runs of totals, so it goes up to the
+# 64-bit note value that carries a total
+_DESK_H = DESK_SCALE_LIMIT.bit_length() - 1
+PRIVACY_LIMIT = (_DESK_H, f"the desk-scale limit 2^{_DESK_H} = {DESK_SCALE_LIMIT}")
+CHECK_BOUNDS_LIMIT = (8 * VALUE_WIDTH, f"the note value width of {8 * VALUE_WIDTH} bits")
+
+
+def _split_config(h: int, k: int, total: Optional[int] = None,
+                  limit: tuple[int, str] = PRIVACY_LIMIT) -> SplitConfig:
     """The SplitConfig of an exhaustive check; bad parameters or total are config errors.
-    `h` is compared with the limit's exponent, so a huge `h` never builds `2**h`."""
-    h_max = DESK_SCALE_LIMIT.bit_length() - 1
+    `h` is compared with the limit's largest h, so a huge `h` never builds `2**h`."""
+    h_max, bound = limit
     if h > h_max:
-        raise ConfigError(f"h = {h} exceeds the desk-scale limit 2^{h_max} = "
-                          f"{DESK_SCALE_LIMIT}; use h <= {h_max}")
+        raise ConfigError(f"h = {h} exceeds {bound}; use h <= {h_max}")
     try:
         cfg = SplitConfig(h, k)
         if total is not None:
@@ -834,7 +840,13 @@ def cmd_privacy(args) -> int:
 
 
 def cmd_check_bounds(args) -> int:
-    report = check_bounds(_split_config(args.h, args.k))
+    """The per-claim summary and overall verdict, at any h up to 64;
+    a config with more runs of totals than check_bounds takes is a config
+    error."""
+    try:
+        report = check_bounds(_split_config(args.h, args.k, limit=CHECK_BOUNDS_LIMIT))
+    except SplittingError as exc:
+        raise ConfigError(str(exc)) from exc
     for claim, (rows, failed) in sorted(report.tally().items()):
         status = "pass" if not failed else f"FAIL ({failed}/{rows})"
         print(f"{claim:32s} {status}")

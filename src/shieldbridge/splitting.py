@@ -19,14 +19,15 @@ module implements:
     total's conditional is read from a second such table, filled by the
     same run walk,
   * posterior ratios Pr[T=t | piece=v] / Pr[T=t], and
-  * exhaustive desk-scale verifiers for the distributional bounds the
-    strategy is designed to satisfy, reported claim by claim and total by
-    total. The totals fall into groups, each one run of totals, streamed
-    in order from one pass over the totals' conditionals; a run shares one
-    conditional and lies inside one t >> m block. Each claim is decided
-    once per group, and the report stores one block per group (its decided
-    rows and the range of totals they stand for), expanding them into
-    per-total rows on read.
+  * exhaustive verifiers for the distributional bounds the strategy is
+    designed to satisfy, reported claim by claim and total by total. The
+    totals fall into groups, each one run of totals, which shares one
+    conditional and lies inside one t >> m block: at desk scale they are
+    streamed in order from one pass over the totals' conditionals, and
+    beyond it read off the run walk, so a check costs per run, not per
+    total, up to h = 64. Each claim is decided once per group, and the
+    report stores one block per group (its decided rows and the range of
+    totals they stand for), expanding them into per-total rows on read.
 
 All probabilities are exact fractions, and every verdict is an integer
 cross-multiplication of them; no bound check depends on rounding.
@@ -38,11 +39,12 @@ import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import groupby, islice, repeat
 from typing import NamedTuple
 
-DESK_SCALE_LIMIT = 2**16  # exhaustive checks refuse larger supports
+DESK_SCALE_LIMIT = 2**16  # per-total tables stop below it; check_bounds refuses more runs
 _ZERO = Fraction(0)  # every zero expectation shares this one value
+_THREE_HALVES, _EIGHT = Fraction(3, 2), Fraction(8)  # lemma2_i's and theorem_zero's bounds
 
 
 class SplittingError(ValueError):
@@ -62,6 +64,12 @@ class SplitConfig:
     with m = h + 1 - log2 k. We require m >= k/2, which keeps the piece
     granularity integral in every branch of the procedure (the gap region
     [2^m, 2^(m+1)-1] runs with d = 0 and needs 2^(m - k/2) >= 1).
+
+    At desk scale (t_max < DESK_SCALE_LIMIT) the first
+    exact_conditional_expectation call points _conditionals at the shared
+    per-(h, k) table of each total's conditional, building the table if no
+    equal config has; construction never builds it. Beyond desk scale it
+    stays None.
     """
 
     h: int
@@ -70,6 +78,11 @@ class SplitConfig:
     log2k: int = field(init=False, compare=False)
     m: int = field(init=False, compare=False)
     t_max: int = field(init=False, compare=False)
+    # the desk-scale _CONDITIONALS table, set by the first
+    # exact_conditional_expectation call: a plain attribute, so a per-total
+    # read is one load and one index (a cached_property defeats 3.11's
+    # attribute specialisation)
+    _conditionals: list | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not all(type(x) is int for x in (self.h, self.k)):  # a bool is refused too
@@ -257,8 +270,8 @@ class PieceDistribution:
         return self.values[self.index_of(value, self.cfg)]
 
 
-# (h, k) -> each total's conditional, index 0 unused; keyed by the ints because
-# SplitConfig's generated __hash__ is a Python call on every lookup
+# (h, k) -> each total's conditional, index 0 unused; each config reads its
+# table through SplitConfig._conditionals, so this is looked up once per config
 _CONDITIONALS: dict[tuple[int, int], list[PieceDistribution]] = {}
 
 
@@ -267,29 +280,35 @@ def exact_conditional_expectation(t: int, cfg: SplitConfig) -> PieceDistribution
     equiprobable draws i. It depends on t only through t's branch
     (d, e, i_max), so every total of one branch gets the same object.
 
-    At desk scale (t_max < DESK_SCALE_LIMIT) it is read from a per-(h, k)
-    table indexed by total, built on first use; beyond it, where a table
-    would need 2^h entries, the branch is derived for each call."""
+    At desk scale (t_max < DESK_SCALE_LIMIT) it is read from the per-(h, k)
+    table indexed by total, through the reference cfg._conditionals: the
+    first call on a config sets it, building the table if no equal config
+    has, and every later call is one attribute load and one index. Beyond
+    desk scale, where a table would need 2^h entries, the branch is derived
+    for each call."""
     if type(t) is not int:  # inline, not _require_ints: check_bounds calls this per total
         raise SplittingError(f"t must be an integer, got {t!r}")
     if not 1 <= t <= cfg.t_max:  # inlined per total; check_total words the error
         cfg.check_total(t)
     try:
-        return _CONDITIONALS[cfg.h, cfg.k][t]
-    except KeyError:  # no table yet for (h, k), or none beyond desk scale
+        return cfg._conditionals[t]
+    except TypeError:  # None: this config's first call, or beyond desk scale
         pass
     if cfg.t_max >= DESK_SCALE_LIMIT:
         d, e, _, i_max = _branch(t, cfg)
         return _branch_distribution(cfg, d, e, i_max)
-    table = _CONDITIONALS[cfg.h, cfg.k] = _conditional_table(cfg)
+    table = _CONDITIONALS.get((cfg.h, cfg.k))
+    if table is None:
+        table = _CONDITIONALS[cfg.h, cfg.k] = _conditional_table(cfg)
+    object.__setattr__(cfg, "_conditionals", table)
     return table[t]
 
 
 def _conditional_table(cfg: SplitConfig) -> list[PieceDistribution]:
-    """Each total's _branch_distribution, filled one run (see _runs) at a time."""
+    """Each total's _branch_distribution, filled one run (see _run_groups) at a time."""
     table = [None]
-    for d, e, _, i_max in _runs(cfg):
-        table += [_branch_distribution(cfg, d, e, i_max)] * e
+    for dist, _, count in _run_groups(cfg):
+        table += [dist] * count
     return table
 
 
@@ -309,22 +328,35 @@ def _branch_distribution(cfg: SplitConfig, d: int, e: int, i_max: int) -> PieceD
 
 def _groups(cfg: SplitConfig) -> list[list]:
     """[conditional, first total, count] for each run of totals (see _runs),
-    in order of totals, streamed from one pass over the totals: a group
-    opens whenever a total's conditional is not the previous total's
-    object. Adjacent runs never share a conditional, so each group is one
-    run, inside one bit length and one t >> m block, and its totals are
-    range(first, first + count).
+    in order of totals; each run lies inside one bit length and one t >> m
+    block, and its totals are range(first, first + count).
 
-    It asks exact_conditional_expectation once per total and is not
-    memoised: perfbench pins that function's calls at two per total for a
-    cold check_bounds (this enumeration, then the marginal's), until a
-    re-recorded count lets it enumerate runs instead."""
+    At desk scale it is streamed from one pass over the totals: a group
+    opens whenever a total's conditional is not the previous total's
+    object, and adjacent runs never share a conditional. It asks
+    exact_conditional_expectation once per total and is not memoised:
+    perfbench pins that function's calls at two per total for a cold
+    check_bounds (this enumeration, then the marginal's), until a
+    re-recorded count lets it enumerate runs instead. Beyond desk scale,
+    where the totals are too many to walk, it is _run_groups."""
+    if cfg.t_max >= DESK_SCALE_LIMIT:
+        return _run_groups(cfg)
     groups, first = [], 1
     conditionals = map(exact_conditional_expectation, range(1, cfg.t_max + 1), repeat(cfg))
     for _, run in groupby(conditionals, id):
         run = list(run)
         groups.append([run[0], first, len(run)])
         first += len(run)
+    return groups
+
+
+def _run_groups(cfg: SplitConfig) -> list[list]:
+    """_groups from the run walk: one _branch_distribution per run, and no
+    per-total call, so its cost grows with the number of runs, not 2^h."""
+    groups, first = [], 1
+    for d, e, _, i_max in _runs(cfg):
+        groups.append([_branch_distribution(cfg, d, e, i_max), first, e])
+        first += e
     return groups
 
 
@@ -424,9 +456,13 @@ class BoundsReport:
         return ReportRows(self)
 
     def _expand(self, keep=None):
-        """The rows in order; keep, if given, filters each block's rows once."""
+        """The rows in order; keep, if given, filters each block's rows once,
+        and a block with no row kept is skipped without reading its totals
+        (beyond desk scale a block can stand for 2^50 totals)."""
         for rows, totals in self.blocks:
             selected = rows if keep is None else tuple(filter(keep, rows))
+            if not selected:
+                continue
             for t in totals:
                 for claim, j, _, lhs, rhs, passed in selected:
                     yield ClaimRow(claim, j, t, lhs, rhs, passed)
@@ -435,24 +471,35 @@ class BoundsReport:
         return list(self._expand(lambda r: not r.passed))
 
     def unattributed_failures(self) -> list[ClaimRow]:
-        return list(self._expand(
-            lambda r: not r.passed and not any(tag in r.claim for tag in ATTRIBUTED_TAGS)))
+        return list(self._expand(_unattributed))
 
     @property
     def all_pass(self) -> bool:
         """True when every claim holds, ignoring only the documented
-        alternate-reading and informational rows."""
-        return not self.unattributed_failures()
+        alternate-reading and informational rows; decided once per block."""
+        return not any(_unattributed(row) for rows, _ in self.blocks for row in rows)
 
     def tally(self) -> dict[str, list[int]]:
         """claim -> [rows, failures], counted once per block."""
         counts = {}
         for rows, totals in self.blocks:
+            size = _size(totals)
             for row in rows:
                 count = counts.setdefault(row.claim, [0, 0])
-                count[0] += len(totals)
-                count[1] += 0 if row.passed else len(totals)
+                count[0] += size
+                count[1] += 0 if row.passed else size
         return counts
+
+
+def _unattributed(row: ClaimRow) -> bool:
+    """A failed row that carries none of the ATTRIBUTED_TAGS."""
+    return not row.passed and not any(tag in row.claim for tag in ATTRIBUTED_TAGS)
+
+
+def _size(totals: Sequence) -> int:
+    """len(totals), also for a range past sys.maxsize, which len() refuses:
+    at (64, 2) one run holds the 2^63 totals of [2^63, 2^64)."""
+    return totals.stop - totals.start if type(totals) is range else len(totals)
 
 
 class ReportRows(Sequence):
@@ -463,7 +510,7 @@ class ReportRows(Sequence):
         self._report = report
 
     def __len__(self) -> int:
-        return sum(len(rows) * len(totals) for rows, totals in self._report.blocks)
+        return sum(len(rows) * _size(totals) for rows, totals in self._report.blocks)
 
     def __iter__(self):
         return self._report._expand()
@@ -515,8 +562,40 @@ def check_lemma1(c: int, a: int) -> BoundsReport:
     return report
 
 
+def _run_claims(cfg: SplitConfig, marg: tuple[Fraction, ...], case_one_rhs: list[Fraction],
+                dist: PieceDistribution, top: int) -> tuple[tuple, tuple]:
+    """The decided claims of one run of totals, which share the conditional
+    dist and t >> m = top: its conditional upper bounds, then its
+    posterior-ratio upper bounds, each row with param_t None. marg is the
+    marginal's values and case_one_rhs theorem_piece's bound per index."""
+    m, k, h, lg = cfg.m, cfg.k, cfg.h, cfg.log2k
+    bounds = [decide("lemma2_i", j, None, dist.values[j], _THREE_HALVES)
+              for j in range(1, m - k // 2 + 1)]
+    bounds += (decide("lemma2_ii[idx=m+1]", m + 1, None, dist.values[m + 1], Fraction(top)),
+               decide("lemma2_ii[idx=m]", m, None, dist.values[m], Fraction(top)),
+               decide("lemma2_iii", 0, None, dist.values[0], Fraction(k)))
+    ratios = [decide("theorem_zero", 0, None, _ratio(dist.values[0], marg[0]), _EIGHT)]
+    for p in range(0, m + 1):
+        idx = p + 1
+        if dist.values[idx].numerator == 0:  # also covers every zero marginal
+            continue
+        ratio = _ratio(dist.values[idx], marg[idx])
+        if p == m and top >= 2:  # t >= 2^(m+1)
+            rhs = Fraction(4 * h * top, 3 * (k - 2 * lg))
+            ratios.append(decide("theorem_top", p, None, ratio, rhs))
+            continue
+        # primary convention: the bound's j is the piece-size index
+        ratios.append(decide("theorem_piece", p, None, ratio, case_one_rhs[idx]))
+        # alternate: j read literally off "piece value = 2^(j+1)"
+        if p >= 1:
+            ratios.append(decide("theorem_piece[literal]", p, None, ratio,
+                                 case_one_rhs[p - 1]))
+    return tuple(bounds), tuple(ratios)
+
+
 def check_bounds(cfg: SplitConfig) -> BoundsReport:
-    """Exhaustive desk-scale verification of the strategy's guarantees.
+    """Exhaustive verification of the strategy's guarantees, for every
+    total of a config with at most DESK_SCALE_LIMIT runs of totals.
 
     Covers the conditional upper bounds, the marginal lower bounds, the
     three posterior-ratio upper bounds, and the anonymity floor. Ambiguous
@@ -526,48 +605,26 @@ def check_bounds(cfg: SplitConfig) -> BoundsReport:
 
     A total's rows depend on t only through its conditional and t >> m (the
     lemma2_ii cap, and theorem_top once t >= 2^(m+1)), and each group (see
-    _groups) is one run of totals sharing both. So each claim is decided
-    once per group, and the report stores each group's decided rows once
-    with the group's range of totals: at (14, 8), two blocks for each of
-    the 111 groups and 27 added rows stand for 327,650 rows.
+    _groups) is one run of totals sharing both. So _run_claims decides each
+    claim once per group, and the report stores each group's decided rows
+    once with the group's range of totals: at (14, 8), two blocks for each
+    of the 111 groups and 27 added rows stand for 327,650 rows. The runs
+    grow about linearly in h (407 at (51, 8), 7,743 at (64, 16)), so the
+    check reaches ZEC's 2^51 supply; the refusal counts runs, not totals.
     """
-    if 2**cfg.h > DESK_SCALE_LIMIT:
-        raise SplittingError(f"2^h > {DESK_SCALE_LIMIT}: refuse exhaustive check")
+    if next(islice(_runs(cfg), DESK_SCALE_LIMIT, None), None) is not None:
+        raise SplittingError(f"more than {DESK_SCALE_LIMIT} runs of totals: "
+                             f"refuse exhaustive check")
     report = BoundsReport()
     m, k, h, lg = cfg.m, cfg.k, cfg.h, cfg.log2k
     groups = _groups(cfg)
     marg = marginal_expectation(cfg).values
-    three_halves, k_bound, eight = Fraction(3, 2), Fraction(k), Fraction(8)
     case_one_rhs = [Fraction(3 * h) / min(Fraction(k, 2), Fraction(max(m + 1 - j, lg)))
                     for j in range(m + 2)]
 
     # per group: the conditional upper bounds, then the posterior-ratio ones
-    decided = []
-    for dist, first, count in groups:
-        top = first >> m
-        bounds = [decide("lemma2_i", j, None, dist.values[j], three_halves)
-                  for j in range(1, m - k // 2 + 1)]
-        bounds += (decide("lemma2_ii[idx=m+1]", m + 1, None, dist.values[m + 1], Fraction(top)),
-                   decide("lemma2_ii[idx=m]", m, None, dist.values[m], Fraction(top)),
-                   decide("lemma2_iii", 0, None, dist.values[0], k_bound))
-        ratios = [decide("theorem_zero", 0, None, _ratio(dist.values[0], marg[0]), eight)]
-        for p in range(0, m + 1):
-            idx = p + 1
-            if dist.values[idx].numerator == 0:  # also covers every zero marginal
-                continue
-            ratio = _ratio(dist.values[idx], marg[idx])
-            if p == m and top >= 2:  # t >= 2^(m+1)
-                rhs = Fraction(4 * h * top, 3 * (k - 2 * lg))
-                ratios.append(decide("theorem_top", p, None, ratio, rhs))
-                continue
-            # primary convention: the bound's j is the piece-size index
-            ratios.append(decide("theorem_piece", p, None, ratio, case_one_rhs[idx]))
-            # alternate: j read literally off "piece value = 2^(j+1)"
-            if p >= 1:
-                ratios.append(decide("theorem_piece[literal]", p, None, ratio,
-                                     case_one_rhs[p - 1]))
-        decided.append((tuple(bounds), tuple(ratios), range(first, first + count)))
-
+    decided = [(*_run_claims(cfg, marg, case_one_rhs, dist, first >> m),
+                range(first, first + count)) for dist, first, count in groups]
     for rows, _, totals in decided:
         report.repeat(rows, totals)
     # marginal lower bounds (lhs is the bound, rhs the computed marginal)

@@ -235,7 +235,11 @@ class ShieldedPool:
         return cm.digest in self.leaf_index
 
     def validate_tx(self, tx: ShieldedTx, extra_nullifiers: set[bytes] = frozenset(),
-                    allow_unbacked: bool = False) -> Optional[Rejection]:
+                    allow_unbacked: bool = False,
+                    extra_commitments: set[bytes] = frozenset()) -> Optional[Rejection]:
+        """None when tx may join a block on this pool. `extra_nullifiers`
+        are spent and `extra_commitments` exist beside the pool's: the
+        spends and outputs of txs queued ahead of this one."""
         seen = set()
         for spend in tx.spends:
             expected = derive_nullifier(spend.witness.note, spend.witness.nullifier_key)
@@ -245,7 +249,8 @@ class ShieldedPool:
             if nf in seen or nf in self.nullifiers or nf in extra_nullifiers:
                 return Rejection("double-spend")
             seen.add(nf)
-            if commit_note(spend.witness.note).digest not in self.leaf_index:
+            cm = commit_note(spend.witness.note).digest
+            if cm not in self.leaf_index and cm not in extra_commitments:
                 return Rejection("unknown-note")
         for out in tx.outputs:
             if commit_note(out.note_witness) != out.cm:
@@ -505,13 +510,18 @@ class ChainState:
             for listener in self._listeners:
                 listener(block)
 
-        # transactions unique to the abandoned branch go back to the mempool;
-        # a queued tx loses its place once the new branch spent its note, or
-        # once its note came from an orphaned tx that stays out (a lost note)
+        # transactions unique to the abandoned branch go back to the mempool,
+        # each valid on the new pool after the ones requeued before it (so a
+        # spend of a requeued tx's output stays); a queued tx loses its place
+        # once the new branch spent its note, or once its note came from an
+        # orphaned tx that stays out (a lost note)
         requeued, lost = [], set()
+        queued_nfs, queued_cms = set(), set()
         for tx in orphaned:
-            if self.pool.validate_tx(tx, set()) is None:
+            if self.pool.validate_tx(tx, queued_nfs, extra_commitments=queued_cms) is None:
                 requeued.append(tx)
+                queued_nfs.update(s.nullifier.digest for s in tx.spends)
+                queued_cms.update(out.cm.digest for out in tx.outputs)
             else:
                 lost.update(out.note_witness for out in tx.outputs
                             if out.cm.digest not in self.pool.leaf_index)

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import shieldbridge
-from shieldbridge import simcli
+from shieldbridge import simcli, splitting
 from shieldbridge.notes import commit_note
 from shieldbridge.protocol import Engine, ProtocolConfig, ProtocolError, conformance_errors
 from shieldbridge.simcli import (
@@ -452,6 +452,20 @@ class TestCli:
     def test_check_bounds_exit(self):
         assert main(["check-bounds", "--h", "7", "--k", "4"]) == 0
 
+    @pytest.mark.parametrize("h, k", [(17, 4), (20, 8)])
+    def test_check_bounds_beyond_desk_scale(self, h, k, capsys):
+        # the per-claim summary and the verdict, as at desk scale: one line
+        # per claim plus the overall line, and no per-total output (h <= 20
+        # here, so a mutant that walks every total fails a test_splitting
+        # case instead of hanging; h = 51 and 64 are checked there)
+        report = check_bounds(SplitConfig(h, k))
+        assert main(["check-bounds", "--h", str(h), "--k", str(k)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(report.tally()) + 1
+        assert lines[-1] == "overall: pass (alternate-reading rows excluded)"
+        assert [line.split()[0] for line in lines if "FAIL" in line] == [
+            "anonymity_floor[info]", "lemma2_ii[idx=m]"]
+
     @pytest.mark.parametrize("h, k", [(9, 2), (10, 8)])
     def test_check_bounds_summary_matches_expanded_rows(self, h, k, capsys):
         # the summary as it was built from every expanded row, claim by claim
@@ -564,23 +578,32 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["check-bounds", "--h", "8", "--k", "3"], "k must be a power of two >= 2"),
-        (["check-bounds", "--h", "17", "--k", "4"],
-         "h = 17 exceeds the desk-scale limit 2^16 = 65536; use h <= 16"),
+        # check-bounds walks runs of totals, so it goes up to a note value's
+        # 64 bits, and refuses a config with more runs than the limit
+        (["check-bounds", "--h", "65", "--k", "4"],
+         "h = 65 exceeds the note value width of 64 bits; use h <= 64"),
         # 2**20000 has too many digits to format, so this raised ValueError
         (["check-bounds", "--h", "20000", "--k", "2"],
-         "h = 20000 exceeds the desk-scale limit 2^16 = 65536; use h <= 16"),
+         "h = 20000 exceeds the note value width of 64 bits; use h <= 64"),
+        (["check-bounds", "--h", "20", "--k", "32"],
+         "more than 65536 runs of totals: refuse exhaustive check"),
         (["check-bounds", "--h", "-1", "--k", "2"], "h must be positive"),
         (["privacy", "--h", "8", "--k", "3"], "k must be a power of two >= 2"),
         (["privacy", "--h", "8", "--k", "4", "--t", "300"], "total 300 outside [1, 255]"),
         (["privacy", "--h", "8", "--k", "4", "--t", "0"], "total 0 outside [1, 255]"),
         (["privacy", "--h", "20000", "--k", "2"],
          "h = 20000 exceeds the desk-scale limit 2^16 = 65536; use h <= 16"),
-    ], ids=["check-bounds-k3", "check-bounds-h17", "check-bounds-h20000", "check-bounds-h-1",
+    ], ids=["check-bounds-k3", "check-bounds-h65", "check-bounds-h20000", "check-bounds-h20-k32",
+            "check-bounds-h-1",
             "privacy-k3",
             "privacy-t300", "privacy-t0", "privacy-h20000"])
-    def test_bad_split_params_exit_2(self, argv, message, capsys):
+    def test_bad_split_params_exit_2(self, argv, message, capsys, monkeypatch):
         # bad splitting parameters are a config error, not a failed bound
-        # check (exit 1)
+        # check (exit 1), found before any group of totals is enumerated
+        def no_groups(cfg):
+            raise AssertionError(f"a refused config reached the check: {cfg}")
+
+        monkeypatch.setattr(splitting, "_groups", no_groups)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")

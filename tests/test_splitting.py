@@ -2,6 +2,7 @@ import hashlib
 import random
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -439,8 +440,24 @@ class TestCheckBounds:
         assert all(r.rhs >= 3 for r in floors)
 
     def test_desk_scale_refusal(self):
-        with pytest.raises(SplittingError):
-            check_bounds(SplitConfig(17, 4))
+        # the limit counts runs of totals, not totals: h = 17 is checked,
+        # and a config with more than DESK_SCALE_LIMIT runs is refused
+        assert check_bounds(SplitConfig(17, 4)).all_pass
+        for hk in ((20, 32), (64, 32)):
+            with pytest.raises(SplittingError, match="more than 65536 runs"):
+                check_bounds(SplitConfig(*hk))
+
+    @pytest.mark.parametrize("hk, runs", [((14, 8), 111), ((51, 8), 407), ((51, 16), 6_079),
+                                          ((64, 16), 7_743), ((20, 32), 261_119),
+                                          ((64, 32), 1_702_911)],
+                             ids=["h14-k8", "h51-k8", "h51-k16", "h64-k16", "h20-k32", "h64-k32"])
+    def test_run_counts_against_the_limit(self, hk, runs):
+        # counted up to one past the limit, as check_bounds counts them
+        cfg = SplitConfig(*hk)
+        seen = sum(1 for _ in islice(splitting._runs(cfg), DESK_SCALE_LIMIT + 1))
+        assert seen == min(runs, DESK_SCALE_LIMIT + 1)
+        if runs <= 10_000:
+            assert sum(1 for _ in splitting._runs(cfg)) == runs
 
     @pytest.mark.parametrize("h, k, report_sha, distribution_sha", [
         (8, 4, "647313793fa2231669d67873bed3abf8c5939b01eed68e0cf0b51cd3e83aa116",
@@ -502,6 +519,31 @@ class TestBoundsReport:
                                   "d": [3, 0], "e": [1, 0]}
         empty = BoundsReport()
         assert empty.all_pass and len(empty.rows) == 0 and list(empty.rows) == []
+
+    def test_queries_decide_per_block(self):
+        # a block whose rows a query keeps none of is never iterated, and
+        # all_pass and tally read no block's totals: beyond desk scale one
+        # block can stand for 2^50 totals
+        class Unread(Sequence):
+            def __len__(self):
+                return 3
+
+            def __getitem__(self, index):
+                raise AssertionError("a block's totals were read")
+
+            def __iter__(self):
+                raise AssertionError("a block's totals were read")
+
+        report = BoundsReport()
+        report.repeat((ClaimRow("a", 0, None, Fraction(1), Fraction(2), True),
+                       ClaimRow("b[info]", 0, None, Fraction(3), Fraction(2), False)), Unread())
+        assert report.unattributed_failures() == []
+        assert report.all_pass
+        assert report.tally() == {"a": [3, 0], "b[info]": [3, 3]}
+        huge = BoundsReport()
+        huge.repeat((ClaimRow("a", 0, None, Fraction(1), Fraction(2), True),),
+                    range(2**63, 2**64))
+        assert huge.tally() == {"a": [2**63, 0]}
 
 
 # --- Fraction oracle ------------------------------------------------------------
@@ -732,6 +774,25 @@ class TestConditionalTable:
             first += e
         assert first == cfg.t_max + 1
 
+    def test_the_first_call_builds_the_table_not_the_constructor(self, monkeypatch):
+        monkeypatch.setattr(splitting, "_CONDITIONALS", {})
+        cfg = SplitConfig(11, 8)
+        assert cfg._conditionals is None and splitting._CONDITIONALS == {}
+        assert cfg == SplitConfig(11, 8) and hash(cfg) == hash(SplitConfig(11, 8))
+        assert "_conditionals" not in repr(cfg)
+        dist = exact_conditional_expectation(100, cfg)
+        table = splitting._CONDITIONALS[11, 8]
+        assert cfg._conditionals is table and table[100] is dist
+        assert len(table) == cfg.t_max + 1
+        # an equal config points at the same table, and the table is not rebuilt
+        other = SplitConfig(11, 8)
+        monkeypatch.setattr(splitting, "_conditional_table", None)
+        assert exact_conditional_expectation(100, other) is dist
+        assert other._conditionals is table
+        # a per-total read goes through the reference alone
+        monkeypatch.setattr(splitting, "_CONDITIONALS", {})
+        assert exact_conditional_expectation(5, cfg) is table[5]
+
     def test_a_second_config_reuses_the_table(self):
         first = exact_conditional_expectation(5, SplitConfig(11, 4))
         table = splitting._CONDITIONALS[11, 4]
@@ -745,6 +806,58 @@ class TestConditionalTable:
         for t in (1, 2**m - 1, 2**m, 2**m + 12345, cfg.t_max):
             assert exact_conditional_expectation(t, cfg) == per_total_conditional(t, cfg)
         assert hk not in splitting._CONDITIONALS
+        assert cfg._conditionals is None
+
+
+class TestRunPath:
+    # beyond desk scale _groups enumerates runs (_run_groups); at desk scale
+    # it walks the totals, and both must give check_bounds the same report
+
+    @pytest.mark.parametrize("hk", SMALL_CONFIGS + [(14, 8)],
+                             ids=lambda hk: f"h{hk[0]}-k{hk[1]}")
+    def test_per_run_path_matches_per_total_path(self, hk, monkeypatch):
+        cfg = SplitConfig(*hk)
+        marginal_expectation.cache_clear()
+        per_total = check_bounds(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(splitting, "_groups", splitting._run_groups)
+            marginal_expectation.cache_clear()
+            per_run = check_bounds(cfg)
+            per_run_marginal = marginal_expectation(cfg)
+        marginal_expectation.cache_clear()
+        assert list(per_run.rows) == list(per_total.rows)
+        assert per_run.tally() == per_total.tally()
+        assert per_run_marginal.values == fraction_marginal_expectation(cfg).values
+
+    @pytest.mark.parametrize("hk", [(17, 4), (20, 8)], ids=["h17-k4", "h20-k8"])
+    def test_beyond_desk_scale_groups_are_the_runs(self, hk, monkeypatch):
+        # no per-total call: the groups come from the run walk alone
+        cfg = SplitConfig(*hk)
+        calls = []
+        original = splitting.exact_conditional_expectation
+        monkeypatch.setattr(splitting, "exact_conditional_expectation",
+                            lambda t, cfg: calls.append(t) or original(t, cfg))
+        groups = _groups(cfg)
+        assert calls == []
+        assert [(first, count) for _, first, count in groups] == [
+            (first, count) for _, first, count in splitting._run_groups(cfg)]
+        assert groups[-1][1] + groups[-1][2] == cfg.t_max + 1
+        for dist, first, count in groups[::7] + groups[-1:]:
+            for t in (first, first + count - 1):
+                assert dist == per_total_conditional(t, cfg)
+
+    @pytest.mark.parametrize("hk", [(h, k) for h in (20, 32, 51, 64) for k in (8, 16)],
+                             ids=lambda hk: f"h{hk[0]}-k{hk[1]}")
+    def test_only_the_documented_rows_fail_at_real_scale(self, hk):
+        cfg = SplitConfig(*hk)
+        report = check_bounds(cfg)
+        tally = report.tally()
+        assert sorted(claim for claim, (_, failed) in tally.items() if failed) == [
+            "anonymity_floor[info]", "lemma2_ii[idx=m]"]
+        assert report.all_pass and report.unattributed_failures() == []
+        # each group's claims stand for its whole run: every total is counted
+        assert tally["lemma2_iii"] == [cfg.t_max, 0]
+        assert tally["theorem_zero"] == [cfg.t_max, 0]
 
 
 def test_check_bounds_calls_each_conditional_twice_per_total(monkeypatch):

@@ -588,6 +588,35 @@ class TestReorg:
         assert commit_note(n).digest in chain.pool.leaf_index
         assert y_mined
 
+    def test_reorg_requeues_a_spend_of_a_requeued_output(self, rng, directory):
+        # X pays Bob note N and Y spends N, each in its own block; an empty
+        # 3-block branch from X's parent orphans both. Y is valid once X is
+        # requeued ahead of it, so both go back, in order, and are mined
+        chain, alice = seed_chain(rng, directory, values=(100,))
+        funding = chain.main[-1]
+        bob = Wallet("bob", random_address(rng), rng_bytes(rng, 32))
+        x, (n, _) = build_transfer(alice, [(bob.address, 50, rng_bytes(rng, 32))],
+                                   chain.fee, directory, rng)
+        assert chain.submit_shielded_tx(x) == x.txid()
+        chain.mine_block()
+        bob.credit(n)
+        y, _ = build_transfer(bob, [(random_address(rng), 20, rng_bytes(rng, 32))],
+                              chain.fee, directory, rng)
+        assert chain.submit_shielded_tx(y) == y.txid()
+        chain.mine_block()
+        tip = funding
+        for _ in range(3):
+            tip = chain.mine_block(parent_hash=tip, txs=[]).hash
+        report = chain.reorg_to(tip)
+        assert report.orphaned_txids == (x.txid(), y.txid())
+        assert [tx.txid() for tx in chain.mempool] == [x.txid(), y.txid()]
+        chain.mine_block()
+        assert [tx.txid() for tx in chain.tip.txs] == [x.txid(), y.txid()]
+        assert y.spends[0].nullifier.digest in chain.pool.nullifiers
+        root, size, nullifiers = chain.replay_from_genesis()
+        assert (root, size, nullifiers) == (chain.pool.tree.root(), len(chain.pool.tree),
+                                            chain.pool.nullifiers)
+
     def test_branch_that_spends_a_main_nullifier_again_is_refused(self, rng, directory):
         # the side branch forks after the spend, so T' reuses T's nullifier
         # on its own branch; the reorg must change nothing
