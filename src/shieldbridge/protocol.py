@@ -245,8 +245,10 @@ class Engine:
         if name in self.actors:
             raise ProtocolError(f"actor {name!r} added twice")
         account = ActorAccount(
-            zcash=Wallet(name, random_address(self.rng), rng_bytes(self.rng, 32)),
-            wzec=Wallet(name, random_address(self.rng), rng_bytes(self.rng, 32)),
+            zcash=Wallet(name, random_address(self.rng), rng_bytes(self.rng, 32),
+                         self.zcash.pool.leaf_index),
+            wzec=Wallet(name, random_address(self.rng), rng_bytes(self.rng, 32),
+                        self.issuing.pool.leaf_index),
         )
         self.actors[name] = account
         for value in zec_notes:

@@ -8,16 +8,14 @@ module implements:
   * the scale-independent prior over totals,
   * the randomized splitting procedure (single uniform draw i); totals
     fall into runs, each the e consecutive totals of one branch
-    (d, e, q, i_max), and at desk scale split(), draw_bound() and
-    pieces_for_draw() read each total's branch from a per-(h, k) table
-    indexed by total, filled one run at a time,
+    (d, e, q, i_max),
   * exact conditional and marginal piece-size distributions over every
     total, the conditionals counted from the draw's bits (Lemma 1's bit
     counts) with rational arithmetic; the tests enumerate every draw as
     the oracle; a conditional depends on the total only through its
-    branch, so it is computed once per branch, and at desk scale each
-    total's conditional is read from a second such table, filled by the
-    same run walk,
+    branch, so it is computed once per branch. At desk scale a config
+    holds each total's branch and conditional in two tables, filled by one
+    run walk on first read,
   * posterior ratios Pr[T=t | piece=v] / Pr[T=t], and
   * exhaustive verifiers for the distributional bounds the strategy is
     designed to satisfy, reported claim by claim and total by total. The
@@ -65,11 +63,10 @@ class SplitConfig:
     granularity integral in every branch of the procedure (the gap region
     [2^m, 2^(m+1)-1] runs with d = 0 and needs 2^(m - k/2) >= 1).
 
-    At desk scale (t_max < DESK_SCALE_LIMIT) the first
-    exact_conditional_expectation call points _conditionals at the shared
-    per-(h, k) table of each total's conditional, building the table if no
-    equal config has; construction never builds it. Beyond desk scale it
-    stays None.
+    At desk scale the config owns each total's branch and conditional
+    (_branches and _conditionals, see _desk_tables), filled on their first
+    read; construction never builds them, and beyond desk scale they stay
+    None.
     """
 
     h: int
@@ -78,10 +75,10 @@ class SplitConfig:
     log2k: int = field(init=False, compare=False)
     m: int = field(init=False, compare=False)
     t_max: int = field(init=False, compare=False)
-    # the desk-scale _CONDITIONALS table, set by the first
-    # exact_conditional_expectation call: a plain attribute, so a per-total
-    # read is one load and one index (a cached_property defeats 3.11's
-    # attribute specialisation)
+    # the desk-scale per-total tables, set by _desk_tables: plain
+    # attributes, so a per-total read is one load and one index (a
+    # cached_property defeats 3.11's attribute specialisation)
+    _branches: list | None = field(default=None, init=False, compare=False, repr=False)
     _conditionals: list | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -165,23 +162,13 @@ def _branch(t: int, cfg: SplitConfig) -> tuple[int, int, int, int]:
     return d, e, q, i_max
 
 
-# (h, k) -> each total's _branch tuple, index 0 unused; one tuple per run
-_BRANCHES: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-
-
 def _branch_at(t: int, cfg: SplitConfig) -> tuple[int, int, int, int]:
-    """_branch(t, cfg) for a total check_total accepted. At desk scale it is
-    read from a per-(h, k) table indexed by total, built on first use;
-    beyond it, as for the conditionals, it is derived for each call."""
-    if cfg.t_max >= DESK_SCALE_LIMIT:
-        return _branch(t, cfg)
-    table = _BRANCHES.get((cfg.h, cfg.k))
-    if table is None:
-        table = [None]
-        for branch in _runs(cfg):
-            table += [branch] * branch[1]
-        _BRANCHES[cfg.h, cfg.k] = table
-    return table[t]
+    """_branch(t, cfg) for a total check_total accepted: read from the
+    config's table at desk scale, derived for each call beyond it."""
+    try:
+        return cfg._branches[t]
+    except TypeError:  # None: this config's first read, or beyond desk scale
+        return cfg._branches[t] if _desk_tables(cfg) else _branch(t, cfg)
 
 
 def _runs(cfg: SplitConfig):
@@ -270,46 +257,42 @@ class PieceDistribution:
         return self.values[self.index_of(value, self.cfg)]
 
 
-# (h, k) -> each total's conditional, index 0 unused; each config reads its
-# table through SplitConfig._conditionals, so this is looked up once per config
-_CONDITIONALS: dict[tuple[int, int], list[PieceDistribution]] = {}
-
-
 def exact_conditional_expectation(t: int, cfg: SplitConfig) -> PieceDistribution:
     """E[X_j | T=t] for every piece-size index j, exact over the n = i_max + 1
     equiprobable draws i. It depends on t only through t's branch
     (d, e, i_max), so every total of one branch gets the same object.
 
-    At desk scale (t_max < DESK_SCALE_LIMIT) it is read from the per-(h, k)
-    table indexed by total, through the reference cfg._conditionals: the
-    first call on a config sets it, building the table if no equal config
-    has, and every later call is one attribute load and one index. Beyond
-    desk scale, where a table would need 2^h entries, the branch is derived
-    for each call."""
+    At desk scale it is read from the config's table (see _desk_tables):
+    one attribute load and one index. Beyond desk scale, where a table
+    would need 2^h entries, the branch is derived for each call."""
     if type(t) is not int:  # inline, not _require_ints: check_bounds calls this per total
         raise SplittingError(f"t must be an integer, got {t!r}")
     if not 1 <= t <= cfg.t_max:  # inlined per total; check_total words the error
         cfg.check_total(t)
     try:
         return cfg._conditionals[t]
-    except TypeError:  # None: this config's first call, or beyond desk scale
-        pass
-    if cfg.t_max >= DESK_SCALE_LIMIT:
-        d, e, _, i_max = _branch(t, cfg)
-        return _branch_distribution(cfg, d, e, i_max)
-    table = _CONDITIONALS.get((cfg.h, cfg.k))
-    if table is None:
-        table = _CONDITIONALS[cfg.h, cfg.k] = _conditional_table(cfg)
-    object.__setattr__(cfg, "_conditionals", table)
-    return table[t]
+    except TypeError:  # None: this config's first read, or beyond desk scale
+        if _desk_tables(cfg):
+            return cfg._conditionals[t]
+    d, e, _, i_max = _branch(t, cfg)
+    return _branch_distribution(cfg, d, e, i_max)
 
 
-def _conditional_table(cfg: SplitConfig) -> list[PieceDistribution]:
-    """Each total's _branch_distribution, filled one run (see _run_groups) at a time."""
-    table = [None]
-    for dist, _, count in _run_groups(cfg):
-        table += [dist] * count
-    return table
+def _desk_tables(cfg: SplitConfig) -> bool:
+    """Whether cfg is at desk scale (t_max < DESK_SCALE_LIMIT); the first
+    call there fills cfg._branches and cfg._conditionals, each total's
+    _branch tuple and _branch_distribution (index 0 unused), from one _runs
+    walk: one tuple and one distribution per run, shared by its totals.
+    Beyond desk scale nothing is built."""
+    if cfg._branches is None and cfg.t_max < DESK_SCALE_LIMIT:
+        branches, conditionals = [None], [None]
+        for branch in _runs(cfg):
+            d, e, _, i_max = branch
+            branches += [branch] * e
+            conditionals += [_branch_distribution(cfg, d, e, i_max)] * e
+        object.__setattr__(cfg, "_branches", branches)
+        object.__setattr__(cfg, "_conditionals", conditionals)
+    return cfg._branches is not None
 
 
 @functools.lru_cache(maxsize=DESK_SCALE_LIMIT)
@@ -339,7 +322,7 @@ def _groups(cfg: SplitConfig) -> list[list]:
     check_bounds (this enumeration, then the marginal's), until a
     re-recorded count lets it enumerate runs instead. Beyond desk scale,
     where the totals are too many to walk, it is _run_groups."""
-    if cfg.t_max >= DESK_SCALE_LIMIT:
+    if not _desk_tables(cfg):
         return _run_groups(cfg)
     groups, first = [], 1
     conditionals = map(exact_conditional_expectation, range(1, cfg.t_max + 1), repeat(cfg))

@@ -557,13 +557,19 @@ class ChainState:
 
 
 class Wallet:
-    """Witness-side note tracking for one actor on one shielded pool."""
+    """Witness-side note tracking for one actor on one shielded pool.
 
-    def __init__(self, owner: str, address: Address, nullifier_key: bytes):
+    Given its pool's `leaf_index`, a wallet selects only the notes whose
+    commitment the pool holds now, so a note whose tx a reorg orphaned
+    waits until it is mined again."""
+
+    def __init__(self, owner: str, address: Address, nullifier_key: bytes,
+                 leaf_index: Optional[dict[bytes, int]] = None):
         self.owner = owner
         self.address = address
         self.nullifier_key = nullifier_key
-        self.unspent: dict[bytes, Note] = {}
+        self.unspent: dict[bytes, Note] = {}  # keyed by commitment digest
+        self.leaf_index = leaf_index
 
     def credit(self, note: Note) -> None:
         self.unspent[commit_note(note).digest] = note
@@ -573,7 +579,9 @@ class Wallet:
 
     def select_notes(self, amount: int) -> list[Note]:
         picked, total = [], 0
-        for note in sorted(self.unspent.values(), key=lambda n: (-n.value, n.rcm)):
+        mined = [note for cm, note in self.unspent.items()
+                 if self.leaf_index is None or cm in self.leaf_index]
+        for note in sorted(mined, key=lambda n: (-n.value, n.rcm)):
             if total >= amount:
                 break
             picked.append(note)

@@ -28,7 +28,14 @@ from shieldbridge.protocol import (
 )
 from shieldbridge.simcli import ActorSpec, VaultBot, collect_metrics, corrupt_ciphertext
 from shieldbridge.vault_registry import RegistryParams
-from shieldbridge.zcash_chain import BlockHeader, CommitmentTree, MerklePath, Rejection
+from shieldbridge.zcash_chain import (
+    BlockHeader,
+    CommitmentTree,
+    MerklePath,
+    OutputDescription,
+    Rejection,
+    ShieldedTx,
+)
 
 LOCK = 5_000_000_000          # 50 ZEC
 MINTED = 4_900_000_000        # floor(lock * 0.98)
@@ -214,12 +221,17 @@ class TestTransferFailures:
             assert str(secret) not in row
 
     def test_lock_past_64_bits_is_a_bad_amount(self):
-        # two genesis-sized notes cover 2**64 plus the fee, so the payment
+        # two mined notes of 2**63 cover 2**64 plus the fee, so the payment
         # note itself, which fails at construction, is what refuses the lock
         engine = make_engine()
         wallet = engine.actors["A1"].zcash
-        for rcm in (b"\x01" * 32, b"\x02" * 32):
-            wallet.credit(Note(wallet.address, 2**63, rcm))
+        big = [Note(wallet.address, 2**63, rcm) for rcm in (b"\x01" * 32, b"\x02" * 32)]
+        coinbase = ShieldedTx((), tuple(
+            OutputDescription(commit_note(n), engine.directory.seal(n, n.address, engine.rng), n)
+            for n in big), 0)
+        engine.zcash.mine_block(txs=[coinbase])
+        for note in big:
+            wallet.credit(note)
         unspent = dict(wallet.unspent)
         request = engine.request_lock("A1", "V1")
         assert engine.do_lock("A1", request.request_id, 2**64) == Rejection("bad-amount")
@@ -961,17 +973,24 @@ class TestRequestOpsAgainstBadInput:
         assert engine.actors["A1"].zcash.balance() == balance
 
     def test_lock_from_a_note_not_on_chain(self):
-        # a wallet note the chain never mined cannot pay a lock
+        # a wallet note the chain never mined is never selected: a lock only
+        # it could cover is short of funds, and the mined note pays a lock
+        # it covers
         engine = make_engine()
         wallet = engine.actors["A1"].zcash
-        wallet.credit(Note(wallet.address, 50_000_000_000, b"\x01" * 32))
+        ghost = Note(wallet.address, 50_000_000_000, b"\x01" * 32)
+        wallet.credit(ghost)
         request = engine.request_lock("A1", "V1")
-        rej = engine.do_lock("A1", request.request_id, LOCK)
-        assert rej == Rejection("unknown-note")
+        rej = engine.do_lock("A1", request.request_id, 20_000_000_000)
+        assert rej == Rejection("insufficient-funds")
         assert last_row(engine) == (engine.now, "A1", "lock", request.request_id,
-                                    AWAITING_MINT, AWAITING_MINT, "rejected:unknown-note")
+                                    AWAITING_MINT, AWAITING_MINT, "rejected:insufficient-funds")
         assert request.lock_note is None and "lock" not in request.done
         assert engine.zcash.mempool == []
+        assert not isinstance(engine.do_lock("A1", request.request_id, LOCK), Rejection)
+        [tx] = engine.zcash.mempool
+        assert [s.witness.note.value for s in tx.spends] == [10_000_000_000]
+        assert ghost in wallet.unspent.values()
 
     def test_release_of_a_ciphertext_that_does_not_decrypt(self):
         engine = engine_with_supply()
@@ -1044,6 +1063,33 @@ class TestBuildMintPreconditions:
         assert rej == Rejection("release-not-mined")
         assert last_row(engine)[-1] == "rejected:release-not-mined"
         assert request.state == AWAIT_REDEEM_CONFIRM
+
+
+class TestWalletFollowsReorgs:
+    def test_change_of_an_orphaned_payment_waits_for_its_block(self):
+        # A1's lock pays its change back to A1; a reorg orphans the block
+        # that mined it, and the lock waits in the mempool. Nothing A1 holds
+        # is on the chain until the next tick mines the lock again, so a
+        # second lock is short of funds, never an unknown note, and the same
+        # lock is paid after that tick
+        engine = make_engine(pairs=2)
+        first = engine.request_lock("A1", "V1")
+        assert not isinstance(engine.do_lock("A1", first.request_id, LOCK), Rejection)
+        engine.tick()
+        orphan_block(engine, engine.block_of(first.lock_cm))
+        assert engine.block_of(first.lock_cm) is None and len(engine.zcash.mempool) == 1
+        second = engine.request_lock("A1", "V2")
+        amount = 1_000_000_000
+        assert engine.do_lock("A1", second.request_id, amount) == Rejection("insufficient-funds")
+        assert last_row(engine)[-1] == "rejected:insufficient-funds"
+        engine.tick()
+        assert engine.block_of(first.lock_cm) is not None
+        assert not isinstance(engine.do_lock("A1", second.request_id, amount), Rejection)
+        assert last_row(engine)[-1] == OK
+        # each engine wallet reads its own pool's index
+        account = engine.actors["A1"]
+        assert account.zcash.leaf_index is engine.zcash.pool.leaf_index
+        assert account.wzec.leaf_index is engine.issuing.pool.leaf_index
 
 
 class TestRelayFollowsReorgs:

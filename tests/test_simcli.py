@@ -4,7 +4,9 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import comb, isclose, sqrt
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -401,7 +403,73 @@ class TestPrivacyAnalysis:
             run_privacy_analysis(17, 4)
 
 
+def reorg_depth_law(alpha: float, restart_behind: int) -> list[float]:
+    """Pr[a round of run_relay_safety's race publishes at depth d], as
+    law[d - 1]; the rest of the mass is the rounds that give up.
+
+    A round opens with the adversary's first block, one below the public
+    tip, so the deficit D (public blocks above the fork less the
+    adversary's) starts at 0. Each later block is the adversary's with
+    chance alpha (D - 1) or honest (D + 1, one more block to revert). The
+    round publishes when D reaches -1, at depth 1 + its honest blocks, and
+    gives up once D exceeds restart_behind. at[D] is the chance of deficit
+    D just after the round's b-th honest block; from there the adversary
+    mines j more blocks with chance alpha^j, so with
+    tail[x] = sum over D >= x of at[D] * alpha^(D - x) the round publishes
+    at depth b + 1 with chance alpha * tail[0], and the next honest block
+    lands at D' with chance (1 - alpha) * tail[D' - 1]."""
+    at = [1.0] + [0.0] * restart_behind
+    law = []
+    while sum(at) > 1e-13:
+        tail = [0.0] * (restart_behind + 2)
+        for x in range(restart_behind, -1, -1):
+            tail[x] = at[x] + alpha * tail[x + 1]
+        law.append(alpha * tail[0])
+        at = [0.0] + [(1 - alpha) * tail[x - 1] for x in range(1, restart_behind + 1)]
+    return law
+
+
 class TestRelaySafetyHarness:
+    def test_depth_law_is_the_catalan_law_below_the_barrier(self):
+        # a round publishing after b honest blocks never trails by more than
+        # b, so for b <= restart_behind the barrier cannot bite: Catalan(b)
+        # paths of alpha^(b+1) * (1 - alpha)^b each. In all, a round
+        # publishes with the gambler's-ruin chance of reaching -1 from 0
+        # before restart_behind + 1
+        for alpha, behind in ((0.33, 72), (0.45, 12)):
+            law = reorg_depth_law(alpha, behind)
+            for b in range(behind + 1):
+                catalan = comb(2 * b, b) // (b + 1)
+                assert isclose(law[b], catalan * alpha**(b + 1) * (1 - alpha)**b,
+                               rel_tol=1e-9)
+            r = alpha / (1 - alpha)
+            assert isclose(sum(law), 1 - (1 - r) / (1 - r**(behind + 2)), rel_tol=1e-9)
+
+    def test_reorg_depths_follow_the_exact_law(self):
+        # criterion 8's 20 runs against the exact law, conditioned on a
+        # publish: bins whose expected count is below 5 are pooled, the
+        # rest of the tail into the last bin, and each bin holds at 3 sigma
+        depths = Counter()
+        for seed in range(200, 220):
+            depths.update(run_relay_safety(n_blocks=10_000, alpha=0.33, k=24, seed=seed,
+                                           restart_behind=72)["reorg_depths"])
+        law = reorg_depth_law(0.33, 72)
+        n, published = sum(depths.values()), sum(law)
+        bins = []  # (chance, observed count)
+        chance = observed = 0
+        for depth, p in enumerate(law, start=1):
+            chance += p / published
+            observed += depths[depth]
+            if n * chance >= 5:
+                bins.append((chance, observed))
+                chance = observed = 0
+        observed += sum(count for depth, count in depths.items() if depth > len(law))
+        last_chance, last_observed = bins.pop()
+        bins.append((last_chance + chance, last_observed + observed))
+        assert sum(count for _, count in bins) == n and len(bins) >= 8
+        for p, count in bins:
+            assert abs(count - n * p) <= 3 * sqrt(n * p * (1 - p)), (p, count)
+
     def test_small_run_no_flips(self):
         stats = run_relay_safety(n_blocks=800, alpha=0.30, k=24, seed=5)
         assert stats["finality_flips"] == 0

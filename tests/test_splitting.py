@@ -200,10 +200,9 @@ class TestSplitProcedure:
             with pytest.raises(SplittingError, match=f"draw {i} outside"):
                 pieces_for_draw(t, CFG108, i)
 
-    def test_beyond_desk_scale_builds_no_branch_table(self, monkeypatch):
+    def test_beyond_desk_scale_builds_no_branch_table(self):
         # (17, 4) is just beyond desk scale, so a branch table built there
         # by mistake would hold 2^17 entries, not hang the run at 2^51
-        monkeypatch.setattr(splitting, "_BRANCHES", {})
         cfg = SplitConfig(17, 4)
         m = cfg.m
         for t in (1, 2**m - 1, 2**m, 2**m + 12345, cfg.t_max):
@@ -213,7 +212,7 @@ class TestSplitProcedure:
                 t, cfg, d, e, q, i_max, i_max // 2)
             assert split(t, cfg, random.Random(t)) == pieces_for_draw(
                 t, cfg, random.Random(t).randrange(i_max + 1))
-        assert splitting._BRANCHES == {}
+        assert cfg._branches is None
 
     @pytest.mark.parametrize("hk", [(7, 4), (14, 8)], ids=["h7-k4", "h14-k8"])
     def test_split_is_pieces_for_its_draw(self, hk):
@@ -234,17 +233,16 @@ class TestSplitProcedure:
             return original(t, cfg)
 
         monkeypatch.setattr(splitting, "_branch", counted)
-        monkeypatch.setattr(splitting, "_BRANCHES", {})
         cfg = SplitConfig(14, 8)
         rng = random.Random(3)
         split(1, cfg, rng)
-        table = splitting._BRANCHES[14, 8]
+        table = cfg._branches
         assert len(calls) == len({id(branch) for branch in table[1:]}) == 111
         calls.clear()
         for t in range(1, cfg.t_max + 1):
             split(t, cfg, rng)
         assert calls == []
-        assert splitting._BRANCHES[14, 8] is table
+        assert cfg._branches is table
 
     @pytest.mark.parametrize("cfg", [SplitConfig(51, 8), SplitConfig(51, 16),
                                      SplitConfig(64, 16)],
@@ -729,8 +727,9 @@ class TestConditionalPerBranch:
 
 
 class TestConditionalTable:
-    # at desk scale exact_conditional_expectation reads a per-(h, k) table
-    # filled one branch at a time; each entry must be the per-branch memo
+    # at desk scale a config holds each total's branch and conditional in
+    # two tables filled one run at a time; each conditional entry must be
+    # the per-branch memo
     @pytest.mark.parametrize("hk", SMALL_CONFIGS + [(12, 8), (12, 16), (14, 8)],
                              ids=lambda hk: f"h{hk[0]}-k{hk[1]}")
     def test_every_entry_is_its_branch_memo(self, hk):
@@ -738,19 +737,17 @@ class TestConditionalTable:
         for t in range(1, cfg.t_max + 1):
             d, e, _, i_max = _branch(t, cfg)
             assert exact_conditional_expectation(t, cfg) is _branch_distribution(cfg, d, e, i_max)
-        table = splitting._CONDITIONALS[hk]
-        assert len(table) == cfg.t_max + 1
+        assert len(cfg._conditionals) == cfg.t_max + 1
 
     @pytest.mark.parametrize("hk", SMALL_CONFIGS + [(14, 8)],
                              ids=lambda hk: f"h{hk[0]}-k{hk[1]}")
-    def test_every_branch_entry_is_its_branch(self, hk, monkeypatch):
-        # the per-(h, k) branch table that split, draw_bound and
+    def test_every_branch_entry_is_its_branch(self, hk):
+        # the config's branch table that split, draw_bound and
         # pieces_for_draw read, against _branch as the oracle; each run of
         # totals shares one tuple
-        monkeypatch.setattr(splitting, "_BRANCHES", {})
         cfg = SplitConfig(*hk)
         draw_bound(1, cfg)
-        table = splitting._BRANCHES[hk]
+        table = cfg._branches
         assert len(table) == cfg.t_max + 1
         for t in range(1, cfg.t_max + 1):
             assert table[t] == _branch(t, cfg)
@@ -775,29 +772,29 @@ class TestConditionalTable:
         assert first == cfg.t_max + 1
 
     def test_the_first_call_builds_the_table_not_the_constructor(self, monkeypatch):
-        monkeypatch.setattr(splitting, "_CONDITIONALS", {})
         cfg = SplitConfig(11, 8)
-        assert cfg._conditionals is None and splitting._CONDITIONALS == {}
+        assert cfg._branches is None and cfg._conditionals is None
         assert cfg == SplitConfig(11, 8) and hash(cfg) == hash(SplitConfig(11, 8))
-        assert "_conditionals" not in repr(cfg)
+        assert "_branches" not in repr(cfg) and "_conditionals" not in repr(cfg)
         dist = exact_conditional_expectation(100, cfg)
-        table = splitting._CONDITIONALS[11, 8]
-        assert cfg._conditionals is table and table[100] is dist
-        assert len(table) == cfg.t_max + 1
-        # an equal config points at the same table, and the table is not rebuilt
-        other = SplitConfig(11, 8)
-        monkeypatch.setattr(splitting, "_conditional_table", None)
-        assert exact_conditional_expectation(100, other) is dist
-        assert other._conditionals is table
-        # a per-total read goes through the reference alone
-        monkeypatch.setattr(splitting, "_CONDITIONALS", {})
+        table, branches = cfg._conditionals, cfg._branches
+        assert table[100] is dist and branches[100] == _branch(100, cfg)
+        assert len(table) == len(branches) == cfg.t_max + 1
+        # later reads, _groups included, keep both tables
+        _groups(cfg)
+        assert cfg._conditionals is table and cfg._branches is branches
+        # a per-total read goes through the config's tables alone
+        monkeypatch.setattr(splitting, "_desk_tables", None)
         assert exact_conditional_expectation(5, cfg) is table[5]
+        assert draw_bound(5, cfg) == branches[5][3]
 
-    def test_a_second_config_reuses_the_table(self):
-        first = exact_conditional_expectation(5, SplitConfig(11, 4))
-        table = splitting._CONDITIONALS[11, 4]
-        assert exact_conditional_expectation(5, SplitConfig(11, 4)) is first
-        assert splitting._CONDITIONALS[11, 4] is table
+    def test_equal_configs_share_each_branch_conditional(self):
+        # each config builds its own tables, and the per-branch memo gives
+        # equal configs the identical conditional object for each total
+        first, second = SplitConfig(11, 4), SplitConfig(11, 4)
+        for t in (1, 5, 1000, first.t_max):
+            assert exact_conditional_expectation(t, second) is exact_conditional_expectation(
+                t, first)
 
     @pytest.mark.parametrize("hk", [(17, 4), (40, 8)], ids=["h17-k4", "h40-k8"])
     def test_beyond_desk_scale_builds_no_table(self, hk):
@@ -805,8 +802,12 @@ class TestConditionalTable:
         m = cfg.m
         for t in (1, 2**m - 1, 2**m, 2**m + 12345, cfg.t_max):
             assert exact_conditional_expectation(t, cfg) == per_total_conditional(t, cfg)
-        assert hk not in splitting._CONDITIONALS
-        assert cfg._conditionals is None
+        assert cfg._branches is None and cfg._conditionals is None
+
+    def test_desk_scale_ends_at_the_limit(self):
+        # t_max = 2^16 - 1 is the largest desk-scale config
+        assert splitting._desk_tables(SplitConfig(16, 8))
+        assert not splitting._desk_tables(SplitConfig(17, 4))
 
 
 class TestRunPath:
@@ -863,8 +864,8 @@ class TestRunPath:
 def test_check_bounds_calls_each_conditional_twice_per_total(monkeypatch):
     # perfbench pins exact_conditional_expectation.calls (32,766 at (14, 8)),
     # counted by rebinding the module function as its tracer does; the
-    # marginal's cache and the conditional tables start empty, as in the
-    # fresh interpreter perfbench runs
+    # marginal's cache starts empty, and a new config holds no table, as in
+    # the fresh interpreter perfbench runs
     cfg = SplitConfig(10, 8)
     calls = []
     original = splitting.exact_conditional_expectation
@@ -874,7 +875,6 @@ def test_check_bounds_calls_each_conditional_twice_per_total(monkeypatch):
         return original(t, cfg)
 
     monkeypatch.setattr(splitting, "exact_conditional_expectation", counted)
-    monkeypatch.setattr(splitting, "_CONDITIONALS", {})
     marginal_expectation.cache_clear()
     report = check_bounds(cfg)
     assert len(calls) == 2 * cfg.t_max

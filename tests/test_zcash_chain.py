@@ -719,9 +719,12 @@ class TestRandomizedChurn:
         # matches a from-genesis walk, the commitment index always matches
         # the tree's leaves, the incrementally maintained state always
         # equals a from-genesis replay, and accepted reorgs never duplicate
-        # nullifiers
+        # nullifiers. Between moves, heavier branches with invalid bodies
+        # are refused; they draw from their own rng, so the walk makes the
+        # same moves
         for seed in range(20):
             rng = random.Random(seed)
+            probe = random.Random(-1 - seed)
             chain, wallet = seed_chain(rng, directory, values=(50_000,))
             side_tips = []
             change: dict[bytes, Note] = {}  # cm -> change note awaiting its block
@@ -755,6 +758,8 @@ class TestRandomizedChurn:
                     side_tips.append(header.hash)
                 elif move == 3 and side_tips:
                     chain.reorg_to(side_tips[rng.randrange(len(side_tips))])
+                if probe.random() < 0.2:
+                    self.refuse_invalid_branches(chain, wallet, directory, probe, seed)
                 # first position wins for a repeated commitment
                 rebuilt = {}
                 for i, cm in enumerate(chain.pool.tree.leaves):
@@ -769,6 +774,41 @@ class TestRandomizedChurn:
                 for nf in chain.blocks[bh].new_nullifiers:
                     assert nf not in seen, seed
                     seen.add(nf)
+
+    @staticmethod
+    def refuse_invalid_branches(chain, wallet, directory, rng, seed):
+        # branches from a random fork below the tip that outweigh the main
+        # chain but break their own ledger: one respends a nullifier spent
+        # at or below the fork, one spends a note in two of its blocks, one
+        # creates more than it spends; reorg_to refuses each, and the tip,
+        # tree, nullifiers and mempool stay as they were
+        fork = rng.randrange(chain.height)
+        note = Note(wallet.address, 500, rng_bytes(rng, 32))
+        spend = spend_of(wallet, note)
+        dest = random_address(rng)
+        balanced = ShieldedTx((spend,), (output_of(Note(dest, 490, rng_bytes(rng, 32)),
+                                                   directory, rng),), 10)
+        unbalanced = ShieldedTx((spend,), (output_of(Note(dest, 501, rng_bytes(rng, 32)),
+                                                     directory, rng),), 0)
+        bodies = [[[balanced], [balanced]], [[unbalanced]]]
+        spent = [tx for bh in chain.main[1:fork + 1] for tx in chain.blocks[bh].txs if tx.spends]
+        if spent:
+            bodies.append([[spent[rng.randrange(len(spent))]]])
+
+        def state():
+            return (chain.tip.header.hash, list(chain.main), list(chain.pool.tree.leaves),
+                    dict(chain.pool.leaf_index), set(chain.pool.nullifiers),
+                    list(chain.mempool))
+
+        for blocks in bodies:
+            before = state()
+            tip = chain.main[fork]
+            for body in blocks:
+                tip = chain.mine_block(parent_hash=tip, txs=body).hash
+            while chain.blocks[tip].header.height <= chain.height:
+                tip = chain.mine_block(parent_hash=tip, txs=[]).hash
+            assert chain.reorg_to(tip) == Rejection("invalid-branch"), seed
+            assert state() == before, seed
 
 
 class TestMerklePathOp:
